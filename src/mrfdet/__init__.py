@@ -1,8 +1,8 @@
 """Desk-scale multi-receptive-field detector with a small-object-focusing
 weakly-supervised segmentation auxiliary task."""
 
-from .anchors import (Box, BoxOffsets, MatchAssignment, decode_box, encode_box,
-                      generate_anchors, iou, match_anchors, nms)
+from .anchors import (Box, MatchAssignment, decode_array, encode_array,
+                      generate_anchors, iou_matrix, match_anchors, nms_array)
 from .detector_net import (BackboneSpec, DetectorParams, HeadOutputs, Toggles,
                            build_network, describe, forward, fpn_merge,
                            seg_head_forward)
@@ -16,10 +16,8 @@ from .mrf_block import (BranchSpec, MRFBlockParams, MRFBlockSpec,
 from .sws_masks import (AreaThresholds, SegLabel, classify_box,
                         rasterize_sws_mask, seg_loss)
 from .tensor_core import (ConvSpec, ShapeError, Tensor, add, concat_channels,
-                          conv2d, conv2d_backward, conv2d_forward,
-                          finite_diff_check, relu, relu_backward,
-                          softmax_channels, transposed_conv2d,
-                          transposed_conv2d_forward, upsample_nearest_2x)
+                          conv2d, finite_diff_check, relu, softmax_channels,
+                          transposed_conv2d, upsample_nearest_2x)
 from .trainer import TrainConfig, load_checkpoint, lr_at, save_checkpoint, train
 
 __version__ = "0.1.0"

@@ -1,8 +1,9 @@
 """Default-box generation, IoU, box encoding/decoding, anchor matching, NMS.
 
-Boxes live in input-image pixel units. Corner form is (xmin, ymin, xmax,
-ymax); center form is (cx, cy, w, h); the two conversions are exact
-inverses. All tie-breaking is by lowest index so results are deterministic.
+Boxes live in input-image pixel units. Geometry works on (N, 4) arrays in
+corner form (xmin, ymin, xmax, ymax) or center form (cx, cy, w, h); the two
+conversions are exact inverses. Box is the annotation/detection record.
+All tie-breaking is by lowest index so results are deterministic.
 """
 
 from __future__ import annotations
@@ -27,28 +28,9 @@ class Box:
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise ShapeError(f"degenerate box {(self.xmin, self.ymin, self.xmax, self.ymax)}")
 
-    @classmethod
-    def from_center(cls, cx, cy, w, h, class_id=0, score=None):
-        if w <= 0 or h <= 0:
-            raise ShapeError(f"non-positive box extent ({w}, {h})")
-        return cls(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2, class_id, score)
-
-    @property
-    def center(self):
-        return ((self.xmin + self.xmax) / 2, (self.ymin + self.ymax) / 2,
-                self.xmax - self.xmin, self.ymax - self.ymin)
-
     @property
     def area(self):
         return (self.xmax - self.xmin) * (self.ymax - self.ymin)
-
-
-@dataclass(frozen=True)
-class BoxOffsets:
-    t_cx: float
-    t_cy: float
-    t_w: float
-    t_h: float
 
 
 @dataclass
@@ -76,16 +58,6 @@ def boxes_to_corner_array(boxes) -> np.ndarray:
     return np.array([[b.xmin, b.ymin, b.xmax, b.ymax] for b in boxes], dtype=np.float64)
 
 
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union; 0 for disjoint boxes."""
-    iw = min(a.xmax, b.xmax) - max(a.xmin, b.xmin)
-    ih = min(a.ymax, b.ymax) - max(a.ymin, b.ymin)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    return inter / (a.area + b.area - inter)
-
-
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU of corner-form (N, 4) vs (M, 4) arrays."""
     if a.size == 0 or b.size == 0:
@@ -96,28 +68,6 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
     area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
     return inter / (area_a[:, None] + area_b[None, :] - inter)
-
-
-def encode_box(g: Box, d: Box) -> BoxOffsets:
-    """Offsets of ground truth g relative to default box d.
-
-    t_cx = (g_cx - d_cx) / d_w, t_cy = (g_cy - d_cy) / d_h,
-    t_w = log(g_w / d_w), t_h = log(g_h / d_h).
-    """
-    gcx, gcy, gw, gh = g.center
-    dcx, dcy, dw, dh = d.center
-    if gw <= 0 or gh <= 0 or dw <= 0 or dh <= 0:
-        raise ShapeError("encode_box requires positive extents")
-    return BoxOffsets((gcx - dcx) / dw, (gcy - dcy) / dh,
-                      float(np.log(gw / dw)), float(np.log(gh / dh)))
-
-
-def decode_box(t: BoxOffsets, d: Box, class_id=0, score=None) -> Box:
-    """Exact inverse of encode_box."""
-    dcx, dcy, dw, dh = d.center
-    return Box.from_center(t.t_cx * dw + dcx, t.t_cy * dh + dcy,
-                           dw * float(np.exp(t.t_w)), dh * float(np.exp(t.t_h)),
-                           class_id, score)
 
 
 def encode_array(gt: np.ndarray, anchors: np.ndarray) -> np.ndarray:
@@ -195,16 +145,16 @@ def match_anchors(anchors: np.ndarray, gts, pos_threshold=0.5) -> MatchAssignmen
     Every ground truth claims its highest-IoU anchor (ties to the lowest
     anchor index); any other anchor with IoU >= pos_threshold to some gt
     becomes positive for its best gt. Remaining anchors are negative.
+    gts is a corner-form (M, 4) array.
     """
     if len(anchors) == 0:
         raise ShapeError("match_anchors needs at least one anchor")
     if not 0 < pos_threshold < 1:
         raise ShapeError("pos_threshold must lie in (0, 1)")
-    gt_arr = gts if isinstance(gts, np.ndarray) else boxes_to_corner_array(gts)
     assign = np.full(len(anchors), -1, dtype=np.int64)
-    if len(gt_arr) == 0:
+    if len(gts) == 0:
         return MatchAssignment(assign)
-    ious = iou_matrix(np.asarray(anchors, dtype=np.float64), gt_arr)
+    ious = iou_matrix(np.asarray(anchors, dtype=np.float64), gts)
     # Threshold step first; the bipartite step below overrides it.
     best_gt = ious.argmax(axis=1)
     best_iou = ious[np.arange(len(anchors)), best_gt]
@@ -212,7 +162,7 @@ def match_anchors(anchors: np.ndarray, gts, pos_threshold=0.5) -> MatchAssignmen
     # Bipartite step: each gt in index order claims its best still-unclaimed
     # anchor unconditionally, so every gt ends with at least one positive.
     claimed = np.zeros(len(anchors), dtype=bool)
-    for j in range(gt_arr.shape[0]):
+    for j in range(len(gts)):
         col = ious[:, j].copy()
         col[claimed] = -1.0
         best = int(col.argmax())
@@ -225,8 +175,7 @@ def nms_array(boxes: np.ndarray, scores: np.ndarray, iou_threshold=0.45,
               max_keep=200) -> np.ndarray:
     """Vectorized single-class greedy NMS; returns kept indices in score order.
 
-    Matches nms() exactly: descending score, ties by index, suppress
-    IoU >= threshold.
+    Descending score, ties by index, suppress IoU >= threshold.
     """
     order = np.lexsort((np.arange(len(scores)), -np.asarray(scores)))
     keep = []
@@ -238,21 +187,3 @@ def nms_array(boxes: np.ndarray, scores: np.ndarray, iou_threshold=0.45,
         order = rest[ious < iou_threshold]
     return np.array(keep, dtype=np.int64)
 
-
-def nms(detections, iou_threshold=0.45, max_keep=200):
-    """Greedy per-class NMS by descending score; ties by insertion order."""
-    kept = []
-    by_class = {}
-    for idx, det in enumerate(detections):
-        if det.score is None:
-            raise ShapeError("nms requires scored detections")
-        by_class.setdefault(det.class_id, []).append((idx, det))
-    for cls in sorted(by_class):
-        group = sorted(by_class[cls], key=lambda p: (-p[1].score, p[0]))
-        chosen = []
-        for idx, det in group:
-            if all(iou(det, other) < iou_threshold for _, other in chosen):
-                chosen.append((idx, det))
-        kept.extend(chosen)
-    kept.sort(key=lambda p: (-p[1].score, p[0]))
-    return [det for _, det in kept[:max_keep]]

@@ -13,16 +13,13 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .dataset import DatasetSpec, load_annotations, synth_dataset
 from .detector_net import BackboneSpec, Toggles, build_network, describe
-from .eval_metrics import EvalConfig
 from .gradcheck import run_suite
 from .inference import collect_detections, evaluate_detector
-from .mrf_block import BranchSpec, MRFBlockSpec, default_mrf_spec, format_rf_report
+from .mrf_block import MRFBlockSpec, default_mrf_spec, format_rf_report
 from .sws_masks import AreaThresholds, mask_to_pgm_bytes, rasterize_sws_mask
-from .trainer import TrainConfig, load_checkpoint, save_checkpoint, train
+from .trainer import TrainConfig, load_checkpoint, train
 
 
 def parse_config_file(path) -> dict:
@@ -254,8 +251,9 @@ def build_parser():
 
     p = sub.add_parser("mask-gen", help="write segmentation ground-truth masks as PGM")
     p.add_argument("--data", required=True)
-    p.add_argument("--t1", type=float, default=1024.0)
-    p.add_argument("--t2", type=float, default=9216.0)
+    # Same area thresholds as training, so default masks are the ones it uses.
+    p.add_argument("--t1", type=float, default=TrainConfig().t1)
+    p.add_argument("--t2", type=float, default=TrainConfig().t2)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_mask_gen)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anchors import Box, iou
+from .anchors import Box, boxes_to_corner_array, iou_matrix
 from .tensor_core import ShapeError
 
 CLASS_NAMES = {1: "rectangle", 2: "ellipse", 3: "triangle"}
@@ -78,8 +78,8 @@ def render_image(spec: DatasetSpec, rng):
                 continue
             x0 = int(rng.integers(0, s - w + 1))
             y0 = int(rng.integers(0, s - h + 1))
-            box = Box(x0, y0, x0 + w, y0 + h)
-            if all(iou(box, b) < 0.25 for b in boxes):
+            box = np.array([[x0, y0, x0 + w, y0 + h]], dtype=np.float64)
+            if (iou_matrix(box, boxes_to_corner_array(boxes)) < 0.25).all():
                 break
         else:
             continue

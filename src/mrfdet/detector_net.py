@@ -13,13 +13,13 @@ front of their 3x3 class/box prediction heads when the MRF toggle is on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .anchors import generate_anchors
-from .mrf_block import (DEFAULT_BRANCHES, MRFBlockSpec, default_mrf_spec,
-                        init_mrf_params, mrf_forward, msra_init)
+from .mrf_block import (DEFAULT_BRANCHES, default_mrf_spec, init_mrf_params,
+                        mrf_forward, msra_init)
 from .tensor_core import (ConvSpec, ShapeError, Tensor, _node, _wants_grad,
                           add, as_tensor, conv2d, relu, transposed_conv2d,
                           upsample_nearest_2x)
@@ -302,7 +302,7 @@ def forward(det: DetectorParams, image, with_seg=None):
         for s in range(2, n_stages):
             by_stride[2 ** (s + 1)] = stages[s]
 
-    pyramid, level_maps, loc_flats, conf_flats = [], [], [], []
+    pyramid, level_maps = [], []
     for lv in det.levels:
         feat = by_stride[lv.stride]
         pyramid.append((lv.name, lv.stride, feat))
@@ -311,11 +311,8 @@ def forward(det: DetectorParams, image, with_seg=None):
         loc_map = _head_conv(feat, p, f"head.{lv.name}.loc")
         conf_map = _head_conv(feat, p, f"head.{lv.name}.conf")
         level_maps.append((lv.name, loc_map, conf_map))
-        loc_flats.append(flatten_level_maps([loc_map], 4))
-        conf_flats.append(flatten_level_maps([conf_map], det.num_classes + 1))
-
-    loc = _concat_rows(loc_flats)
-    conf = _concat_rows(conf_flats)
+    loc = flatten_level_maps([m for _, m, _ in level_maps], 4)
+    conf = flatten_level_maps([m for _, _, m in level_maps], det.num_classes + 1)
 
     seg_logits = None
     run_seg = det.toggles.seg_mode != "off" if with_seg is None else with_seg
@@ -327,19 +324,6 @@ def forward(det: DetectorParams, image, with_seg=None):
     outputs = HeadOutputs(level_maps=level_maps, loc=loc, conf=conf,
                           anchors=det.anchors, seg_logits=seg_logits)
     return pyramid, outputs
-
-
-def _concat_rows(tensors):
-    ts = [as_tensor(t) for t in tensors]
-    out = _node(np.concatenate([t.data for t in ts], axis=0), ts)
-    splits = np.cumsum([t.shape[0] for t in ts])[:-1]
-
-    def bwd(g):
-        for t, gp in zip(ts, np.split(g, splits, axis=0)):
-            if _wants_grad(t):
-                t._accumulate(gp)
-    out._backward = bwd
-    return out
 
 
 def _mrf_params_view(det: DetectorParams, level_name: str):

@@ -4,16 +4,17 @@ A detection is a true positive when it claims a previously unmatched
 ground truth with IoU strictly above the threshold, greedily in descending
 score order. For area-banded AP, ground truths outside the band are
 ignored: detections matching them are dropped rather than counted as
-false positives.
+false positives. As in the COCO evaluation, a class with no ground truth
+in a band is left out of that band's mean.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .anchors import iou
+from .anchors import boxes_to_corner_array, iou_matrix
 from .tensor_core import ShapeError
 
 DEFAULT_AREA_RANGES = (("S", 0.0, 32.0 ** 2), ("M", 32.0 ** 2, 96.0 ** 2),
@@ -61,35 +62,31 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def greedy_match(detections, gts, iou_threshold, ignore_gts=()):
-    """Match score-sorted detections to ground truths of one class/image.
+def greedy_match(ious, iou_threshold, in_band):
+    """Match the detections of one class/image to its ground truths.
 
-    Returns (flags, matched) where flags[i] is True/False/None for
-    TP/FP/ignored (matched an ignore-band gt) per detection in descending
-    score order, and matched[j] marks claimed gts. Ties between equal-IoU
-    gts go to the lowest gt index; equal scores keep insertion order.
+    ious[i][j] is the IoU of the i-th detection in descending score order
+    (equal scores keep insertion order) with gt j; in_band[j] says whether
+    gt j counts, the rest are ignored. Returns (flags, matched): flags[i]
+    is True/False/None for TP/FP/ignored (matched only an ignored gt),
+    matched[j] marks claimed gts. Ties between equal-IoU gts go to the
+    lowest gt index.
     """
-    order = sorted(range(len(detections)),
-                   key=lambda i: (-(detections[i].score or 0.0), i))
-    matched = [False] * len(gts)
-    flags = [False] * len(detections)
-    for i in order:
-        det = detections[i]
+    matched = [False] * len(in_band)
+    flags = []
+    for row in ious:
         best, best_iou = -1, iou_threshold
-        for j, gt in enumerate(gts):
-            if matched[j]:
-                continue
-            v = iou(det, gt)
-            if v > best_iou:
+        for j, v in enumerate(row):
+            if v > best_iou and in_band[j] and not matched[j]:
                 best, best_iou = j, v
         if best >= 0:
             matched[best] = True
-            flags[i] = True
-        elif any(iou(det, g) > iou_threshold for g in ignore_gts):
-            flags[i] = None
+            flags.append(True)
+        elif any(v > iou_threshold and not b for v, b in zip(row, in_band)):
+            flags.append(None)
         else:
-            flags[i] = False
-    return [flags[i] for i in order], matched
+            flags.append(False)
+    return flags, matched
 
 
 def average_precision(tp_fp_sequence, n_gt, interpolation="eleven_point"):
@@ -122,27 +119,38 @@ def average_precision(tp_fp_sequence, n_gt, interpolation="eleven_point"):
     return float(np.sum((r[idx] - r[idx - 1]) * p[idx]))
 
 
-def _collect(dets_by_image, gts_by_image, cls, iou_threshold, band=None):
+def _match_inputs(dets_by_image, gts_by_image, classes):
+    """Per class, per image: (image, detection indices and scores in
+    descending score order, their IoU rows against the class's gts, gt
+    areas). One iou_matrix per image serves every class and area band."""
+    inputs = {cls: [] for cls in classes}
+    for img in sorted(set(dets_by_image) | set(gts_by_image)):
+        dets, gts = dets_by_image.get(img, []), gts_by_image.get(img, [])
+        # Plain lists: per-element access on these few-gt rows is cheaper
+        # than numpy calls.
+        rows = iou_matrix(boxes_to_corner_array(dets), boxes_to_corner_array(gts)).tolist()
+        for cls in classes:
+            di = sorted((i for i, d in enumerate(dets) if d.class_id == cls),
+                        key=lambda i: -dets[i].score)
+            gi = [j for j, g in enumerate(gts) if g.class_id == cls]
+            inputs[cls].append((img, di, [dets[i].score for i in di],
+                                [[rows[i][j] for j in gi] for i in di],
+                                [gts[j].area for j in gi]))
+    return inputs
+
+
+def _collect(inputs, iou_threshold, band=None):
     """Global score-ordered TP/FP sequence and gt count for one class."""
     scored = []
     n_gt, matched_total = 0, 0
-    images = sorted(set(dets_by_image) | set(gts_by_image))
-    for img in images:
-        dets = [d for d in dets_by_image.get(img, []) if d.class_id == cls]
-        gts_all = [g for g in gts_by_image.get(img, []) if g.class_id == cls]
-        if band is None:
-            gts, ignore = gts_all, []
-        else:
-            lo, hi = band
-            gts = [g for g in gts_all if lo < g.area <= hi]
-            ignore = [g for g in gts_all if not lo < g.area <= hi]
-        n_gt += len(gts)
-        order = sorted(range(len(dets)), key=lambda i: (-(dets[i].score or 0.0), i))
-        flags, matched = greedy_match(dets, gts, iou_threshold, ignore)
+    lo, hi = band or (-np.inf, np.inf)
+    for img, di, scores, ious, areas in inputs:
+        in_band = [lo < a <= hi for a in areas]
+        n_gt += sum(in_band)
+        flags, matched = greedy_match(ious, iou_threshold, in_band)
         matched_total += sum(matched)
-        for rank, i in enumerate(order):
-            if flags[rank] is not None:
-                scored.append((-dets[i].score, img, i, flags[rank]))
+        scored.extend((-score, img, i, flag)
+                      for i, score, flag in zip(di, scores, flags) if flag is not None)
     scored.sort()
     return [f for *_, f in scored], n_gt, matched_total
 
@@ -155,12 +163,12 @@ def evaluate_detections(dets_by_image, gts_by_image, config: EvalConfig) -> Eval
     """
     classes = sorted({g.class_id for gts in gts_by_image.values() for g in gts} |
                      {d.class_id for ds in dets_by_image.values() for d in ds})
+    inputs = _match_inputs(dets_by_image, gts_by_image, classes)
     per_class, tp = {}, 0
     fp = 0
     missed = 0
     for cls in classes:
-        seq, n_gt, matched = _collect(dets_by_image, gts_by_image, cls,
-                                      config.iou_threshold)
+        seq, n_gt, matched = _collect(inputs[cls], config.iou_threshold)
         per_class[cls] = average_precision(seq, n_gt, config.interpolation)
         tp += sum(seq)
         fp += len(seq) - sum(seq)
@@ -170,20 +178,13 @@ def evaluate_detections(dets_by_image, gts_by_image, config: EvalConfig) -> Eval
     for name, lo, hi in config.area_ranges:
         aps = []
         for cls in classes:
-            seq, n_gt, _ = _collect(dets_by_image, gts_by_image, cls,
-                                    config.iou_threshold, band=(lo, hi))
-            ap = average_precision(seq, n_gt, config.interpolation)
-            if ap is not None:
-                aps.append(ap)
+            seq, n_gt, _ = _collect(inputs[cls], config.iou_threshold, band=(lo, hi))
+            if n_gt:
+                aps.append(average_precision(seq, n_gt, config.interpolation))
         per_area[name] = float(np.mean(aps)) if aps else None
     return EvalReport(per_class_ap=per_class,
                       map=float(np.mean(valid)) if valid else 0.0,
                       per_area_ap=per_area, tp=int(tp), fp=int(fp), missed=int(missed))
-
-
-def ap_by_area(dets_by_image, gts_by_image, config: EvalConfig) -> dict:
-    """Per-band AP only (the area columns of the report)."""
-    return evaluate_detections(dets_by_image, gts_by_image, config).per_area_ap
 
 
 def coco_style_summary(dets_by_image, gts_by_image,

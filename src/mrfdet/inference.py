@@ -36,17 +36,6 @@ def detect_image(det: DetectorParams, image, score_threshold=0.01,
     return detections[:max_keep]
 
 
-def evaluate_detector(det: DetectorParams, data_dir, config: EvalConfig = None,
-                      score_threshold=0.01, nms_iou=0.45, max_keep=200) -> EvalReport:
-    config = config or EvalConfig()
-    dets_by_image, gts_by_image = {}, {}
-    for rel, image, boxes in load_dataset(data_dir):
-        gts_by_image[rel] = boxes
-        dets_by_image[rel] = detect_image(det, image, score_threshold,
-                                          nms_iou, max_keep)
-    return evaluate_detections(dets_by_image, gts_by_image, config)
-
-
 def collect_detections(det: DetectorParams, data_dir, score_threshold=0.01,
                        nms_iou=0.45, max_keep=200):
     dets_by_image, gts_by_image = {}, {}
@@ -55,3 +44,10 @@ def collect_detections(det: DetectorParams, data_dir, score_threshold=0.01,
         dets_by_image[rel] = detect_image(det, image, score_threshold,
                                           nms_iou, max_keep)
     return dets_by_image, gts_by_image
+
+
+def evaluate_detector(det: DetectorParams, data_dir, config: EvalConfig = None,
+                      score_threshold=0.01, nms_iou=0.45, max_keep=200) -> EvalReport:
+    return evaluate_detections(*collect_detections(det, data_dir, score_threshold,
+                                                   nms_iou, max_keep),
+                               config or EvalConfig())

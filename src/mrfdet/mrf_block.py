@@ -8,7 +8,7 @@ preserves the spatial extent and the concat is always well formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

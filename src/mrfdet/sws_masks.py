@@ -14,7 +14,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .tensor_core import ShapeError, Tensor, _node, _wants_grad, as_tensor
+from .tensor_core import ShapeError, _node, _wants_grad, as_tensor
 
 
 class SegLabel(IntEnum):

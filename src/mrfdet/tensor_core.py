@@ -97,6 +97,8 @@ class Tensor:
             if self.data.size != 1:
                 raise ShapeError("backward() without an explicit gradient needs a scalar")
             grad = np.ones_like(self.data)
+        elif np.shape(grad) != self.shape:
+            raise ShapeError(f"backward grad shape {np.shape(grad)} != node shape {self.shape}")
         topo, seen = [], set()
 
         def visit(node):
@@ -108,6 +110,9 @@ class Tensor:
             topo.append(node)
 
         visit(self)
+        # visit holds itself and topo in a reference cycle; break it so the
+        # tape is freed when the caller drops it, not at the next gc pass.
+        del visit
         self._accumulate(grad)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
@@ -246,24 +251,6 @@ def conv2d(input, weights, bias, spec: ConvSpec) -> Tensor:
     return out
 
 
-def conv2d_forward(input, weights, bias, spec: ConvSpec) -> np.ndarray:
-    """Plain-array convolution forward (no tape)."""
-    return conv2d(input, weights, bias, spec).data
-
-
-def conv2d_backward(grad_out, input, weights, spec: ConvSpec):
-    """Exact adjoints of conv2d_forward: (grad_input, grad_weights, grad_bias)."""
-    g = np.asarray(grad_out)
-    x = np.asarray(input)
-    w = np.asarray(weights)
-    oh, ow = spec.out_extent(x.shape[1]), spec.out_extent(x.shape[2])
-    if g.shape != (spec.out_channels, oh, ow):
-        raise ShapeError(f"grad_out shape {g.shape} != ({spec.out_channels}, {oh}, {ow})")
-    return (_conv_grad_input(g, w, spec, x.shape[1], x.shape[2]),
-            _conv_grad_w(g, x, spec),
-            g.sum(axis=(1, 2)))
-
-
 def transposed_conv2d(input, weights, bias, spec: ConvSpec) -> Tensor:
     """Fractionally-strided convolution: the adjoint map of conv2d.
 
@@ -297,10 +284,6 @@ def transposed_conv2d(input, weights, bias, spec: ConvSpec) -> Tensor:
     return out
 
 
-def transposed_conv2d_forward(input, weights, bias, spec: ConvSpec) -> np.ndarray:
-    return transposed_conv2d(input, weights, bias, spec).data
-
-
 def relu(input) -> Tensor:
     x = as_tensor(input)
     out = _node(np.maximum(x.data, 0.0), (x,))
@@ -310,11 +293,6 @@ def relu(input) -> Tensor:
             x._accumulate(g * (x.data > 0))
     out._backward = bwd
     return out
-
-
-def relu_backward(grad_out, input) -> np.ndarray:
-    """Gate grad by input > 0; subgradient at exactly 0 is 0."""
-    return np.asarray(grad_out) * (np.asarray(input) > 0)
 
 
 def upsample_nearest_2x(input) -> Tensor:

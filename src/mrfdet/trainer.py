@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anchors import match_anchors
+from .anchors import boxes_to_corner_array, match_anchors
 from .dataset import load_dataset
 from .detector_net import BackboneSpec, DetectorParams, Toggles, build_network, forward
 from .losses import LossBreakdown, LossConfig, total_loss
@@ -106,8 +106,7 @@ class TrainResult:
 
 def prepare_sample(det: DetectorParams, config: TrainConfig, image, boxes):
     """Precompute the match assignment and (optionally) the SWS/AWS mask."""
-    gt_boxes = np.array([[b.xmin, b.ymin, b.xmax, b.ymax] for b in boxes],
-                        dtype=np.float64).reshape(-1, 4)
+    gt_boxes = boxes_to_corner_array(boxes)
     gt_labels = np.array([b.class_id for b in boxes], dtype=np.int64)
     assignment = match_anchors(det.anchors, gt_boxes, config.match_threshold)
     mask = None
@@ -174,19 +173,25 @@ def _write_record(f, name, arr):
     f.write(a.tobytes())
 
 
-def _read_records(f):
+def _read_exact(f, n, path):
+    data = f.read(n)
+    if len(data) != n:
+        raise ShapeError(f"checkpoint {path} is truncated")
+    return data
+
+
+def _read_records(f, path):
     records = {}
-    while True:
-        head = f.read(4)
-        if not head:
-            return records
-        (nlen,) = struct.unpack("<I", head)
-        name = f.read(nlen).decode("utf-8")
-        (rank,) = struct.unpack("<I", f.read(4))
-        dims = struct.unpack(f"<{rank}I", f.read(4 * rank)) if rank else ()
+    while head := f.read(4):
+        # A partial length word at the end is a truncation too.
+        (nlen,) = struct.unpack("<I", head + _read_exact(f, 4 - len(head), path))
+        name = _read_exact(f, nlen, path).decode("utf-8")
+        (rank,) = struct.unpack("<I", _read_exact(f, 4, path))
+        dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, path)) if rank else ()
         count = int(np.prod(dims)) if dims else 1
-        data = np.frombuffer(f.read(4 * count), dtype="<f4").reshape(dims)
-        records[name] = data
+        records[name] = np.frombuffer(_read_exact(f, 4 * count, path),
+                                      dtype="<f4").reshape(dims)
+    return records
 
 
 def save_checkpoint(path, det: DetectorParams, config: TrainConfig,
@@ -195,7 +200,10 @@ def save_checkpoint(path, det: DetectorParams, config: TrainConfig,
                      int(det.toggles.mrf), int(det.toggles.extra_level),
                      ("off", "aws", "sws").index(det.toggles.seg_mode),
                      step], dtype="<f4")
-    with open(path, "wb") as f:
+    # Write a sibling file and rename it over the target, so a failed write
+    # never leaves a cut checkpoint at `path`.
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
         _write_record(f, "meta", meta)
@@ -211,6 +219,7 @@ def save_checkpoint(path, det: DetectorParams, config: TrainConfig,
         if optimizer is not None:
             for name, v in optimizer.velocity.items():
                 _write_record(f, "momentum." + name, v)
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path):
@@ -218,10 +227,13 @@ def load_checkpoint(path):
     with open(path, "rb") as f:
         if f.read(4) != CHECKPOINT_MAGIC:
             raise ShapeError(f"{path} is not a detector checkpoint")
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = struct.unpack("<I", _read_exact(f, 4, path))
         if version != CHECKPOINT_VERSION:
             raise ShapeError(f"unsupported checkpoint version {version}")
-        records = _read_records(f)
+        records = _read_records(f, path)
+    for key in ("meta", "meta.stages"):
+        if key not in records:
+            raise ShapeError(f"checkpoint {path} has no {key} record")
     meta = records["meta"]
     toggles = Toggles(mrf=bool(int(meta[3])), extra_level=bool(int(meta[4])),
                       seg_mode=("off", "aws", "sws")[int(meta[5])])

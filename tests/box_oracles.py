@@ -1,0 +1,76 @@
+"""Per-box reference geometry, for tests only.
+
+The package computes IoU, NMS and box encoding on (N, 4) corner arrays
+(mrfdet.anchors). These versions follow the textbook definitions one box
+or one pair at a time, and the tests check the array functions against
+them.
+"""
+
+import numpy as np
+
+from mrfdet.anchors import Box, boxes_to_corner_array, nms_array
+from mrfdet.tensor_core import ShapeError
+
+
+def box_from_center(cx, cy, w, h, class_id=0, score=None) -> Box:
+    if w <= 0 or h <= 0:
+        raise ShapeError(f"non-positive box extent ({w}, {h})")
+    return Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2, class_id, score)
+
+
+def center(b: Box):
+    return ((b.xmin + b.xmax) / 2, (b.ymin + b.ymax) / 2,
+            b.xmax - b.xmin, b.ymax - b.ymin)
+
+
+def iou(a: Box, b: Box) -> float:
+    """Intersection over union; 0 for disjoint boxes."""
+    iw = min(a.xmax, b.xmax) - max(a.xmin, b.xmin)
+    ih = min(a.ymax, b.ymax) - max(a.ymin, b.ymin)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    return inter / (a.area + b.area - inter)
+
+
+def encode_box(g: Box, d: Box):
+    """Offsets (t_cx, t_cy, t_w, t_h) of ground truth g relative to default box d.
+
+    t_cx = (g_cx - d_cx) / d_w, t_cy = (g_cy - d_cy) / d_h,
+    t_w = log(g_w / d_w), t_h = log(g_h / d_h).
+    """
+    gcx, gcy, gw, gh = center(g)
+    dcx, dcy, dw, dh = center(d)
+    return ((gcx - dcx) / dw, (gcy - dcy) / dh,
+            float(np.log(gw / dw)), float(np.log(gh / dh)))
+
+
+def nms(detections, iou_threshold=0.45, max_keep=200):
+    """Greedy per-class NMS by descending score; ties by insertion order."""
+    kept = []
+    by_class = {}
+    for idx, det in enumerate(detections):
+        by_class.setdefault(det.class_id, []).append((idx, det))
+    for cls in sorted(by_class):
+        group = sorted(by_class[cls], key=lambda p: (-p[1].score, p[0]))
+        chosen = []
+        for idx, det in group:
+            if all(iou(det, other) < iou_threshold for _, other in chosen):
+                chosen.append((idx, det))
+        kept.extend(chosen)
+    kept.sort(key=lambda p: (-p[1].score, p[0]))
+    return [det for _, det in kept[:max_keep]]
+
+
+def nms_array_by_class(detections, iou_threshold=0.45, max_keep=200):
+    """The package's nms_array run once per class, merged by descending score
+    as inference.detect_image does; the result is comparable with nms()."""
+    kept = []
+    for cls in sorted({d.class_id for d in detections}):
+        idx = [i for i, d in enumerate(detections) if d.class_id == cls]
+        keep = nms_array(boxes_to_corner_array([detections[i] for i in idx]),
+                         np.array([detections[i].score for i in idx]),
+                         iou_threshold, max_keep)
+        kept.extend(idx[k] for k in keep)
+    kept.sort(key=lambda i: (-detections[i].score, i))
+    return [detections[i] for i in kept[:max_keep]]

@@ -12,8 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from mrfdet.anchors import (Box, boxes_to_corner_array, encode_box, iou,
-                            match_anchors, nms)
+from box_oracles import box_from_center, iou, nms_array_by_class
+from mrfdet.anchors import (Box, boxes_to_corner_array, encode_array,
+                            iou_matrix, match_anchors)
 from mrfdet.cli import ablate, format_ablation_table
 from mrfdet.dataset import DatasetSpec, synth_dataset
 from mrfdet.detector_net import (BackboneSpec, Toggles, build_network,
@@ -72,8 +73,10 @@ def test_criterion_2_equation_fixtures():
     sl1_exact = smooth_l1(0.5) == 0.125 and smooth_l1(2.0) == 1.5
 
     # Box encoding fixture (0.5, 0, ln 2, 0).
-    t = encode_box(Box.from_center(12, 10, 8, 6), Box.from_center(10, 10, 4, 6))
-    enc_err = max(abs(t.t_cx - 0.5), abs(t.t_cy), abs(t.t_w - np.log(2.0)), abs(t.t_h))
+    t_cx, t_cy, t_w, t_h = encode_array(
+        boxes_to_corner_array([box_from_center(12, 10, 8, 6)]),
+        boxes_to_corner_array([box_from_center(10, 10, 4, 6)]))[0]
+    enc_err = max(abs(t_cx - 0.5), abs(t_cy), abs(t_w - np.log(2.0)), abs(t_h))
 
     # Segmentation: uniform logits over all-valid pixels give ln 2.
     ls, _ = seg_loss(np.zeros((2, 4, 4)), np.zeros((4, 4), dtype=np.uint8))
@@ -120,10 +123,10 @@ def test_criterion_3_oracle_equivalence():
             grid[int(box.ymin):int(box.ymax), int(box.xmin):int(box.xmax), k] = True
         inter = (grid[..., 0] & grid[..., 1]).sum()
         union = (grid[..., 0] | grid[..., 1]).sum()
-        iou_worst = max(iou_worst, abs(iou(a, b) - inter / union))
+        got = iou_matrix(boxes_to_corner_array([a]), boxes_to_corner_array([b]))[0, 0]
+        iou_worst = max(iou_worst, abs(got - inter / union))
 
     # Matching vs brute force, 1000 instances.
-    from mrfdet.anchors import iou_matrix
     match_exact = True
     for _ in range(1000):
         anchors = np.sort(rng.uniform(0, 50, (12, 2)), axis=1)
@@ -131,8 +134,8 @@ def test_criterion_3_oracle_equivalence():
                                   anchors[:, :1] + rng.uniform(2, 20, (12, 1)),
                                   anchors[:, :1] + rng.uniform(2, 20, (12, 1))], axis=1)
         gts = [int_box(rng) for _ in range(int(rng.integers(1, 4)))]
-        got = match_anchors(anchors, gts).anchor_gt
         ious = iou_matrix(anchors, boxes_to_corner_array(gts))
+        got = match_anchors(anchors, boxes_to_corner_array(gts)).anchor_gt
         want = np.full(12, -1, dtype=np.int64)
         best_gt = ious.argmax(axis=1)
         thr = ious[np.arange(12), best_gt] >= 0.5
@@ -147,13 +150,13 @@ def test_criterion_3_oracle_equivalence():
             match_exact = False
             break
 
-    # NMS vs O(n^2) reference, 1000 instances.
+    # Per-class NMS vs O(n^2) reference, 1000 instances.
     nms_exact = True
     for _ in range(1000):
         dets = [Box(b.xmin, b.ymin, b.xmax, b.ymax,
                     class_id=int(rng.integers(0, 2)), score=float(rng.random()))
                 for b in (int_box(rng) for _ in range(10))]
-        got = nms(dets, 0.45, 50)
+        got = nms_array_by_class(dets, 0.45, 50)
         chosen = []
         for i in sorted(range(10), key=lambda i: (-dets[i].score, i)):
             if all(dets[i].class_id != dets[j].class_id

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrfdet.anchors import (Box, BoxOffsets, boxes_to_corner_array,
-                            center_to_corner, corner_to_center, decode_array,
-                            decode_box, encode_array, encode_box,
-                            generate_anchors, iou, iou_matrix, match_anchors,
-                            nms, nms_array)
+from box_oracles import (box_from_center, encode_box, iou, nms,
+                         nms_array_by_class)
+from mrfdet.anchors import (Box, boxes_to_corner_array, center_to_corner,
+                            corner_to_center, decode_array, encode_array,
+                            generate_anchors, iou_matrix, match_anchors,
+                            nms_array)
 from mrfdet.tensor_core import ShapeError
 
 box_coords = st.tuples(st.floats(0, 50), st.floats(0, 50),
@@ -36,30 +37,34 @@ def pixel_iou(a: Box, b: Box, grid=400):
     return inter / union if union else 0.0
 
 
+def pair_iou(a: Box, b: Box) -> float:
+    return float(iou_matrix(boxes_to_corner_array([a]), boxes_to_corner_array([b]))[0, 0])
+
+
 class TestIoU:
     def test_hand_case_25_over_175(self):
         # 10x10 boxes offset by (5, 5): intersection 25, union 175.
         a = Box(0, 0, 10, 10)
         b = Box(5, 5, 15, 15)
-        assert iou(a, b) == pytest.approx(25 / 175)
+        assert pair_iou(a, b) == pytest.approx(25 / 175)
 
     def test_identical_and_disjoint(self):
         a = Box(2, 3, 8, 9)
-        assert iou(a, a) == 1.0
-        assert iou(a, Box(8, 3, 14, 9)) == 0.0
-        assert iou(a, Box(100, 100, 110, 110)) == 0.0
+        assert pair_iou(a, a) == 1.0
+        assert pair_iou(a, Box(8, 3, 14, 9)) == 0.0
+        assert pair_iou(a, Box(100, 100, 110, 110)) == 0.0
 
     def test_containment(self):
         outer = Box(0, 0, 10, 10)
         inner = Box(2, 2, 7, 7)
-        assert iou(outer, inner) == pytest.approx(25 / 100)
+        assert pair_iou(outer, inner) == pytest.approx(25 / 100)
 
     def test_against_pixel_counting_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             a = make_box(rng.uniform(1, 30, 4))
             b = make_box(rng.uniform(1, 30, 4))
-            assert iou(a, b) == pytest.approx(pixel_iou(a, b), abs=0.02)
+            assert pair_iou(a, b) == pytest.approx(pixel_iou(a, b), abs=0.02)
 
     def test_matrix_matches_scalar(self):
         rng = np.random.default_rng(1)
@@ -77,8 +82,8 @@ class TestIoU:
     @settings(max_examples=60, deadline=None)
     def test_symmetry_and_range(self, ca, cb):
         a, b = make_box(ca), make_box(cb)
-        v = iou(a, b)
-        assert v == iou(b, a)
+        v = pair_iou(a, b)
+        assert v == pair_iou(b, a)
         assert 0.0 <= v <= 1.0 + 1e-12
 
 
@@ -86,26 +91,25 @@ class TestEncodeDecode:
     def test_hand_fixture(self):
         # gt centered half an anchor-width right of the anchor, twice as wide:
         # t = (0.5, 0, ln 2, 0).
-        d = Box.from_center(10, 10, 4, 6)
-        g = Box.from_center(12, 10, 8, 6)
-        t = encode_box(g, d)
-        assert t.t_cx == pytest.approx(0.5)
-        assert t.t_cy == pytest.approx(0.0)
-        assert t.t_w == pytest.approx(np.log(2.0))
-        assert t.t_h == pytest.approx(0.0)
+        d = boxes_to_corner_array([box_from_center(10, 10, 4, 6)])
+        g = boxes_to_corner_array([box_from_center(12, 10, 8, 6)])
+        t_cx, t_cy, t_w, t_h = encode_array(g, d)[0]
+        assert t_cx == pytest.approx(0.5)
+        assert t_cy == pytest.approx(0.0)
+        assert t_w == pytest.approx(np.log(2.0))
+        assert t_h == pytest.approx(0.0)
 
     def test_identity_encoding(self):
-        d = Box.from_center(5, 7, 3, 2)
-        t = encode_box(d, d)
-        assert (t.t_cx, t.t_cy, t.t_w, t.t_h) == (0.0, 0.0, 0.0, 0.0)
+        d = boxes_to_corner_array([box_from_center(5, 7, 3, 2)])
+        assert encode_array(d, d)[0].tolist() == [0.0, 0.0, 0.0, 0.0]
 
     @given(box_coords, box_coords)
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, cg, cd):
-        g, d = make_box(cg), make_box(cd)
-        r = decode_box(encode_box(g, d), d)
-        for got, want in zip((r.xmin, r.ymin, r.xmax, r.ymax),
-                             (g.xmin, g.ymin, g.xmax, g.ymax)):
+        g = boxes_to_corner_array([make_box(cg)])
+        d = boxes_to_corner_array([make_box(cd)])
+        r = decode_array(encode_array(g, d), d)
+        for got, want in zip(r[0], g[0]):
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_array_matches_scalar(self):
@@ -114,8 +118,7 @@ class TestEncodeDecode:
         ds = [make_box(rng.uniform(1, 30, 4)) for _ in range(8)]
         t = encode_array(boxes_to_corner_array(gs), boxes_to_corner_array(ds))
         for i, (g, d) in enumerate(zip(gs, ds)):
-            s = encode_box(g, d)
-            np.testing.assert_allclose(t[i], [s.t_cx, s.t_cy, s.t_w, s.t_h])
+            np.testing.assert_allclose(t[i], encode_box(g, d))
         back = decode_array(t, boxes_to_corner_array(ds))
         np.testing.assert_allclose(back, boxes_to_corner_array(gs), atol=1e-9)
 
@@ -127,8 +130,8 @@ class TestEncodeDecode:
     def test_degenerate_rejected(self):
         with pytest.raises(ShapeError):
             Box(5, 5, 5, 10)
-        with pytest.raises(ShapeError):
-            Box.from_center(5, 5, 0, 3)
+        with pytest.raises(ShapeError, match="positive extents"):
+            encode_array(np.array([[5, 5, 5, 10.0]]), np.array([[0, 0, 4, 4.0]]))
 
 
 class TestGenerateAnchors:
@@ -202,7 +205,7 @@ class TestMatching:
             gts = [make_box((rng.uniform(0, 40), rng.uniform(0, 40),
                              rng.uniform(6, 24), rng.uniform(6, 24)))
                    for _ in range(n)]
-            a = match_anchors(anchors, gts)
+            a = match_anchors(anchors, boxes_to_corner_array(gts))
             assert set(a.anchor_gt[a.anchor_gt >= 0]) == set(range(n))
 
     def test_matches_brute_force(self):
@@ -212,30 +215,30 @@ class TestMatching:
             gts = [make_box((rng.uniform(0, 40), rng.uniform(0, 40),
                              rng.uniform(6, 24), rng.uniform(6, 24)))
                    for _ in range(rng.integers(1, 4))]
-            got = match_anchors(anchors, gts).anchor_gt
+            got = match_anchors(anchors, boxes_to_corner_array(gts)).anchor_gt
             np.testing.assert_array_equal(got, brute_force_match(anchors, gts, 0.5))
 
     def test_shared_best_anchor_still_covers_both_gts(self):
         # Two gts whose best anchor is the same one: the second must fall
         # back to the next-best unclaimed anchor.
         anchors = np.array([[0, 0, 10, 10], [0, 0, 11, 11], [40, 40, 50, 50.0]])
-        gts = [Box(0, 0, 10, 10), Box(0.5, 0.5, 10.5, 10.5)]
+        gts = np.array([[0, 0, 10, 10], [0.5, 0.5, 10.5, 10.5]])
         a = match_anchors(anchors, gts, pos_threshold=0.9)
         assert set(a.anchor_gt[:2]) == {0, 1}
         assert a.anchor_gt[2] == -1
 
     def test_no_gts(self):
-        a = match_anchors(np.array([[0, 0, 5, 5.0]]), [])
+        a = match_anchors(np.array([[0, 0, 5, 5.0]]), np.zeros((0, 4)))
         assert a.n_pos == 0
         np.testing.assert_array_equal(a.negative_indices, [0])
 
     def test_threshold_validated(self):
         with pytest.raises(ShapeError):
-            match_anchors(np.array([[0, 0, 5, 5.0]]), [], pos_threshold=0.0)
+            match_anchors(np.array([[0, 0, 5, 5.0]]), np.zeros((0, 4)), pos_threshold=0.0)
 
     def test_assignment_views(self):
         a = match_anchors(np.array([[0, 0, 10, 10], [20, 20, 30, 30.0]]),
-                          [Box(0, 0, 10, 10)])
+                          np.array([[0, 0, 10, 10.0]]))
         assert a.n_pos == 1
         np.testing.assert_array_equal(a.positive_indices, [0])
         np.testing.assert_array_equal(a.negative_indices, [1])
@@ -257,28 +260,29 @@ class TestNms:
     def test_suppresses_overlap(self):
         dets = [Box(0, 0, 10, 10, 0, 0.9), Box(1, 1, 11, 11, 0, 0.8),
                 Box(30, 30, 40, 40, 0, 0.7)]
-        kept = nms(dets, iou_threshold=0.45)
-        assert [d.score for d in kept] == [0.9, 0.7]
+        kept = nms_array(boxes_to_corner_array(dets), np.array([0.9, 0.8, 0.7]), 0.45)
+        assert kept.tolist() == [0, 2]
 
     def test_classes_independent(self):
         dets = [Box(0, 0, 10, 10, 0, 0.9), Box(0, 0, 10, 10, 1, 0.8)]
-        assert len(nms(dets)) == 2
+        assert len(nms_array_by_class(dets)) == 2
 
     def test_tie_break_by_insertion_order(self):
         dets = [Box(0, 0, 10, 10, 0, 0.5), Box(0.1, 0, 10.1, 10, 0, 0.5)]
-        kept = nms(dets, iou_threshold=0.45)
-        assert len(kept) == 1 and kept[0].xmin == 0
+        kept = nms_array(boxes_to_corner_array(dets), np.array([0.5, 0.5]), 0.45)
+        assert kept.tolist() == [0]
 
     def test_max_keep(self):
         dets = [Box(20 * i, 0, 20 * i + 10, 10, 0, 1.0 - i * 0.01) for i in range(10)]
-        assert len(nms(dets, max_keep=3)) == 3
+        scores = np.array([d.score for d in dets])
+        assert len(nms_array(boxes_to_corner_array(dets), scores, max_keep=3)) == 3
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(6)
         for trial in range(20):
             dets = [make_box(rng.uniform(0, 30, 4), class_id=int(rng.integers(0, 2)),
                              score=float(rng.uniform(0, 1))) for _ in range(15)]
-            got = nms(dets, iou_threshold=0.4, max_keep=8)
+            got = nms_array_by_class(dets, iou_threshold=0.4, max_keep=8)
             want = brute_force_nms(dets, 0.4, 8)
             assert [(d.score, d.xmin) for d in got] == [(d.score, d.xmin) for d in want]
 
@@ -292,7 +296,3 @@ class TestNms:
             keep = nms_array(boxes, scores, iou_threshold=0.4, max_keep=8)
             want = nms(dets, iou_threshold=0.4, max_keep=8)
             assert [dets[i].score for i in keep] == [d.score for d in want]
-
-    def test_unscored_rejected(self):
-        with pytest.raises(ShapeError, match="score"):
-            nms([Box(0, 0, 5, 5)])

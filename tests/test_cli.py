@@ -1,9 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mrfdet.cli import (ABLATION_LADDER, _bool, _int_tuple,
                         dataset_spec_from, format_ablation_table, main,
                         mrf_spec_from, parse_config_file, train_config_from)
+from mrfdet.dataset import load_annotations
+from mrfdet.sws_masks import mask_to_pgm_bytes, rasterize_sws_mask
+from mrfdet.trainer import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +109,14 @@ class TestCommands:
         files = sorted(out_dir.iterdir())
         assert len(files) == 6
         assert files[0].read_bytes().startswith(b"P5\n32 32\n255\n")
+
+    def test_mask_gen_defaults_are_the_training_masks(self, data_dir):
+        out_dir = data_dir / "default_masks"
+        assert main(["mask-gen", "--data", str(data_dir / "data"),
+                     "--out", str(out_dir)]) == 0
+        for rel, boxes in sorted(load_annotations(data_dir / "data").items()):
+            want = mask_to_pgm_bytes(rasterize_sws_mask(boxes, 32, TrainConfig().thresholds))
+            assert (out_dir / (Path(rel).stem + ".pgm")).read_bytes() == want
 
     def test_rf_report_default(self, capsys):
         assert main(["rf-report"]) == 0

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from mrfdet.anchors import iou
+from box_oracles import iou
 from mrfdet.dataset import (CLASS_COLORS, DatasetSpec, dataset_info,
                             load_annotations, load_dataset, read_ppm,
                             render_image, synth_dataset, write_ppm)

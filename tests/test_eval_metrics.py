@@ -1,32 +1,42 @@
 import numpy as np
 import pytest
 
-from mrfdet.anchors import Box
+from mrfdet.anchors import Box, boxes_to_corner_array, iou_matrix
 from mrfdet.eval_metrics import (DEFAULT_AREA_RANGES, EvalConfig, EvalReport,
-                                 ap_by_area, average_precision,
-                                 coco_style_summary, evaluate_detections,
-                                 greedy_match)
+                                 average_precision, coco_style_summary,
+                                 evaluate_detections, greedy_match)
 from mrfdet.tensor_core import ShapeError
+
+
+def match(dets, gts, iou_threshold, ignore_gts=()):
+    """greedy_match on Box lists: dets in descending score order (stable), the
+    IoU matrix against gts followed by ignore_gts, the latter out of band."""
+    dets = sorted(dets, key=lambda d: -d.score)
+    all_gts = list(gts) + list(ignore_gts)
+    ious = iou_matrix(boxes_to_corner_array(dets), boxes_to_corner_array(all_gts))
+    in_band = np.arange(len(all_gts)) < len(gts)
+    flags, matched = greedy_match(ious, iou_threshold, in_band)
+    return flags, matched[:len(gts)]
 
 
 class TestGreedyMatch:
     def test_simple_tp_fp(self):
         gts = [Box(0, 0, 10, 10)]
         dets = [Box(0, 0, 10, 10, 0, 0.9), Box(50, 50, 60, 60, 0, 0.8)]
-        flags, matched = greedy_match(dets, gts, 0.5)
+        flags, matched = match(dets, gts, 0.5)
         assert flags == [True, False]
         assert matched == [True]
 
     def test_duplicate_detection_is_fp(self):
         gts = [Box(0, 0, 10, 10)]
         dets = [Box(0, 0, 10, 10, 0, 0.9), Box(0.5, 0, 10.5, 10, 0, 0.8)]
-        flags, _ = greedy_match(dets, gts, 0.5)
+        flags, _ = match(dets, gts, 0.5)
         assert flags == [True, False]
 
     def test_higher_score_claims_first(self):
         gts = [Box(0, 0, 10, 10)]
         dets = [Box(0.5, 0, 10.5, 10, 0, 0.3), Box(0, 0, 10, 10, 0, 0.9)]
-        flags, _ = greedy_match(dets, gts, 0.5)
+        flags, _ = match(dets, gts, 0.5)
         # flags come back in descending score order: 0.9 first.
         assert flags == [True, False]
 
@@ -34,19 +44,19 @@ class TestGreedyMatch:
         # IoU exactly at the threshold does not match.
         gts = [Box(0, 0, 10, 10)]
         dets = [Box(0, 0, 10, 5, 0, 0.9)]  # IoU exactly 0.5
-        flags, matched = greedy_match(dets, gts, 0.5)
+        flags, matched = match(dets, gts, 0.5)
         assert flags == [False] and matched == [False]
 
     def test_ignored_gts_absorb_detections(self):
         ignore = [Box(0, 0, 10, 10)]
         dets = [Box(0, 0, 10, 10, 0, 0.9), Box(50, 50, 60, 60, 0, 0.8)]
-        flags, _ = greedy_match(dets, [], 0.5, ignore_gts=ignore)
+        flags, _ = match(dets, [], 0.5, ignore_gts=ignore)
         assert flags == [None, False]
 
     def test_real_gt_preferred_over_ignore(self):
         gts = [Box(0, 0, 10, 10)]
         ignore = [Box(0, 0, 10, 10)]
-        flags, matched = greedy_match([Box(0, 0, 10, 10, 0, 0.9)], gts, 0.5, ignore)
+        flags, matched = match([Box(0, 0, 10, 10, 0, 0.9)], gts, 0.5, ignore)
         assert flags == [True] and matched == [True]
 
 
@@ -130,7 +140,7 @@ class TestEvaluateDetections:
         # A gt of area 400 (small band) and one of 1600 (medium band).
         gts = {"a": [Box(0, 0, 20, 20, 1), Box(30, 0, 70, 40, 1)]}
         dets = {"a": [Box(0, 0, 20, 20, 1, 0.9), Box(30, 0, 70, 40, 1, 0.8)]}
-        bands = ap_by_area(dets, gts, EvalConfig(interpolation="all_point"))
+        bands = evaluate_detections(dets, gts, EvalConfig(interpolation="all_point")).per_area_ap
         # In the S band the medium gt is ignored, so its matching detection
         # is dropped rather than counted as an FP.
         assert bands["S"] == pytest.approx(1.0)
@@ -140,9 +150,28 @@ class TestEvaluateDetections:
     def test_out_of_band_fp_still_counts(self):
         gts = {"a": [Box(0, 0, 20, 20, 1)]}
         dets = {"a": [Box(0, 0, 20, 20, 1, 0.9), Box(40, 40, 60, 60, 1, 0.8)]}
-        bands = ap_by_area(dets, gts, EvalConfig(interpolation="all_point"))
+        bands = evaluate_detections(dets, gts, EvalConfig(interpolation="all_point")).per_area_ap
         # The stray detection overlaps no gt at all: an FP even in band S.
         assert bands["S"] == pytest.approx(1.0)  # FP ranks after the TP
+
+    def test_band_without_gt_is_excluded(self):
+        # One S-band gt with its matching detection, plus a stray M-sized
+        # detection (area 1600). No class has a gt in the M band, so, as in
+        # the COCO evaluation, the band has no AP rather than 0.
+        gts = {"a": [Box(0, 0, 20, 20, 1)]}
+        dets = {"a": [Box(0, 0, 20, 20, 1, 0.9), Box(20, 20, 60, 60, 1, 0.8)]}
+        rep = evaluate_detections(dets, gts, EvalConfig(interpolation="all_point"))
+        assert rep.per_area_ap["S"] == pytest.approx(1.0)
+        assert rep.per_area_ap["M"] is None and rep.per_area_ap["L"] is None
+        assert "AP_M=n/a" in rep.format_table()
+
+    def test_band_mean_skips_classes_without_gt_in_band(self):
+        # Class 1 has an M-band gt; class 2 has only a stray M-sized detection.
+        gts = {"a": [Box(0, 0, 40, 40, 1)]}
+        dets = {"a": [Box(0, 0, 40, 40, 1, 0.9), Box(0, 0, 40, 40, 2, 0.8)]}
+        rep = evaluate_detections(dets, gts, EvalConfig(interpolation="all_point"))
+        assert rep.per_class_ap[2] == 0.0
+        assert rep.per_area_ap["M"] == pytest.approx(1.0)
 
     def test_global_score_ordering_across_images(self):
         gts = {"a": [Box(0, 0, 10, 10, 1)], "b": [Box(0, 0, 10, 10, 1)]}

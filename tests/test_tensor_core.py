@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from mrfdet.tensor_core import (ConvSpec, ShapeError, Tensor, add,
-                                concat_channels, conv2d, conv2d_backward,
-                                conv2d_forward, finite_diff_check, inner,
-                                relu, relu_backward, softmax_channels,
-                                transposed_conv2d, transposed_conv2d_forward,
-                                upsample_nearest_2x)
+                                concat_channels, conv2d, finite_diff_check,
+                                inner, relu, softmax_channels,
+                                transposed_conv2d, upsample_nearest_2x)
 
 
 def identity_kernel(channels):
@@ -16,17 +14,25 @@ def identity_kernel(channels):
     return w
 
 
+def conv2d_grads(g, x, w, spec):
+    """(grad_input, grad_weights, grad_bias) of conv2d for output grad g."""
+    x, w = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    b = Tensor(np.zeros(spec.out_channels), requires_grad=True)
+    conv2d(x, w, b, spec).backward(g)
+    return x.grad, w.grad, b.grad
+
+
 class TestConvForward:
     def test_identity_1x1(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((3, 5, 5))
-        out = conv2d_forward(x, identity_kernel(3), np.zeros(3), ConvSpec(3, 3, 1))
+        out = conv2d(x, identity_kernel(3), np.zeros(3), ConvSpec(3, 3, 1)).data
         np.testing.assert_array_equal(out, x)
 
     def test_all_ones_3x3_on_constant(self):
         # 3x3 all-ones kernel over constant 2 sums 9 taps of 2 -> 18 everywhere.
         x = np.full((1, 5, 5), 2.0)
-        out = conv2d_forward(x, np.ones((1, 1, 3, 3)), np.zeros(1), ConvSpec(1, 1, 3))
+        out = conv2d(x, np.ones((1, 1, 3, 3)), np.zeros(1), ConvSpec(1, 1, 3)).data
         assert out.shape == (1, 3, 3)
         np.testing.assert_allclose(out, 18.0)
 
@@ -34,8 +40,8 @@ class TestConvForward:
         # Oracle: enumerate tap coordinates {0,2,4} x {0,2,4} by hand.
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1, 5, 5))
-        out = conv2d_forward(x, np.ones((1, 1, 3, 3)), np.zeros(1),
-                             ConvSpec(1, 1, 3, dilation=2))
+        out = conv2d(x, np.ones((1, 1, 3, 3)), np.zeros(1),
+                     ConvSpec(1, 1, 3, dilation=2)).data
         expected = sum(x[0, i, j] for i in (0, 2, 4) for j in (0, 2, 4))
         assert out.shape == (1, 1, 1)
         np.testing.assert_allclose(out[0, 0, 0], expected)
@@ -47,7 +53,7 @@ class TestConvForward:
         x = rng.standard_normal((2, 7, 7))
         w = rng.standard_normal((3, 2, 3, 3))
         b = rng.standard_normal(3)
-        out = conv2d_forward(x, w, b, spec)
+        out = conv2d(x, w, b, spec).data
         xp = np.pad(x, ((0, 0), (2, 2), (2, 2)))
         oh = spec.out_extent(7)
         expected = np.zeros((3, oh, oh))
@@ -69,27 +75,27 @@ class TestConvForward:
         b = rng.standard_normal(2)
         for d in (2, 3, 5):
             np.testing.assert_array_equal(
-                conv2d_forward(x, w, b, ConvSpec(2, 2, 1, dilation=d)),
-                conv2d_forward(x, w, b, ConvSpec(2, 2, 1)))
+                conv2d(x, w, b, ConvSpec(2, 2, 1, dilation=d)).data,
+                conv2d(x, w, b, ConvSpec(2, 2, 1)).data)
 
     def test_bias_per_output_channel(self):
         x = np.zeros((1, 3, 3))
-        out = conv2d_forward(x, np.zeros((2, 1, 1, 1)), np.array([1.5, -2.0]),
-                             ConvSpec(1, 2, 1))
+        out = conv2d(x, np.zeros((2, 1, 1, 1)), np.array([1.5, -2.0]),
+                     ConvSpec(1, 2, 1)).data
         np.testing.assert_allclose(out[0], 1.5)
         np.testing.assert_allclose(out[1], -2.0)
 
     def test_shape_mismatch_names_dimension(self):
         x = np.zeros((2, 5, 5))
         with pytest.raises(ShapeError, match="channels"):
-            conv2d_forward(x, np.zeros((1, 3, 3, 3)), np.zeros(1), ConvSpec(3, 1, 3))
+            conv2d(x, np.zeros((1, 3, 3, 3)), np.zeros(1), ConvSpec(3, 1, 3))
         with pytest.raises(ShapeError, match="weights shape"):
-            conv2d_forward(x, np.zeros((1, 2, 5, 5)), np.zeros(1), ConvSpec(2, 1, 3))
+            conv2d(x, np.zeros((1, 2, 5, 5)), np.zeros(1), ConvSpec(2, 1, 3))
 
     def test_too_small_input_rejected(self):
         with pytest.raises(ShapeError, match="extent"):
-            conv2d_forward(np.zeros((1, 4, 4)), np.ones((1, 1, 3, 3)), np.zeros(1),
-                           ConvSpec(1, 1, 3, dilation=3))
+            conv2d(np.zeros((1, 4, 4)), np.ones((1, 1, 3, 3)), np.zeros(1),
+                   ConvSpec(1, 1, 3, dilation=3))
 
     def test_determinism(self):
         rng = np.random.default_rng(4)
@@ -97,8 +103,8 @@ class TestConvForward:
         w = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
         spec = ConvSpec(3, 4, 3, padding=1)
-        a = conv2d_forward(x, w, b, spec)
-        assert np.array_equal(a, conv2d_forward(x, w, b, spec))
+        a = conv2d(x, w, b, spec).data
+        assert np.array_equal(a, conv2d(x, w, b, spec).data)
 
 
 class TestConvBackward:
@@ -107,22 +113,22 @@ class TestConvBackward:
         spec = ConvSpec(2, 3, 3)
         x = rng.standard_normal((2, 5, 5))
         w = rng.standard_normal((3, 2, 3, 3))
-        gx, gw, gb = conv2d_backward(np.zeros((3, 3, 3)), x, w, spec)
+        gx, gw, gb = conv2d_grads(np.zeros((3, 3, 3)), x, w, spec)
         assert not gx.any() and not gw.any() and not gb.any()
 
     def test_identity_kernel_adjoint(self):
         rng = np.random.default_rng(6)
         g = rng.standard_normal((2, 4, 4))
-        gx, _, _ = conv2d_backward(g, rng.standard_normal((2, 4, 4)),
-                                   identity_kernel(2), ConvSpec(2, 2, 1))
+        gx, _, _ = conv2d_grads(g, rng.standard_normal((2, 4, 4)),
+                                identity_kernel(2), ConvSpec(2, 2, 1))
         np.testing.assert_array_equal(gx, g)
 
     def test_grad_bias_is_channel_sum(self):
         rng = np.random.default_rng(7)
         spec = ConvSpec(1, 2, 3)
         g = rng.standard_normal((2, 3, 3))
-        _, _, gb = conv2d_backward(g, rng.standard_normal((1, 5, 5)),
-                                   rng.standard_normal((2, 1, 3, 3)), spec)
+        _, _, gb = conv2d_grads(g, rng.standard_normal((1, 5, 5)),
+                                rng.standard_normal((2, 1, 3, 3)), spec)
         np.testing.assert_allclose(gb, g.sum(axis=(1, 2)))
 
     def test_matches_finite_differences(self):
@@ -137,23 +143,23 @@ class TestConvBackward:
         assert finite_diff_check(lambda t: inner(conv2d(x, w, t, spec), c), b) < 1e-5
 
     def test_grad_out_shape_rejected(self):
-        with pytest.raises(ShapeError, match="grad_out"):
-            conv2d_backward(np.zeros((1, 4, 4)), np.zeros((1, 5, 5)),
-                            np.zeros((1, 1, 3, 3)), ConvSpec(1, 1, 3))
+        with pytest.raises(ShapeError, match="grad shape"):
+            conv2d_grads(np.zeros((1, 4, 4)), np.zeros((1, 5, 5)),
+                         np.zeros((1, 1, 3, 3)), ConvSpec(1, 1, 3))
 
 
 class TestTransposedConv:
     def test_identity(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((2, 4, 4))
-        out = transposed_conv2d_forward(x, identity_kernel(2), np.zeros(2),
-                                        ConvSpec(2, 2, 1))
+        out = transposed_conv2d(x, identity_kernel(2), np.zeros(2),
+                                ConvSpec(2, 2, 1)).data
         np.testing.assert_array_equal(out, x)
 
     def test_stride2_disjoint_blocks(self):
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        out = transposed_conv2d_forward(x, np.ones((1, 1, 2, 2)), np.zeros(1),
-                                        ConvSpec(1, 1, 2, stride=2))
+        out = transposed_conv2d(x, np.ones((1, 1, 2, 2)), np.zeros(1),
+                                ConvSpec(1, 1, 2, stride=2)).data
         assert out.shape == (1, 4, 4)
         for (y, xx), v in np.ndenumerate(x[0]):
             np.testing.assert_allclose(out[0, 2 * y:2 * y + 2, 2 * xx:2 * xx + 2], v)
@@ -167,9 +173,9 @@ class TestTransposedConv:
         w = rng.standard_normal((3, 2, 3, 3))
         y = rng.standard_normal((2, spec.transposed_out_extent(4),
                                  spec.transposed_out_extent(4)))
-        lhs = (transposed_conv2d_forward(x, w, np.zeros(2), spec) * y).sum()
+        lhs = (transposed_conv2d(x, w, np.zeros(2), spec).data * y).sum()
         # conv weights (out, in, k, k) = (3, 2, k, k): same array.
-        rhs = (x * conv2d_forward(y, w, np.zeros(3), conv_spec)).sum()
+        rhs = (x * conv2d(y, w, np.zeros(3), conv_spec).data).sum()
         assert abs(lhs - rhs) < 1e-10
 
     def test_gradients(self):
@@ -196,7 +202,9 @@ class TestElementwise:
     def test_relu_backward_gating(self):
         g = np.ones((1, 1, 3))
         x = np.array([[[-1.0, 0.0, 2.0]]])
-        np.testing.assert_array_equal(relu_backward(g, x), [[[0.0, 0.0, 1.0]]])
+        t = Tensor(x, requires_grad=True)
+        relu(t).backward(g)
+        np.testing.assert_array_equal(t.grad, [[[0.0, 0.0, 1.0]]])
 
     def test_upsample(self):
         out = upsample_nearest_2x(np.full((1, 1, 1), 7.0)).data

@@ -1,6 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
+from mrfdet import trainer
+from mrfdet.cli import main
 from mrfdet.dataset import DatasetSpec, synth_dataset
 from mrfdet.detector_net import Toggles
 from mrfdet.tensor_core import ShapeError, Tensor
@@ -160,6 +164,19 @@ class TestPrepareSample:
         assert mask2 is not None and mask2.shape == (32, 32)
 
 
+def record_spans(raw):
+    """(header start, data start, end) of every record after magic and version."""
+    spans, pos = [], 8
+    while pos < len(raw):
+        (nlen,) = struct.unpack_from("<I", raw, pos)
+        (rank,) = struct.unpack_from("<I", raw, pos + 4 + nlen)
+        dims = struct.unpack_from(f"<{rank}I", raw, pos + 8 + nlen)
+        data = pos + 8 + nlen + 4 * rank
+        spans.append((pos, data, data + 4 * int(np.prod(dims))))
+        pos = spans[-1][2]
+    return spans
+
+
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tiny_result, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -229,3 +246,51 @@ class TestCheckpoint:
         path.write_bytes(bytes(data))
         with pytest.raises(ShapeError, match="layout"):
             load_checkpoint(path)
+
+    def test_truncated_checkpoint_fails_with_one_line(self, tiny_result, tiny_dir,
+                                                      tmp_path, capsys):
+        path = tmp_path / "model.ckpt"
+        det = tiny_result.detector
+        save_checkpoint(path, det, TINY_CFG, SGD(det.named_params(), 0.9, 0.0))
+        raw = path.read_bytes()
+        spans = record_spans(raw)
+        assert spans[-1][2] == len(raw)
+        assert any(name.startswith("momentum.") for name in load_checkpoint(path)[1])
+        # Inside the version word and the first record's header, then one
+        # offset inside every record's header and one inside its data.
+        cuts = [4, 10, 13] + [c for h, d, e in spans for c in ((h + d) // 2, (d + e) // 2)]
+        cut = tmp_path / "cut.ckpt"
+        for n in cuts:
+            cut.write_bytes(raw[:n])
+            rc = main(["eval", "--ckpt", str(cut), "--data", str(tiny_dir)])
+            err = capsys.readouterr().err.splitlines()
+            assert rc == 1 and len(err) == 1, (n, err)
+            assert err[0].startswith("error:") and "truncated" in err[0], (n, err)
+
+    def test_missing_meta_records_reported(self, tiny_result, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, tiny_result.detector, TINY_CFG)
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for n, key in ((8, "meta"), (record_spans(raw)[0][2], "meta.stages")):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(ShapeError, match=f"no {key} record"):
+                load_checkpoint(cut)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tiny_result, tmp_path,
+                                                    monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, tiny_result.detector, TINY_CFG)
+        before = path.read_bytes()
+        write_record = trainer._write_record
+
+        def failing(f, name, arr):
+            if name.startswith("param.head"):
+                raise OSError("disk full")
+            write_record(f, name, arr)
+
+        monkeypatch.setattr(trainer, "_write_record", failing)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, tiny_result.detector, TINY_CFG, step=5)
+        assert path.read_bytes() == before
+        assert int(load_checkpoint(path)[1]["meta"][6]) == 0
