@@ -10,12 +10,11 @@ from .eval_metrics import (EvalConfig, EvalReport, average_precision,
                            evaluate_detections, greedy_match)
 from .losses import (LossBreakdown, LossConfig, conf_loss, hard_negative_mine,
                      loc_loss, smooth_l1, total_loss)
-from .mrf_block import (BranchSpec, MRFBlockParams, MRFBlockSpec,
-                        default_mrf_spec, effective_receptive_field,
-                        mrf_forward, rf_report)
+from .mrf_block import (BranchSpec, MRFBlockSpec, default_mrf_spec,
+                        effective_receptive_field, mrf_forward, rf_report)
 from .sws_masks import (AreaThresholds, SegLabel, classify_box,
                         rasterize_sws_mask, seg_loss)
-from .tensor_core import (ConvSpec, ShapeError, Tensor, add, concat_channels,
+from .tensor_core import (ConvSpec, ShapeError, Tensor, add, concat,
                           conv2d, finite_diff_check, relu, softmax_channels,
                           transposed_conv2d, upsample_nearest_2x)
 from .trainer import TrainConfig, load_checkpoint, lr_at, save_checkpoint, train

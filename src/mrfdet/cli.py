@@ -37,9 +37,19 @@ def parse_config_file(path) -> dict:
 
 
 def _get(values, key, convert, default):
+    """Convert and consume values[key]; keys left unread are unknown keys."""
     if key not in values:
         return default
-    return convert(values[key])
+    return convert(values.pop(key))
+
+
+def read_config(path, build):
+    """build(values) from a `key = value` file, or from defaults without one."""
+    values = parse_config_file(path) if path else {}
+    result = build(values)
+    if values:
+        raise ValueError(f"{path}: unknown key {next(iter(values))!r}")
+    return result
 
 
 def _bool(s):
@@ -102,9 +112,13 @@ def mrf_spec_from(values: dict) -> MRFBlockSpec:
     if "branches" not in values:
         return default_mrf_spec(in_c, out_c)
     kds = []
-    for item in values["branches"].split(","):
-        k, d = item.strip().split(":")
-        kds.append((int(k), int(d)))
+    for item in values.pop("branches").split(","):
+        try:
+            k, d = (int(v) for v in item.split(":"))
+        except ValueError:
+            raise ValueError(f"branches item {item.strip()!r} is not of the form "
+                             "kernel:dilation, e.g. 3:2") from None
+        kds.append((k, d))
     return default_mrf_spec(in_c, out_c, tuple(kds))
 
 
@@ -113,14 +127,12 @@ def mrf_spec_from(values: dict) -> MRFBlockSpec:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args):
-    values = parse_config_file(args.spec) if args.spec else {}
-    synth_dataset(dataset_spec_from(values), args.out)
+    synth_dataset(read_config(args.spec, dataset_spec_from), args.out)
     print(f"dataset written to {args.out}")
 
 
 def cmd_train(args):
-    values = parse_config_file(args.config) if args.config else {}
-    config = train_config_from(values)
+    config = read_config(args.config, train_config_from)
     result = train(config, args.data, log_fn=print, ckpt_path=args.out)
     print(f"trained {result.steps} steps; checkpoint at {args.out}")
 
@@ -169,8 +181,7 @@ def format_ablation_table(rows) -> str:
 
 
 def cmd_ablate(args):
-    values = parse_config_file(args.config) if args.config else {}
-    config = train_config_from(values)
+    config = read_config(args.config, train_config_from)
     test_dir = args.test_data or args.data
     rows = ablate(config, args.data, test_dir)
     print(format_ablation_table(rows))
@@ -204,13 +215,11 @@ def cmd_mask_gen(args):
 
 
 def cmd_rf_report(args):
-    values = parse_config_file(args.spec) if args.spec else {}
-    print(format_rf_report(mrf_spec_from(values)))
+    print(format_rf_report(read_config(args.spec, mrf_spec_from)))
 
 
 def cmd_describe(args):
-    values = parse_config_file(args.config) if args.config else {}
-    config = train_config_from(values)
+    config = read_config(args.config, train_config_from)
     det = build_network(BackboneSpec(config.image_size, config.stage_channels),
                         config.num_classes, config.toggles, seed=config.seed)
     print(describe(det))

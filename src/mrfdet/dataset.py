@@ -138,13 +138,16 @@ def load_annotations(data_dir):
     by_image = {}
     path = os.path.join(data_dir, "annotations.txt")
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(f, 1):
+            if not line.strip():
                 continue
-            rel, cls, x0, y0, x1, y1 = line.split()
-            by_image.setdefault(rel, []).append(
-                Box(float(x0), float(y0), float(x1), float(y1), class_id=int(cls)))
+            try:
+                rel, cls, x0, y0, x1, y1 = line.split()
+                cls, coords = int(cls), [float(v) for v in (x0, y0, x1, y1)]
+            except ValueError:
+                raise ShapeError(f"{path}:{lineno}: expected "
+                                 "'image class xmin ymin xmax ymax'") from None
+            by_image.setdefault(rel, []).append(Box(*coords, class_id=cls))
     # Include images that have no objects at all.
     img_dir = os.path.join(data_dir, "images")
     if os.path.isdir(img_dir):

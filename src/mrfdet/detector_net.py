@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import generate_anchors
-from .mrf_block import (DEFAULT_BRANCHES, default_mrf_spec, init_mrf_params,
-                        mrf_forward, msra_init)
+from .mrf_block import (DEFAULT_BRANCHES, default_mrf_spec, init_conv,
+                        init_mrf_params, mrf_forward, msra_init, named_conv)
 from .tensor_core import (ConvSpec, ShapeError, Tensor, _node, _wants_grad,
-                          add, as_tensor, conv2d, relu, transposed_conv2d,
-                          upsample_nearest_2x)
+                          add, as_tensor, concat, conv2d, relu,
+                          transposed_conv2d, upsample_nearest_2x)
 
 SEG_MODES = ("off", "aws", "sws")
 
@@ -126,19 +126,11 @@ def build_network(backbone: BackboneSpec, num_classes: int, toggles: Toggles,
     rng = np.random.default_rng(seed)
     params = {}
 
-    def conv_param(name, out_c, in_c, k, scale=1.0):
-        # Prediction heads start near zero so initial boxes stay close to
-        # their anchors; full-size random heads regress wildly off-image
-        # boxes early on and the localization loss never recovers.
-        w = msra_init(rng, (out_c, in_c, k, k), dtype) * dtype(scale)
-        params[f"{name}.w"] = Tensor(w, requires_grad=True)
-        params[f"{name}.b"] = Tensor(np.zeros(out_c, dtype=dtype), requires_grad=True)
-
     # Backbone stages: first conv of each stage downsamples by 2.
     in_c = 3
     for s, out_c in enumerate(backbone.stage_channels):
         for c in range(backbone.convs_per_stage):
-            conv_param(f"backbone.s{s}.c{c}", out_c, in_c, 3)
+            init_conv(params, f"backbone.s{s}.c{c}", out_c, in_c, 3, rng, dtype)
             in_c = out_c
 
     n_stages = len(backbone.stage_channels)
@@ -150,7 +142,8 @@ def build_network(backbone: BackboneSpec, num_classes: int, toggles: Toggles,
         top_c = backbone.stage_channels[-1]
         # Lateral 1x1 projections for every merged stage (all but the coarsest).
         for s in range(n_stages - 2, 0, -1):
-            conv_param(f"lateral.s{s}", top_c, backbone.stage_channels[s], 1)
+            init_conv(params, f"lateral.s{s}", top_c, backbone.stage_channels[s], 1,
+                      rng, dtype)
         level_channels = {s: (backbone.stage_channels[s] if s == n_stages - 1 else top_c)
                           for s in det_stages}
     else:
@@ -174,12 +167,15 @@ def build_network(backbone: BackboneSpec, num_classes: int, toggles: Toggles,
                     f"effective kernel {mspec.max_effective_kernel}; disable MRF or "
                     "use a larger input")
             mrf_specs[name] = mspec
-            for pname, t in init_mrf_params(mspec, rng, dtype).named(f"mrf.{name}."):
-                params[pname] = t
+            init_mrf_params(params, f"mrf.{name}", mspec, rng, dtype)
         levels.append(spec)
         a = spec.anchors_per_loc
-        conv_param(f"head.{name}.loc", a * 4, spec.channels, 3, scale=0.1)
-        conv_param(f"head.{name}.conf", a * (num_classes + 1), spec.channels, 3, scale=0.1)
+        # Prediction heads start near zero so initial boxes stay close to
+        # their anchors; full-size random heads regress wildly off-image
+        # boxes early on and the localization loss never recovers.
+        for head, k in (("loc", 4), ("conf", num_classes + 1)):
+            init_conv(params, f"head.{name}.{head}", a * k, spec.channels, 3, rng, dtype,
+                      scale=0.1)
 
     if toggles.extra_level:
         # Segmentation head on the finest merged feature (stride 4):
@@ -191,8 +187,8 @@ def build_network(backbone: BackboneSpec, num_classes: int, toggles: Toggles,
         params["seg.up2.w"] = Tensor(msra_init(rng, (16, 8, 2, 2), dtype),
                                      requires_grad=True)
         params["seg.up2.b"] = Tensor(np.zeros(8, dtype=dtype), requires_grad=True)
-        conv_param("seg.transition", 8, 8, 3)
-        conv_param("seg.cls", 2, 8, 1)
+        init_conv(params, "seg.transition", 8, 8, 3, rng, dtype)
+        init_conv(params, "seg.cls", 2, 8, 1, rng, dtype)
 
     scales = [sc * backbone.image_size
               for sc in anchor_scales(n_levels, toggles.extra_level)]
@@ -216,16 +212,21 @@ def fpn_merge(top_feature, lateral_feature, lateral_proj_w, lateral_proj_b) -> T
     return add([upsample_nearest_2x(top), conv2d(lat, w, lateral_proj_b, spec)])
 
 
-def _conv_relu(x, params, name, stride=1):
-    w = params[f"{name}.w"]
-    spec = ConvSpec(x.shape[0], w.shape[0], 3, stride=stride, padding=1)
-    return relu(conv2d(x, w, params[f"{name}.b"], spec))
+def _anchor_rows(level_map: Tensor, k: int) -> Tensor:
+    """(A*K, S, S) head map -> (S*S*A, K) rows: cells row-major, anchor innermost."""
+    c, s1, s2 = level_map.shape
+    a = c // k
+    if a * k != c:
+        raise ShapeError(f"head map channels {c} not divisible by {k}")
+    out = _node(level_map.data.reshape(a, k, s1, s2).transpose(2, 3, 0, 1).reshape(-1, k),
+                (level_map,))
 
-
-def _head_conv(x, params, name):
-    w = params[f"{name}.w"]
-    spec = ConvSpec(x.shape[0], w.shape[0], 3, padding=1)
-    return conv2d(x, w, params[f"{name}.b"], spec)
+    def bwd(g):
+        if _wants_grad(level_map):
+            level_map._accumulate(g.reshape(s1, s2, a, k).transpose(2, 3, 0, 1)
+                                  .reshape(c, s1, s2))
+    out._backward = bwd
+    return out
 
 
 def flatten_level_maps(maps, per_anchor: int) -> Tensor:
@@ -234,27 +235,7 @@ def flatten_level_maps(maps, per_anchor: int) -> Tensor:
     Anchor order matches generate_anchors: level by level, cells row-major,
     anchor index within the cell innermost.
     """
-    k = per_anchor
-    ts = [as_tensor(m) for m in maps]
-    flats, meta = [], []
-    for t in ts:
-        c, s1, s2 = t.shape
-        a = c // k
-        if a * k != c:
-            raise ShapeError(f"head map channels {c} not divisible by {k}")
-        flats.append(t.data.reshape(a, k, s1, s2).transpose(2, 3, 0, 1).reshape(-1, k))
-        meta.append((a, s1, s2))
-    out = _node(np.concatenate(flats, axis=0), ts)
-    sizes = [a * s1 * s2 for a, s1, s2 in meta]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        for t, (a, s1, s2), gp in zip(ts, meta, np.split(g, splits, axis=0)):
-            if _wants_grad(t):
-                t._accumulate(gp.reshape(s1, s2, a, k).transpose(2, 3, 0, 1)
-                              .reshape(a * k, s1, s2))
-    out._backward = bwd
-    return out
+    return concat([_anchor_rows(as_tensor(m), per_anchor) for m in maps])
 
 
 def seg_head_forward(det: DetectorParams, finest_feature) -> Tensor:
@@ -268,8 +249,8 @@ def seg_head_forward(det: DetectorParams, finest_feature) -> Tensor:
                                  ConvSpec(x.shape[0], 16, 2, stride=2)))
     up2 = relu(transposed_conv2d(up1, p["seg.up2.w"], p["seg.up2.b"],
                                  ConvSpec(16, 8, 2, stride=2)))
-    trans = _conv_relu(up2, p, "seg.transition")
-    return conv2d(trans, p["seg.cls.w"], p["seg.cls.b"], ConvSpec(8, 2, 1))
+    trans = relu(named_conv(p, "seg.transition", up2))
+    return named_conv(p, "seg.cls", trans)
 
 
 def forward(det: DetectorParams, image, with_seg=None):
@@ -287,7 +268,7 @@ def forward(det: DetectorParams, image, with_seg=None):
     stages = []
     for s in range(len(det.backbone.stage_channels)):
         for c in range(det.backbone.convs_per_stage):
-            x = _conv_relu(x, p, f"backbone.s{s}.c{c}", stride=2 if c == 0 else 1)
+            x = relu(named_conv(p, f"backbone.s{s}.c{c}", x, stride=2 if c == 0 else 1))
         stages.append(x)
 
     n_stages = len(stages)
@@ -307,9 +288,9 @@ def forward(det: DetectorParams, image, with_seg=None):
         feat = by_stride[lv.stride]
         pyramid.append((lv.name, lv.stride, feat))
         if lv.use_mrf:
-            feat = mrf_forward(_mrf_params_view(det, lv.name), det.mrf_specs[lv.name], feat)
-        loc_map = _head_conv(feat, p, f"head.{lv.name}.loc")
-        conf_map = _head_conv(feat, p, f"head.{lv.name}.conf")
+            feat = mrf_forward(p, f"mrf.{lv.name}", det.mrf_specs[lv.name], feat)
+        loc_map = named_conv(p, f"head.{lv.name}.loc", feat)
+        conf_map = named_conv(p, f"head.{lv.name}.conf", feat)
         level_maps.append((lv.name, loc_map, conf_map))
     loc = flatten_level_maps([m for _, m, _ in level_maps], 4)
     conf = flatten_level_maps([m for _, _, m in level_maps], det.num_classes + 1)
@@ -324,23 +305,6 @@ def forward(det: DetectorParams, image, with_seg=None):
     outputs = HeadOutputs(level_maps=level_maps, loc=loc, conf=conf,
                           anchors=det.anchors, seg_logits=seg_logits)
     return pyramid, outputs
-
-
-def _mrf_params_view(det: DetectorParams, level_name: str):
-    from .mrf_block import MRFBlockParams
-    p = det.params
-    pre = f"mrf.{level_name}."
-    spec = det.mrf_specs[level_name]
-    kwargs = dict(
-        bottleneck_w=p[pre + "bottleneck.w"], bottleneck_b=p[pre + "bottleneck.b"],
-        branch_w=[p[pre + f"branch{i}.w"] for i in range(len(spec.branches))],
-        branch_b=[p[pre + f"branch{i}.b"] for i in range(len(spec.branches))],
-        fuse_w=p[pre + "fuse.w"], fuse_b=p[pre + "fuse.b"],
-    )
-    if spec.needs_projection:
-        kwargs["projection_w"] = p[pre + "proj.w"]
-        kwargs["projection_b"] = p[pre + "proj.b"]
-    return MRFBlockParams(**kwargs)
 
 
 def describe(det: DetectorParams) -> str:

@@ -142,10 +142,11 @@ def loss_checks(rng):
 
 def mrf_checks(rng):
     spec = default_mrf_spec(8, 8)
-    params = init_mrf_params(spec, np.random.default_rng(7))
+    params = {}
+    init_mrf_params(params, "mrf", spec, np.random.default_rng(7))
     x = rng.standard_normal((8, 9, 9)) * 0.5
     c = _coeffs(rng, (8, 9, 9))
-    err = finite_diff_check(lambda t: inner(mrf_forward(params, spec, t), c), x)
+    err = finite_diff_check(lambda t: inner(mrf_forward(params, "mrf", spec, t), c), x)
     return [("mrf_block (composed)", err, COMPOSED_TOL)]
 
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from .anchors import MatchAssignment, encode_array
 from .sws_masks import seg_loss
-from .tensor_core import ShapeError, Tensor, _node, _wants_grad, as_tensor
+from .tensor_core import (ShapeError, Tensor, _log_softmax, _node, _wants_grad,
+                          as_tensor)
 
 
 @dataclass(frozen=True)
@@ -55,11 +56,6 @@ def smooth_l1_grad(x):
     return np.clip(x, -1.0, 1.0)
 
 
-def _log_softmax_rows(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
-
 def conf_loss(conf_logits, assignment: MatchAssignment, gt_labels,
               mined_negatives) -> Tensor:
     """Softmax cross-entropy summed over positives (matched class) and mined
@@ -76,7 +72,7 @@ def conf_loss(conf_logits, assignment: MatchAssignment, gt_labels,
         raise ShapeError("mined negatives must be Negative anchors")
     rows = np.concatenate([pos, neg])
     targets = np.concatenate([labels, np.zeros(neg.size, dtype=np.int64)])
-    logp = _log_softmax_rows(logits.data)
+    logp = _log_softmax(logits.data, axis=1)
     loss = -float(logp[rows, targets].sum()) if rows.size else 0.0
     out = _node(np.array(loss), (logits,))
 
@@ -120,7 +116,7 @@ def loc_loss(loc_preds, assignment: MatchAssignment, gt_boxes,
 
 def background_ce(conf_logits: np.ndarray) -> np.ndarray:
     """Per-anchor cross-entropy against the background class, for mining."""
-    return -_log_softmax_rows(np.asarray(conf_logits))[:, 0]
+    return -_log_softmax(np.asarray(conf_logits), axis=1)[:, 0]
 
 
 def hard_negative_mine(per_anchor_conf_loss, assignment: MatchAssignment,

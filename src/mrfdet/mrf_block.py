@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import (ConvSpec, ShapeError, Tensor, add, as_tensor,
-                          concat_channels, conv2d, relu)
+from .tensor_core import (ConvSpec, ShapeError, Tensor, add, as_tensor, concat,
+                          conv2d, relu)
 
 
 @dataclass(frozen=True)
@@ -28,10 +28,6 @@ class BranchSpec:
         if effective_receptive_field(self.kernel, self.dilation) % 2 == 0:
             raise ShapeError(f"branch {self} has even effective kernel; "
                              "symmetric same-padding is impossible")
-
-    @property
-    def padding(self) -> int:
-        return self.dilation * (self.kernel - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -58,29 +54,6 @@ class MRFBlockSpec:
     @property
     def max_effective_kernel(self) -> int:
         return max(effective_receptive_field(b.kernel, b.dilation) for b in self.branches)
-
-
-@dataclass
-class MRFBlockParams:
-    """Learned weights of one block, keyed consistently with the spec."""
-
-    bottleneck_w: Tensor
-    bottleneck_b: Tensor
-    branch_w: list
-    branch_b: list
-    fuse_w: Tensor
-    fuse_b: Tensor
-    projection_w: Tensor = None
-    projection_b: Tensor = None
-
-    def named(self, prefix=""):
-        pairs = [("bottleneck.w", self.bottleneck_w), ("bottleneck.b", self.bottleneck_b)]
-        for i, (w, b) in enumerate(zip(self.branch_w, self.branch_b)):
-            pairs += [(f"branch{i}.w", w), (f"branch{i}.b", b)]
-        pairs += [("fuse.w", self.fuse_w), ("fuse.b", self.fuse_b)]
-        if self.projection_w is not None:
-            pairs += [("proj.w", self.projection_w), ("proj.b", self.projection_b)]
-        return [(prefix + name, t) for name, t in pairs]
 
 
 DEFAULT_BRANCHES = ((1, 1), (3, 1), (5, 1), (3, 2), (3, 3))
@@ -116,30 +89,43 @@ def msra_init(rng, shape, dtype=np.float64) -> np.ndarray:
     return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
 
 
-def init_mrf_params(spec: MRFBlockSpec, rng, dtype=np.float64) -> MRFBlockParams:
-    def wt(shape):
-        return Tensor(msra_init(rng, shape, dtype), requires_grad=True)
+def init_conv(params: dict, name, out_c, in_c, k, rng, dtype=np.float64, scale=1.0):
+    """Add an MSRA `{name}.w` (out_c, in_c, k, k), times scale, and a zero `{name}.b`."""
+    w = msra_init(rng, (out_c, in_c, k, k), dtype) * dtype(scale)
+    params[f"{name}.w"] = Tensor(w, requires_grad=True)
+    params[f"{name}.b"] = Tensor(np.zeros(out_c, dtype=dtype), requires_grad=True)
 
-    def bias(n):
-        return Tensor(np.zeros(n, dtype=dtype), requires_grad=True)
 
-    bw = wt((spec.bottleneck_channels, spec.in_channels, 1, 1))
-    params = MRFBlockParams(
-        bottleneck_w=bw, bottleneck_b=bias(spec.bottleneck_channels),
-        branch_w=[wt((b.out_channels, spec.bottleneck_channels, b.kernel, b.kernel))
-                  for b in spec.branches],
-        branch_b=[bias(b.out_channels) for b in spec.branches],
-        fuse_w=wt((spec.out_channels, spec.concat_channels, 1, 1)),
-        fuse_b=bias(spec.out_channels),
-    )
+def named_conv(params: dict, name, x, stride=1, dilation=1) -> Tensor:
+    """Apply the conv stored as `{name}.w`/`{name}.b`, with extent-keeping padding.
+
+    Kernel size and channel counts come from the weight's shape.
+    """
+    w = params[f"{name}.w"]
+    out_c, in_c, k, _ = w.shape
+    spec = ConvSpec(in_c, out_c, k, stride=stride, padding=dilation * (k - 1) // 2,
+                    dilation=dilation)
+    return conv2d(x, w, params[f"{name}.b"], spec)
+
+
+def init_mrf_params(params: dict, name, spec: MRFBlockSpec, rng, dtype=np.float64):
+    """Add the block's `{name}.bottleneck`, `.branch{i}`, `.fuse` and, when the
+    shortcut needs one, `.proj` convs to params, in that order."""
+    init_conv(params, f"{name}.bottleneck", spec.bottleneck_channels, spec.in_channels,
+              1, rng, dtype)
+    for i, b in enumerate(spec.branches):
+        init_conv(params, f"{name}.branch{i}", b.out_channels, spec.bottleneck_channels,
+                  b.kernel, rng, dtype)
+    init_conv(params, f"{name}.fuse", spec.out_channels, spec.concat_channels, 1, rng, dtype)
     if spec.needs_projection:
-        params.projection_w = wt((spec.out_channels, spec.in_channels, 1, 1))
-        params.projection_b = bias(spec.out_channels)
-    return params
+        init_conv(params, f"{name}.proj", spec.out_channels, spec.in_channels, 1, rng, dtype)
 
 
-def mrf_forward(params: MRFBlockParams, spec: MRFBlockSpec, input) -> Tensor:
-    """bottleneck -> parallel branches -> concat -> 1x1 fuse -> +shortcut -> ReLU."""
+def mrf_forward(params: dict, name, spec: MRFBlockSpec, input) -> Tensor:
+    """bottleneck -> parallel branches -> concat -> 1x1 fuse -> +shortcut -> ReLU.
+
+    Weights are read from params under the names init_mrf_params gave them.
+    """
     x = as_tensor(input)
     if x.shape[0] != spec.in_channels:
         raise ShapeError(f"input has {x.shape[0]} channels, spec expects {spec.in_channels}")
@@ -147,21 +133,12 @@ def mrf_forward(params: MRFBlockParams, spec: MRFBlockSpec, input) -> Tensor:
         raise ShapeError(
             f"input extent {x.shape[1:]} smaller than largest effective kernel "
             f"{spec.max_effective_kernel}")
-    neck = relu(conv2d(x, params.bottleneck_w, params.bottleneck_b,
-                       ConvSpec(spec.in_channels, spec.bottleneck_channels, 1)))
-    outs = []
-    for b, w, bb in zip(spec.branches, params.branch_w, params.branch_b):
-        cs = ConvSpec(spec.bottleneck_channels, b.out_channels, b.kernel,
-                      padding=b.padding, dilation=b.dilation)
-        outs.append(conv2d(neck, w, bb, cs))
-    fused = conv2d(concat_channels(outs), params.fuse_w, params.fuse_b,
-                   ConvSpec(spec.concat_channels, spec.out_channels, 1))
+    neck = relu(named_conv(params, f"{name}.bottleneck", x))
+    outs = [named_conv(params, f"{name}.branch{i}", neck, dilation=b.dilation)
+            for i, b in enumerate(spec.branches)]
+    fused = named_conv(params, f"{name}.fuse", concat(outs))
     if spec.shortcut:
-        if spec.needs_projection:
-            short = conv2d(x, params.projection_w, params.projection_b,
-                           ConvSpec(spec.in_channels, spec.out_channels, 1))
-        else:
-            short = x
+        short = named_conv(params, f"{name}.proj", x) if spec.needs_projection else x
         fused = add([fused, short])
     return relu(fused)
 

@@ -14,7 +14,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .tensor_core import ShapeError, _node, _wants_grad, as_tensor
+from .tensor_core import ShapeError, _log_softmax, _node, _wants_grad, as_tensor
 
 
 class SegLabel(IntEnum):
@@ -89,8 +89,7 @@ def seg_loss(seg_logits, mask: np.ndarray):
         raise ShapeError(f"logits extent {logits.shape[1:]} != mask extent {mask.shape}")
     valid = mask != int(SegLabel.IGNORE)
     count = int(valid.sum())
-    z = logits.data - logits.data.max(axis=0, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=0, keepdims=True))
+    logp = _log_softmax(logits.data, axis=0)
     if count == 0:
         out = _node(np.array(0.0), (logits,))
         out._backward = lambda g: None

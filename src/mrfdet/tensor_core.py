@@ -120,18 +120,8 @@ class Tensor:
 
     # Scalar arithmetic, enough to combine loss terms.
     def __add__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(np.asarray(other, dtype=self.dtype))
-        if other.shape != self.shape:
-            raise ShapeError(f"add: shapes {self.shape} vs {other.shape}")
-        out = _node(self.data + other.data, (self, other))
-
-        def bwd(g):
-            if self.requires_grad or self._parents:
-                self._accumulate(g)
-            if other.requires_grad or other._parents:
-                other._accumulate(g)
-        out._backward = bwd
-        return out
+        return add([self, other if isinstance(other, Tensor)
+                    else Tensor(np.asarray(other, dtype=self.dtype))])
 
     __radd__ = __add__
 
@@ -309,16 +299,15 @@ def upsample_nearest_2x(input) -> Tensor:
     return out
 
 
-def concat_channels(inputs) -> Tensor:
+def concat(inputs) -> Tensor:
+    """Join tensors along axis 0; every other axis must agree."""
     ts = [as_tensor(t) for t in inputs]
     if not ts:
-        raise ShapeError("concat_channels needs at least one input")
-    spatial = ts[0].shape[1:]
+        raise ShapeError("concat needs at least one input")
     for i, t in enumerate(ts):
-        _check_chw(t.data, f"input[{i}]")
-        if t.shape[1:] != spatial:
-            raise ShapeError(f"concat spatial mismatch: input[{i}] is {t.shape[1:]}, "
-                             f"input[0] is {spatial}")
+        if t.data.ndim == 0 or t.shape[1:] != ts[0].shape[1:]:
+            raise ShapeError(f"concat shape mismatch: input[{i}] is {t.shape}, "
+                             f"input[0] is {ts[0].shape}")
     out = _node(np.concatenate([t.data for t in ts], axis=0), ts)
     splits = np.cumsum([t.shape[0] for t in ts])[:-1]
 
@@ -379,6 +368,12 @@ def inner(input, coeffs) -> Tensor:
             x._accumulate(g * c)
     out._backward = bwd
     return out
+
+
+def _log_softmax(z: np.ndarray, axis: int) -> np.ndarray:
+    """Numerically stable log-softmax of a plain array along one axis."""
+    z = z - z.max(axis=axis, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
 
 
 def finite_diff_check(op_handle, point, eps=1e-5) -> float:

@@ -17,7 +17,8 @@ import numpy as np
 
 from .anchors import boxes_to_corner_array, match_anchors
 from .dataset import load_dataset
-from .detector_net import BackboneSpec, DetectorParams, Toggles, build_network, forward
+from .detector_net import (SEG_MODES, BackboneSpec, DetectorParams, Toggles,
+                           build_network, forward)
 from .losses import LossBreakdown, LossConfig, total_loss
 from .sws_masks import AWS_THRESHOLDS, AreaThresholds, rasterize_sws_mask
 from .tensor_core import ShapeError
@@ -47,6 +48,9 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
+        for key in ("epochs", "batch_size"):
+            if getattr(self, key) < 1:
+                raise ShapeError(f"{key} must be >= 1, got {getattr(self, key)}")
         drops = tuple(self.lr_drop_epochs)
         object.__setattr__(self, "lr_drop_epochs", drops)
         if self.base_lr <= 0 or self.warmup_start_lr <= 0:
@@ -198,7 +202,7 @@ def save_checkpoint(path, det: DetectorParams, config: TrainConfig,
                     optimizer: SGD = None, step: int = 0, rng=None):
     meta = np.array([det.seed, det.num_classes, config.image_size,
                      int(det.toggles.mrf), int(det.toggles.extra_level),
-                     ("off", "aws", "sws").index(det.toggles.seg_mode),
+                     SEG_MODES.index(det.toggles.seg_mode),
                      step], dtype="<f4")
     # Write a sibling file and rename it over the target, so a failed write
     # never leaves a cut checkpoint at `path`.
@@ -236,7 +240,7 @@ def load_checkpoint(path):
             raise ShapeError(f"checkpoint {path} has no {key} record")
     meta = records["meta"]
     toggles = Toggles(mrf=bool(int(meta[3])), extra_level=bool(int(meta[4])),
-                      seg_mode=("off", "aws", "sws")[int(meta[5])])
+                      seg_mode=SEG_MODES[int(meta[5])])
     stages = tuple(int(c) for c in records["meta.stages"])
     det = build_network(BackboneSpec(int(meta[2]), stages), int(meta[1]), toggles,
                         seed=int(meta[0]), dtype=np.float32)

@@ -146,6 +146,67 @@ class TestCommands:
         assert "error:" in capsys.readouterr().err
 
 
+class TestDiagnostics:
+    """Bad input exits 1 with one `error:` line and writes nothing."""
+
+    def run_error(self, argv, capsys):
+        capsys.readouterr()
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        return err.strip()
+
+    @pytest.mark.parametrize("command,flag", [
+        ("train", "--config"), ("describe", "--config"), ("ablate", "--config"),
+        ("synth", "--spec"), ("rf-report", "--spec")])
+    def test_unknown_key_rejected(self, data_dir, tmp_path, capsys, command, flag):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("epoch = 5\n")
+        extra = {"train": ["--data", str(data_dir / "data"), "--out",
+                           str(tmp_path / "m.ckpt")],
+                 "ablate": ["--data", str(data_dir / "data")],
+                 "synth": ["--out", str(tmp_path / "d")]}.get(command, [])
+        err = self.run_error([command, flag, str(cfg)] + extra, capsys)
+        assert err == f"error: {cfg}: unknown key 'epoch'"
+        assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "d").exists()
+
+    def test_benchmark_keys_stay_valid(self):
+        values = {"epochs": "1", "batch_size": "8", "warmup_epochs": "0",
+                  "lr_drop_epochs": ""}
+        cfg = train_config_from(values)
+        assert (cfg.epochs, cfg.batch_size, cfg.warmup_epochs) == (1, 8, 0)
+        assert values == {}  # every key was read
+
+    @pytest.mark.parametrize("line,message", [
+        ("epochs = 0\nlr_drop_epochs =\n", "error: epochs must be >= 1, got 0"),
+        ("batch_size = 0\n", "error: batch_size must be >= 1, got 0")])
+    def test_nonpositive_budget_rejected(self, data_dir, tmp_path, capsys, line, message):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(line)
+        ckpt = tmp_path / "m.ckpt"
+        err = self.run_error(["train", "--config", str(cfg), "--data",
+                              str(data_dir / "data"), "--out", str(ckpt)], capsys)
+        assert err == message
+        assert not ckpt.exists()
+
+    def test_bad_annotation_line_located(self, data_dir, tmp_path, capsys):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "annotations.txt").write_text("images/0000.ppm 1 2 3 4 5\n"
+                                             "images/0000.ppm 1 2 3\n")
+        err = self.run_error(["mask-gen", "--data", str(bad), "--out",
+                              str(tmp_path / "m")], capsys)
+        assert err == (f"error: {bad / 'annotations.txt'}:2: expected "
+                       "'image class xmin ymin xmax ymax'")
+
+    def test_bad_branch_item_named(self, tmp_path, capsys):
+        spec = tmp_path / "mrf.txt"
+        spec.write_text("branches = 3:1, 3\n")
+        err = self.run_error(["rf-report", "--spec", str(spec)], capsys)
+        assert "'3'" in err and "kernel:dilation" in err
+
+
 class TestAblation:
     def test_ladder_rows(self):
         labels = [label for label, _ in ABLATION_LADDER]

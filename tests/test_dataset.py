@@ -136,6 +136,19 @@ class TestSynth:
         total = sum(len(v) for v in by_image.values())
         assert total >= 6  # at least min_objects per image
 
+    @pytest.mark.parametrize("bad", ["images/0000.ppm 1 2 3",
+                                     "images/0000.ppm one 1 2 3 4",
+                                     "images/0000.ppm 1 1 2 3 4 5"])
+    def test_malformed_line_names_file_and_line(self, tmp_path, bad):
+        synth_dataset(SMALL, tmp_path)
+        ann = tmp_path / "annotations.txt"
+        n_lines = len(ann.read_text().splitlines())
+        ann.write_text(ann.read_text() + bad + "\n")
+        with pytest.raises(ShapeError) as info:
+            load_annotations(tmp_path)
+        assert str(info.value) == (f"{ann}:{n_lines + 1}: expected "
+                                   "'image class xmin ymin xmax ymax'")
+
     def test_dataset_info(self, tmp_path):
         synth_dataset(SMALL, tmp_path)
         info = dataset_info(tmp_path)

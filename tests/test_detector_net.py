@@ -138,6 +138,23 @@ class TestFlatten:
         c = rng.standard_normal((18, 4))
         assert finite_diff_check(lambda t: inner(flatten_level_maps([t], 4), c), m) < 1e-6
 
+    def test_two_levels_stack_level_by_level(self):
+        rng = np.random.default_rng(4)
+        fine, coarse = rng.standard_normal((8, 3, 3)), rng.standard_normal((4, 2, 2))
+        flat = flatten_level_maps([fine, coarse], 4).data
+        assert flat.shape == (3 * 3 * 2 + 2 * 2 * 1, 4)
+        np.testing.assert_array_equal(flat[:18], flatten_level_maps([fine], 4).data)
+        np.testing.assert_array_equal(flat[18:], flatten_level_maps([coarse], 4).data)
+
+    def test_gradient_two_levels(self):
+        rng = np.random.default_rng(5)
+        fine, coarse = rng.standard_normal((8, 3, 3)), rng.standard_normal((4, 2, 2))
+        c = rng.standard_normal((22, 4))
+        assert finite_diff_check(
+            lambda t: inner(flatten_level_maps([t, coarse], 4), c), fine) < 1e-6
+        assert finite_diff_check(
+            lambda t: inner(flatten_level_maps([fine, t], 4), c), coarse) < 1e-6
+
     def test_indivisible_channels_rejected(self):
         with pytest.raises(ShapeError, match="divisible"):
             flatten_level_maps([np.zeros((5, 2, 2))], 4)
@@ -188,6 +205,24 @@ class TestForward:
         det_on = build_network(BackboneSpec(image_size=64, stage_channels=(8, 8, 8, 8)),
                                2, Toggles(mrf=True, extra_level=True, seg_mode="off"))
         assert any(lv.use_mrf for lv in det_on.levels)
+
+    def test_forward_reads_mrf_weights_from_params(self):
+        # The MRF block takes its weights from det.params by name, so a
+        # tensor swapped in there is the one the forward pass uses.
+        det = build_network(BackboneSpec(image_size=64, stage_channels=(8, 8, 8, 8, 8)),
+                            2, Toggles(mrf=True, extra_level=True, seg_mode="off"))
+        img = np.random.default_rng(6).standard_normal((3, 64, 64))
+        _, base = forward(det, img)
+        name = "mrf.level4.fuse.w"
+        saved = det.params[name]
+        det.params[name] = Tensor(saved.data * 3.0, requires_grad=True)
+        _, swapped = forward(det, img)
+        assert not np.allclose(swapped.conf.data, base.conf.data)
+        inner(swapped.conf, np.ones(swapped.conf.shape)).backward()
+        assert det.params[name].grad is not None and saved.grad is None
+        det.params[name] = saved
+        _, restored = forward(det, img)
+        np.testing.assert_array_equal(restored.conf.data, base.conf.data)
 
     def test_forward_deterministic(self):
         det = small_net()

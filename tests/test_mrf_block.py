@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from mrfdet.mrf_block import (DEFAULT_BRANCHES, BranchSpec, MRFBlockSpec,
                               branch_taps, default_mrf_spec,
                               effective_receptive_field, format_rf_report,
-                              init_mrf_params, mrf_forward, msra_init,
-                              rf_report)
+                              init_conv, init_mrf_params, mrf_forward,
+                              msra_init, named_conv, rf_report)
 from mrfdet.tensor_core import (ShapeError, Tensor, finite_diff_check, inner,
                                 relu)
 
@@ -54,11 +54,11 @@ class TestBranchTaps:
 
 class TestSpecs:
     def test_branch_padding_preserves_extent(self):
+        # Every default branch conv, padded by named_conv, keeps a 9x9 extent.
         for k, d in DEFAULT_BRANCHES:
-            b = BranchSpec(k, d, 4)
-            # out extent = in + 2p - (e - 1): same padding keeps it fixed.
-            e = effective_receptive_field(k, d)
-            assert 2 * b.padding == e - 1
+            params = {}
+            init_conv(params, "b", 4, 2, k, np.random.default_rng(0))
+            assert named_conv(params, "b", np.zeros((2, 9, 9)), dilation=d).shape == (4, 9, 9)
 
     def test_even_effective_kernel_rejected(self):
         with pytest.raises(ShapeError, match="even"):
@@ -82,6 +82,12 @@ class TestSpecs:
             default_mrf_spec(64, 4)
 
 
+def block_params(spec, seed, name="mrf"):
+    params = {}
+    init_mrf_params(params, name, spec, np.random.default_rng(seed))
+    return params
+
+
 class TestInit:
     def test_msra_std(self):
         rng = np.random.default_rng(0)
@@ -91,88 +97,108 @@ class TestInit:
 
     def test_param_names_and_shapes(self):
         spec = default_mrf_spec(32, 64)
-        params = init_mrf_params(spec, np.random.default_rng(1))
-        names = dict(params.named("mrf.level8."))
-        assert "mrf.level8.bottleneck.w" in names
-        assert "mrf.level8.branch4.w" in names
-        assert "mrf.level8.proj.w" in names
+        names = block_params(spec, 1, "mrf.level8")
+        assert list(names) == [f"mrf.level8.{conv}.{wb}" for conv in (
+            "bottleneck", "branch0", "branch1", "branch2", "branch3", "branch4",
+            "fuse", "proj") for wb in "wb"]
         assert names["mrf.level8.fuse.w"].shape == (64, 64, 1, 1)
         assert names["mrf.level8.branch3.w"].shape == (12, 8, 3, 3)
 
     def test_seed_determinism(self):
         spec = default_mrf_spec(16, 16)
-        a = init_mrf_params(spec, np.random.default_rng(7))
-        b = init_mrf_params(spec, np.random.default_rng(7))
-        for (_, ta), (_, tb) in zip(a.named(), b.named()):
-            assert np.array_equal(ta.data, tb.data)
+        a, b = block_params(spec, 7), block_params(spec, 7)
+        assert list(a) == list(b)
+        for name in a:
+            assert np.array_equal(a[name].data, b[name].data)
+
+
+class TestNamedConv:
+    def test_geometry_from_weight_shape(self):
+        # A 5x5 conv at dilation 2 over 3 -> 4 channels keeps the extent,
+        # and its bias is added at every position.
+        params = {}
+        init_conv(params, "c", 4, 3, 5, np.random.default_rng(0))
+        assert params["c.w"].shape == (4, 3, 5, 5) and params["c.b"].shape == (4,)
+        params["c.b"].data[:] = [1.0, 2.0, 3.0, 4.0]
+        x = np.zeros((3, 11, 11))
+        out = named_conv(params, "c", x, dilation=2).data
+        assert out.shape == (4, 11, 11)
+        np.testing.assert_array_equal(out[:, 5, 5], [1.0, 2.0, 3.0, 4.0])
+        assert named_conv(params, "c", x, stride=2).shape == (4, 6, 6)
+
+    def test_scale(self):
+        a, b = {}, {}
+        init_conv(a, "c", 2, 2, 3, np.random.default_rng(1))
+        init_conv(b, "c", 2, 2, 3, np.random.default_rng(1), scale=0.1)
+        np.testing.assert_allclose(b["c.w"].data, 0.1 * a["c.w"].data)
 
 
 class TestForward:
     def test_extent_preserved(self):
         spec = default_mrf_spec(8, 8)
-        params = init_mrf_params(spec, np.random.default_rng(2))
+        params = block_params(spec, 2)
         x = np.random.default_rng(3).standard_normal((8, 9, 9))
-        out = mrf_forward(params, spec, x)
+        out = mrf_forward(params, "mrf", spec, x)
         assert out.shape == (8, 9, 9)
 
     def test_output_nonnegative(self):
         spec = default_mrf_spec(8, 16)
-        params = init_mrf_params(spec, np.random.default_rng(4))
+        params = block_params(spec, 4)
         x = np.random.default_rng(5).standard_normal((8, 9, 9))
-        assert (mrf_forward(params, spec, x).data >= 0).all()
+        assert (mrf_forward(params, "mrf", spec, x).data >= 0).all()
 
     def test_zero_weights_give_relu_shortcut(self):
         # With every conv weight and bias zero, only the identity shortcut
         # survives, so the block reduces to relu(x).
         spec = default_mrf_spec(8, 8)
-        params = init_mrf_params(spec, np.random.default_rng(6))
-        for _, t in params.named():
+        params = block_params(spec, 6)
+        for t in params.values():
             t.data[...] = 0.0
         x = np.random.default_rng(7).standard_normal((8, 9, 9))
-        np.testing.assert_array_equal(mrf_forward(params, spec, x).data,
+        np.testing.assert_array_equal(mrf_forward(params, "mrf", spec, x).data,
                                       relu(x).data)
 
     def test_wrong_channels_rejected(self):
         spec = default_mrf_spec(8, 8)
-        params = init_mrf_params(spec, np.random.default_rng(8))
+        params = block_params(spec, 8)
         with pytest.raises(ShapeError, match="channels"):
-            mrf_forward(params, spec, np.zeros((4, 9, 9)))
+            mrf_forward(params, "mrf", spec, np.zeros((4, 9, 9)))
 
     def test_too_small_extent_rejected(self):
         spec = default_mrf_spec(8, 8)
-        params = init_mrf_params(spec, np.random.default_rng(9))
+        params = block_params(spec, 9)
         with pytest.raises(ShapeError, match="effective kernel"):
-            mrf_forward(params, spec, np.zeros((8, 5, 5)))
+            mrf_forward(params, "mrf", spec, np.zeros((8, 5, 5)))
 
     def test_gradients_input_and_weights(self):
         spec = default_mrf_spec(6, 10)
-        params = init_mrf_params(spec, np.random.default_rng(10))
+        params = block_params(spec, 10)
         rng = np.random.default_rng(11)
         x = rng.standard_normal((6, 9, 9))
         c = rng.standard_normal((10, 9, 9)) + 0.3
         assert finite_diff_check(
-            lambda t: inner(mrf_forward(params, spec, t), c), x) < 1e-4
+            lambda t: inner(mrf_forward(params, "mrf", spec, t), c), x) < 1e-4
 
         def wrt_fuse(t):
-            saved = params.fuse_w
-            params.fuse_w = t
+            saved = params["mrf.fuse.w"]
+            params["mrf.fuse.w"] = t
             try:
-                return inner(mrf_forward(params, spec, x), c)
+                return inner(mrf_forward(params, "mrf", spec, x), c)
             finally:
-                params.fuse_w = saved
+                params["mrf.fuse.w"] = saved
 
-        assert finite_diff_check(wrt_fuse, params.fuse_w.data) < 1e-4
+        assert finite_diff_check(wrt_fuse, params["mrf.fuse.w"].data) < 1e-4
 
     def test_dilated_branch_actually_used(self):
         # Zero out everything but the d=3 branch path: a perturbation 3 pixels
         # away from the probe location must change the output there.
         spec = default_mrf_spec(4, 5)
-        params = init_mrf_params(spec, np.random.default_rng(12))
+        params = block_params(spec, 12)
         x = np.random.default_rng(13).standard_normal((4, 11, 11))
-        base = mrf_forward(params, spec, x).data
+        base = mrf_forward(params, "mrf", spec, x).data
         x2 = x.copy()
         x2[:, 2, 5] += 10.0
-        bumped = mrf_forward(params, spec, x2).data
+        bumped = mrf_forward(params, "mrf", spec, x2).data
         assert not np.allclose(base[:, 5, 5], bumped[:, 5, 5])
 
 

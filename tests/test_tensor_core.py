@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mrfdet.tensor_core import (ConvSpec, ShapeError, Tensor, add,
-                                concat_channels, conv2d, finite_diff_check,
+from mrfdet.tensor_core import (ConvSpec, ShapeError, Tensor, add, concat,
+                                conv2d, finite_diff_check,
                                 inner, relu, softmax_channels,
                                 transposed_conv2d, upsample_nearest_2x)
 
@@ -226,14 +226,31 @@ class TestElementwise:
         rng = np.random.default_rng(13)
         a = rng.standard_normal((2, 4, 4))
         b = rng.standard_normal((3, 4, 4))
-        out = concat_channels([Tensor(a), Tensor(b)]).data
+        out = concat([Tensor(a), Tensor(b)]).data
         assert out.shape == (5, 4, 4)
         np.testing.assert_array_equal(out[:2], a)
         np.testing.assert_array_equal(out[2:], b)
+        # Any rank: (rows, K) tables stack the same way.
+        rows = concat([np.ones((2, 3)), np.zeros((1, 3))]).data
+        np.testing.assert_array_equal(rows, [[1, 1, 1], [1, 1, 1], [0, 0, 0]])
 
     def test_concat_mismatch_rejected(self):
-        with pytest.raises(ShapeError, match="spatial"):
-            concat_channels([Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 3, 3)))])
+        with pytest.raises(ShapeError, match="mismatch"):
+            concat([Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 3, 3)))])
+        with pytest.raises(ShapeError, match="mismatch"):
+            concat([np.zeros((2, 3)), np.zeros((2, 4))])
+        with pytest.raises(ShapeError, match="mismatch"):
+            concat([np.zeros((2, 3)), np.zeros((2, 3, 1))])
+        with pytest.raises(ShapeError, match="at least one"):
+            concat([])
+
+    def test_concat_gradient(self):
+        rng = np.random.default_rng(15)
+        a = rng.standard_normal((2, 3, 3))
+        b = rng.standard_normal((3, 3, 3))
+        c = rng.standard_normal((5, 3, 3))
+        assert finite_diff_check(lambda t: inner(concat([a, t]), c), b) < 1e-6
+        assert finite_diff_check(lambda t: inner(concat([t, b]), c), a) < 1e-6
 
     def test_softmax_symmetry_and_normalization(self):
         out = softmax_channels(np.zeros((2, 3, 3))).data
@@ -242,6 +259,20 @@ class TestElementwise:
         s = softmax_channels(rng.standard_normal((5, 4, 4))).data
         np.testing.assert_allclose(s.sum(axis=0), 1.0, atol=1e-12)
         assert ((s > 0) & (s < 1)).all()
+
+
+class TestScalarArithmetic:
+    def test_add_backward_reaches_both_terms(self):
+        a = Tensor(np.array(2.0), requires_grad=True)
+        b = Tensor(np.array(3.0), requires_grad=True)
+        out = (a + b) + 1.0
+        assert out.item() == 6.0
+        (out * 2.0).backward()
+        assert a.grad == 2.0 and b.grad == 2.0
+
+    def test_add_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match="add shape mismatch"):
+            Tensor(np.zeros(2)) + Tensor(np.zeros(3))
 
 
 class TestFiniteDiff:

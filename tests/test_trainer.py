@@ -61,6 +61,13 @@ class TestSchedule:
         with pytest.raises(ShapeError):
             TrainConfig(epochs=10, lr_drop_epochs=(12,))
 
+    def test_epochs_and_batch_size_positive(self):
+        with pytest.raises(ShapeError, match="epochs must be >= 1, got 0"):
+            TrainConfig(epochs=0, lr_drop_epochs=())
+        with pytest.raises(ShapeError, match="batch_size must be >= 1, got 0"):
+            TrainConfig(batch_size=0)
+        TrainConfig(epochs=1, batch_size=1, lr_drop_epochs=())
+
     def test_aws_thresholds_override(self):
         sws = TrainConfig()
         aws = TrainConfig(toggles=Toggles(seg_mode="aws"))
