@@ -175,15 +175,26 @@ def nms_array(boxes: np.ndarray, scores: np.ndarray, iou_threshold=0.45,
               max_keep=200) -> np.ndarray:
     """Vectorized single-class greedy NMS; returns kept indices in score order.
 
-    Descending score, ties by index, suppress IoU >= threshold.
+    Descending score, ties by index, suppress IoU >= threshold (or NaN).
+    A candidate's fate depends only on higher-ranked ones, so the pass runs
+    over the top 2 * max_keep (doubled if that runs out) with IoU in blocks
+    of 64 rows against the columns from the block's first row on.
     """
     order = np.lexsort((np.arange(len(scores)), -np.asarray(scores)))
-    keep = []
-    while order.size and len(keep) < max_keep:
-        i = order[0]
-        keep.append(i)
-        rest = order[1:]
-        ious = iou_matrix(boxes[i:i + 1], boxes[rest])[0]
-        order = rest[ious < iou_threshold]
-    return np.array(keep, dtype=np.int64)
+    size = 2 * max_keep
+    while True:
+        cand = boxes[order[:size]]
+        suppressed = np.zeros(len(cand), dtype=bool)
+        keep = []
+        for r0 in range(0, len(cand), 64):
+            if len(keep) >= max_keep:
+                break
+            hit = ~(iou_matrix(cand[r0:r0 + 64], cand[r0:]) < iou_threshold)
+            for i in range(r0, min(r0 + 64, len(cand))):
+                if not suppressed[i] and len(keep) < max_keep:
+                    keep.append(i)
+                    suppressed[i:] |= hit[i - r0, i - r0:]
+        if len(keep) >= max_keep or len(cand) == len(order):
+            return order[np.array(keep, dtype=np.int64)]
+        size *= 2
 

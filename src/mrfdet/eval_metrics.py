@@ -119,10 +119,13 @@ def average_precision(tp_fp_sequence, n_gt, interpolation="eleven_point"):
     return float(np.sum((r[idx] - r[idx - 1]) * p[idx]))
 
 
-def _match_inputs(dets_by_image, gts_by_image, classes):
+def _match_inputs(dets_by_image, gts_by_image):
     """Per class, per image: (image, detection indices and scores in
     descending score order, their IoU rows against the class's gts, gt
-    areas). One iou_matrix per image serves every class and area band."""
+    areas). One iou_matrix per image serves every class and area band.
+    Class ids are taken from the boxes (background id 0 never appears)."""
+    classes = sorted({g.class_id for gts in gts_by_image.values() for g in gts} |
+                     {d.class_id for ds in dets_by_image.values() for d in ds})
     inputs = {cls: [] for cls in classes}
     for img in sorted(set(dets_by_image) | set(gts_by_image)):
         dets, gts = dets_by_image.get(img, []), gts_by_image.get(img, [])
@@ -155,19 +158,18 @@ def _collect(inputs, iou_threshold, band=None):
     return [f for *_, f in scored], n_gt, matched_total
 
 
-def evaluate_detections(dets_by_image, gts_by_image, config: EvalConfig) -> EvalReport:
+def evaluate_detections(dets_by_image, gts_by_image, config: EvalConfig,
+                        inputs=None) -> EvalReport:
     """Per-class AP, mAP and per-area-band AP over a whole dataset.
 
-    dets_by_image and gts_by_image map an image key to lists of Box; class
-    ids are taken from the boxes (background id 0 never appears here).
+    dets_by_image and gts_by_image map an image key to lists of Box.
+    inputs, if given, is their _match_inputs, shared between passes.
     """
-    classes = sorted({g.class_id for gts in gts_by_image.values() for g in gts} |
-                     {d.class_id for ds in dets_by_image.values() for d in ds})
-    inputs = _match_inputs(dets_by_image, gts_by_image, classes)
+    inputs = inputs or _match_inputs(dets_by_image, gts_by_image)
     per_class, tp = {}, 0
     fp = 0
     missed = 0
-    for cls in classes:
+    for cls in inputs:
         seq, n_gt, matched = _collect(inputs[cls], config.iou_threshold)
         per_class[cls] = average_precision(seq, n_gt, config.interpolation)
         tp += sum(seq)
@@ -177,7 +179,7 @@ def evaluate_detections(dets_by_image, gts_by_image, config: EvalConfig) -> Eval
     per_area = {}
     for name, lo, hi in config.area_ranges:
         aps = []
-        for cls in classes:
+        for cls in inputs:
             seq, n_gt, _ = _collect(inputs[cls], config.iou_threshold, band=(lo, hi))
             if n_gt:
                 aps.append(average_precision(seq, n_gt, config.interpolation))
@@ -190,10 +192,12 @@ def evaluate_detections(dets_by_image, gts_by_image, config: EvalConfig) -> Eval
 def coco_style_summary(dets_by_image, gts_by_image,
                        area_ranges=DEFAULT_AREA_RANGES) -> str:
     """AP@0.5, AP@0.75, AP@[0.5:0.95] and AP by area with all-point AP."""
+    inputs = _match_inputs(dets_by_image, gts_by_image)
+
     def map_at(thr):
         cfg = EvalConfig(iou_threshold=thr, interpolation="all_point",
                          area_ranges=area_ranges)
-        return evaluate_detections(dets_by_image, gts_by_image, cfg)
+        return evaluate_detections(dets_by_image, gts_by_image, cfg, inputs)
 
     r50, r75 = map_at(0.5), map_at(0.75)
     sweep = [map_at(t).map for t in np.arange(0.5, 0.955, 0.05)]

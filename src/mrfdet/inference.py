@@ -19,17 +19,14 @@ def detect_image(det: DetectorParams, image, score_threshold=0.01,
     z = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(z)
     probs /= probs.sum(axis=1, keepdims=True)
-    size = det.backbone.image_size
+    # Decoding is row-wise, so one pass over every anchor serves all classes.
+    boxes = np.clip(decode_array(outputs.loc.data.astype(np.float64), det.anchors),
+                    0, det.backbone.image_size)
+    valid = (boxes[:, 2] - boxes[:, 0] > 1e-6) & (boxes[:, 3] - boxes[:, 1] > 1e-6)
     detections = []
     for cls in range(1, det.num_classes + 1):
-        keep = np.flatnonzero(probs[:, cls] > score_threshold)
-        if keep.size == 0:
-            continue
-        decoded = decode_array(outputs.loc.data[keep].astype(np.float64),
-                               det.anchors[keep])
-        decoded = np.clip(decoded, 0, size)
-        valid = (decoded[:, 2] - decoded[:, 0] > 1e-6) & (decoded[:, 3] - decoded[:, 1] > 1e-6)
-        decoded, scores = decoded[valid], probs[keep, cls][valid]
+        keep = np.flatnonzero(valid & (probs[:, cls] > score_threshold))
+        decoded, scores = boxes[keep], probs[keep, cls]
         for i in nms_array(decoded, scores, nms_iou, max_keep):
             detections.append(Box(*decoded[i], class_id=cls, score=float(scores[i])))
     detections.sort(key=lambda b: -b.score)

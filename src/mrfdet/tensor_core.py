@@ -99,20 +99,18 @@ class Tensor:
             grad = np.ones_like(self.data)
         elif np.shape(grad) != self.shape:
             raise ShapeError(f"backward grad shape {np.shape(grad)} != node shape {self.shape}")
-        topo, seen = [], set()
-
-        def visit(node):
-            if id(node) in seen:
-                return
-            seen.add(id(node))
-            for p in node._parents:
-                visit(p)
-            topo.append(node)
-
-        visit(self)
-        # visit holds itself and topo in a reference cycle; break it so the
-        # tape is freed when the caller drops it, not at the next gc pass.
-        del visit
+        # Depth-first post-order (parents in order) with an explicit stack,
+        # so tape depth is not bounded by the recursion limit.
+        topo, seen, stack = [], {id(self)}, [(self, iter(self._parents))]
+        while stack:
+            node, parents = stack[-1]
+            for p in parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    break
+            else:
+                topo.append(stack.pop()[0])
         self._accumulate(grad)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:

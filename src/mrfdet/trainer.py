@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anchors import boxes_to_corner_array, match_anchors
-from .dataset import load_dataset
+from .dataset import load_annotations, load_dataset
 from .detector_net import (SEG_MODES, BackboneSpec, DetectorParams, Toggles,
                            build_network, forward)
 from .losses import LossBreakdown, LossConfig, total_loss
@@ -121,6 +121,11 @@ def prepare_sample(det: DetectorParams, config: TrainConfig, image, boxes):
 
 def train(config: TrainConfig, data_dir, log_fn=None, ckpt_path=None) -> TrainResult:
     """Train on a dataset directory; aborts with diagnostics on NaN loss."""
+    bad = [b.class_id for boxes in load_annotations(data_dir).values() for b in boxes
+           if not 1 <= b.class_id <= config.num_classes]
+    if bad:
+        raise ShapeError(f"{os.path.join(data_dir, 'annotations.txt')}: class id "
+                         f"{bad[0]} outside 1..{config.num_classes}")
     det = build_network(BackboneSpec(config.image_size, config.stage_channels),
                         config.num_classes, config.toggles,
                         seed=config.seed, dtype=np.float32)

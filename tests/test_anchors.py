@@ -296,3 +296,36 @@ class TestNms:
             keep = nms_array(boxes, scores, iou_threshold=0.4, max_keep=8)
             want = nms(dets, iou_threshold=0.4, max_keep=8)
             assert [dets[i].score for i in keep] == [d.score for d in want]
+
+    @pytest.mark.parametrize("max_keep", [1, 3, 50, 200])
+    @pytest.mark.parametrize("thr", [0.3, 0.45, 0.7])
+    def test_matches_oracle_index_for_index(self, max_keep, thr):
+        # Up to 300 boxes cross the 64-row IoU blocks and the 2 * max_keep
+        # prefix; crowded trials suppress enough to make the prefix double;
+        # rounding makes duplicates and score ties.
+        rng = np.random.default_rng(int(thr * 100) + max_keep)
+        for trial in range(8):
+            n = int(rng.integers(1, 301))
+            crowded = trial % 4 >= 2
+            xy = rng.uniform(0, 8 if crowded else 64, (n, 2))
+            wh = rng.uniform(10 if crowded else 1, 30, (n, 2))
+            scores = rng.uniform(0, 1, n)
+            if trial % 2:
+                xy, wh, scores = np.round(xy), np.round(wh), np.round(scores, 1)
+            boxes = np.concatenate([xy, xy + wh], axis=1)
+            dets = [Box(*b, class_id=0, score=float(s)) for b, s in zip(boxes, scores)]
+            position = {id(d): i for i, d in enumerate(dets)}
+            keep = nms_array(boxes, scores, thr, max_keep)
+            want = [position[id(d)] for d in nms(dets, thr, max_keep)]
+            assert keep.tolist() == want
+
+    def test_prefix_doubles_until_enough_kept(self):
+        # 500 identical top boxes leave one survivor per prefix of 6, 12, ...
+        # until the prefix reaches the disjoint boxes ranked behind them.
+        boxes = np.array([[0.0, 0.0, 10.0, 10.0]] * 500 +
+                         [[20.0 * i, 20.0, 20.0 * i + 10, 30.0] for i in range(5)])
+        scores = np.array([1.0] * 500 + [0.5 - 0.01 * i for i in range(5)])
+        dets = [Box(*b, class_id=0, score=float(s)) for b, s in zip(boxes, scores)]
+        keep = nms_array(boxes, scores, 0.45, max_keep=3)
+        assert keep.tolist() == [0, 500, 501]
+        assert [dets[i] for i in keep] == nms(dets, 0.45, 3)

@@ -1,3 +1,4 @@
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,23 @@ class TestDiagnostics:
         err = self.run_error(["train", "--config", str(cfg), "--data",
                               str(data_dir / "data"), "--out", str(ckpt)], capsys)
         assert err == message
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("class_id", [9, 0])
+    def test_class_id_outside_network_rejected(self, data_dir, tmp_path, capsys,
+                                               class_id):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir / "data", data)
+        with open(data / "annotations.txt", "a", encoding="utf-8") as f:
+            f.write(f"images/0000.ppm {class_id} 1 1 5 5\n")
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("epochs = 1\nwarmup_epochs = 0\nlr_drop_epochs =\n"
+                       "image_size = 32\nstage_channels = 8 8 8 8\n")
+        ckpt = tmp_path / "m.ckpt"
+        err = self.run_error(["train", "--config", str(cfg), "--data", str(data),
+                              "--out", str(ckpt)], capsys)
+        assert err == (f"error: {data / 'annotations.txt'}: class id {class_id} "
+                       "outside 1..3")
         assert not ckpt.exists()
 
     def test_bad_annotation_line_located(self, data_dir, tmp_path, capsys):

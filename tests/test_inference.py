@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from mrfdet.dataset import DatasetSpec, synth_dataset
-from mrfdet.detector_net import BackboneSpec, Toggles, build_network
+from box_oracles import nms
+from mrfdet.anchors import Box, decode_array
+from mrfdet.dataset import DatasetSpec, load_dataset, synth_dataset
+from mrfdet.detector_net import BackboneSpec, Toggles, build_network, forward
 from mrfdet.gradcheck import COMPOSED_TOL, PRIMITIVE_TOL, run_suite
 from mrfdet.inference import (collect_detections, detect_image,
                               evaluate_detector)
+from mrfdet.trainer import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +58,36 @@ class TestDetectImage:
         b = detect_image(small_det, img)
         assert [(d.xmin, d.score, d.class_id) for d in a] == \
                [(d.xmin, d.score, d.class_id) for d in b]
+
+
+class TestDenseRegime:
+    """The untrained default network scores every anchor above the score
+    threshold, so each class sends all 1520 anchors to NMS and the image
+    keeps the full 200 detections."""
+
+    def test_matches_per_class_decode_and_oracle_nms(self, tmp_path):
+        cfg = TrainConfig()
+        det = build_network(BackboneSpec(cfg.image_size, cfg.stage_channels),
+                            cfg.num_classes, cfg.toggles, seed=cfg.seed,
+                            dtype=np.float32)
+        synth_dataset(DatasetSpec(num_images=1, seed=1), tmp_path)
+        (_, image, _), = load_dataset(tmp_path)
+        _, outputs = forward(det, image.astype(np.float32), with_seg=False)
+        logits = outputs.conf.data.astype(np.float64)
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        candidates = []
+        for cls in range(1, cfg.num_classes + 1):
+            idx = np.flatnonzero(probs[:, cls] > 0.01)
+            assert idx.size == len(det.anchors) == 1520
+            boxes = np.clip(decode_array(outputs.loc.data[idx].astype(np.float64),
+                                         det.anchors[idx]), 0, cfg.image_size)
+            candidates += [Box(*b, class_id=cls, score=float(probs[i, cls]))
+                           for b, i in zip(boxes, idx)]
+        want = nms(candidates, 0.45, 200)
+        got = detect_image(det, image)
+        assert len(got) == 200
+        assert got == want
 
 
 class TestEvaluateDetector:

@@ -275,6 +275,37 @@ class TestScalarArithmetic:
             Tensor(np.zeros(2)) + Tensor(np.zeros(3))
 
 
+class TestBackwardOrder:
+    def test_deep_chain_has_no_recursion_limit(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        y = x
+        for _ in range(5000):
+            y = add([y, x])
+        y.backward(np.array([1.0, 3.0]))
+        np.testing.assert_array_equal(x.grad, [5001.0, 15003.0])
+
+    def test_nodes_run_in_reverse_depth_first_post_order(self):
+        # Post-order over parents in order is [x, p, y, q, d]; backward runs it
+        # reversed, so q's closure runs before p's.
+        ran = []
+
+        def tagged(name, t):
+            inner_bwd = t._backward
+
+            def bwd(g):
+                ran.append(name)
+                inner_bwd(g)
+            t._backward = bwd
+            return t
+
+        x = Tensor(np.ones(2), requires_grad=True)
+        y = Tensor(np.ones(2), requires_grad=True)
+        p, q = tagged("p", relu(x)), tagged("q", relu(y))
+        tagged("d", add([p, q, p])).backward(np.ones(2))
+        assert ran == ["d", "q", "p"]
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+
 class TestFiniteDiff:
     def test_linear_op_exact(self):
         rng = np.random.default_rng(15)
