@@ -102,13 +102,21 @@ def write_ppm(path, img):
 
 
 def read_ppm(path):
+    """Read the layout write_ppm writes: `P6\\n<w> <h>\\n255\\n` + RGB bytes."""
     with open(path, "rb") as f:
         raw = f.read()
-    parts = raw.split(b"\n", 3)
-    if parts[0] != b"P6":
-        raise ShapeError(f"{path} is not a binary PPM")
-    w, h = (int(v) for v in parts[1].split())
-    pixels = np.frombuffer(parts[3], dtype=np.uint8, count=w * h * 3)
+    try:
+        magic, size, maxval, body = raw.split(b"\n", 3)
+        w, h = (int(v) for v in size.split())
+        maxval = int(maxval)
+    except ValueError:
+        raise ShapeError(f"{path}: cannot parse the PPM header, expected "
+                         "'P6\\n<width> <height>\\n255\\n' without comments") from None
+    if magic != b"P6" or maxval != 255:
+        raise ShapeError(f"{path}: not an 8-bit binary PPM (magic {magic!r}, maxval {maxval})")
+    if min(w, h) < 1 or len(body) < w * h * 3:
+        raise ShapeError(f"{path}: PPM data has {len(body)} bytes, {w}x{h} needs {w * h * 3}")
+    pixels = np.frombuffer(body, dtype=np.uint8, count=w * h * 3)
     return pixels.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
 
 
@@ -147,6 +155,10 @@ def load_annotations(data_dir):
             except ValueError:
                 raise ShapeError(f"{path}:{lineno}: expected "
                                  "'image class xmin ymin xmax ymax'") from None
+            if not (np.isfinite(coords).all() and coords[2] > coords[0]
+                    and coords[3] > coords[1]):
+                raise ShapeError(f"{path}:{lineno}: box {x0} {y0} {x1} {y1} needs finite "
+                                 "coordinates with xmax > xmin and ymax > ymin")
             by_image.setdefault(rel, []).append(Box(*coords, class_id=cls))
     # Include images that have no objects at all.
     img_dir = os.path.join(data_dir, "images")

@@ -20,9 +20,9 @@ import numpy as np
 from .anchors import generate_anchors
 from .mrf_block import (DEFAULT_BRANCHES, default_mrf_spec, init_conv,
                         init_mrf_params, mrf_forward, msra_init, named_conv)
-from .tensor_core import (ConvSpec, ShapeError, Tensor, _node, _wants_grad,
-                          add, as_tensor, concat, conv2d, relu,
-                          transposed_conv2d, upsample_nearest_2x)
+from .tensor_core import (ConvSpec, ShapeError, Tensor, _node, add, as_tensor,
+                          concat, conv2d, relu, transposed_conv2d,
+                          upsample_nearest_2x)
 
 SEG_MODES = ("off", "aws", "sws")
 
@@ -66,9 +66,8 @@ class LevelSpec:
 
 @dataclass
 class HeadOutputs:
-    """Per-level prediction maps plus their flattened anchor-major views."""
+    """Flattened anchor-major predictions of every level."""
 
-    level_maps: list            # (name, loc map Tensor, conf map Tensor)
     loc: Tensor                 # (num_anchors, 4)
     conf: Tensor                # (num_anchors, num_classes + 1)
     anchors: np.ndarray         # (num_anchors, 4) corner form
@@ -218,15 +217,9 @@ def _anchor_rows(level_map: Tensor, k: int) -> Tensor:
     a = c // k
     if a * k != c:
         raise ShapeError(f"head map channels {c} not divisible by {k}")
-    out = _node(level_map.data.reshape(a, k, s1, s2).transpose(2, 3, 0, 1).reshape(-1, k),
-                (level_map,))
-
-    def bwd(g):
-        if _wants_grad(level_map):
-            level_map._accumulate(g.reshape(s1, s2, a, k).transpose(2, 3, 0, 1)
-                                  .reshape(c, s1, s2))
-    out._backward = bwd
-    return out
+    return _node(level_map.data.reshape(a, k, s1, s2).transpose(2, 3, 0, 1).reshape(-1, k),
+                 (level_map,),
+                 lambda g: g.reshape(s1, s2, a, k).transpose(2, 3, 0, 1).reshape(c, s1, s2))
 
 
 def flatten_level_maps(maps, per_anchor: int) -> Tensor:
@@ -283,17 +276,16 @@ def forward(det: DetectorParams, image, with_seg=None):
         for s in range(2, n_stages):
             by_stride[2 ** (s + 1)] = stages[s]
 
-    pyramid, level_maps = [], []
+    pyramid, loc_maps, conf_maps = [], [], []
     for lv in det.levels:
         feat = by_stride[lv.stride]
         pyramid.append((lv.name, lv.stride, feat))
         if lv.use_mrf:
             feat = mrf_forward(p, f"mrf.{lv.name}", det.mrf_specs[lv.name], feat)
-        loc_map = named_conv(p, f"head.{lv.name}.loc", feat)
-        conf_map = named_conv(p, f"head.{lv.name}.conf", feat)
-        level_maps.append((lv.name, loc_map, conf_map))
-    loc = flatten_level_maps([m for _, m, _ in level_maps], 4)
-    conf = flatten_level_maps([m for _, _, m in level_maps], det.num_classes + 1)
+        loc_maps.append(named_conv(p, f"head.{lv.name}.loc", feat))
+        conf_maps.append(named_conv(p, f"head.{lv.name}.conf", feat))
+    loc = flatten_level_maps(loc_maps, 4)
+    conf = flatten_level_maps(conf_maps, det.num_classes + 1)
 
     seg_logits = None
     run_seg = det.toggles.seg_mode != "off" if with_seg is None else with_seg
@@ -302,8 +294,7 @@ def forward(det: DetectorParams, image, with_seg=None):
             raise ShapeError("segmentation head requires the extra level")
         seg_logits = seg_head_forward(det, pyramid[0][2])
 
-    outputs = HeadOutputs(level_maps=level_maps, loc=loc, conf=conf,
-                          anchors=det.anchors, seg_logits=seg_logits)
+    outputs = HeadOutputs(loc=loc, conf=conf, anchors=det.anchors, seg_logits=seg_logits)
     return pyramid, outputs
 
 

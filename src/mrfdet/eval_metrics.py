@@ -194,12 +194,12 @@ def coco_style_summary(dets_by_image, gts_by_image,
     """AP@0.5, AP@0.75, AP@[0.5:0.95] and AP by area with all-point AP."""
     inputs = _match_inputs(dets_by_image, gts_by_image)
 
-    def map_at(thr):
-        cfg = EvalConfig(iou_threshold=thr, interpolation="all_point",
-                         area_ranges=area_ranges)
+    def map_at(thr, bands=()):
+        # Area bands are printed at IoU 0.5 only, so only that pass matches them.
+        cfg = EvalConfig(iou_threshold=thr, interpolation="all_point", area_ranges=bands)
         return evaluate_detections(dets_by_image, gts_by_image, cfg, inputs)
 
-    r50, r75 = map_at(0.5), map_at(0.75)
+    r50, r75 = map_at(0.5, area_ranges), map_at(0.75)
     sweep = [map_at(t).map for t in np.arange(0.5, 0.955, 0.05)]
     lines = [f"AP@0.5        {r50.map:.4f}",
              f"AP@0.75       {r75.map:.4f}",

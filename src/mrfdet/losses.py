@@ -16,8 +16,7 @@ import numpy as np
 
 from .anchors import MatchAssignment, encode_array
 from .sws_masks import seg_loss
-from .tensor_core import (ShapeError, Tensor, _log_softmax, _node, _wants_grad,
-                          as_tensor)
+from .tensor_core import ShapeError, Tensor, _log_softmax, _node, as_tensor
 
 
 @dataclass(frozen=True)
@@ -25,7 +24,6 @@ class LossConfig:
     alpha: float = 1.0
     beta: float = 1.0
     neg_pos_ratio: float = 3.0
-    background_class: int = 0
 
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0 or self.neg_pos_ratio <= 0:
@@ -71,20 +69,18 @@ def conf_loss(conf_logits, assignment: MatchAssignment, gt_labels,
     if neg.size and assignment.anchor_gt[neg].max() >= 0:
         raise ShapeError("mined negatives must be Negative anchors")
     rows = np.concatenate([pos, neg])
+    if rows.size == 0:
+        return Tensor(np.array(0.0))
     targets = np.concatenate([labels, np.zeros(neg.size, dtype=np.int64)])
     logp = _log_softmax(logits.data, axis=1)
-    loss = -float(logp[rows, targets].sum()) if rows.size else 0.0
-    out = _node(np.array(loss), (logits,))
 
-    def bwd(g):
-        if _wants_grad(logits) and rows.size:
-            p = np.exp(logp[rows])
-            p[np.arange(rows.size), targets] -= 1.0
-            grad = np.zeros_like(logits.data)
-            np.add.at(grad, rows, p)
-            logits._accumulate(g * grad)
-    out._backward = bwd
-    return out
+    def grad_logits(g):
+        p = np.exp(logp[rows])
+        p[np.arange(rows.size), targets] -= 1.0
+        grad = np.zeros_like(logits.data)
+        np.add.at(grad, rows, p)
+        return g * grad
+    return _node(np.array(-float(logp[rows, targets].sum())), (logits,), grad_logits)
 
 
 def loc_loss(loc_preds, assignment: MatchAssignment, gt_boxes,
@@ -95,23 +91,18 @@ def loc_loss(loc_preds, assignment: MatchAssignment, gt_boxes,
         raise ShapeError(f"loc predictions must be (anchors, 4), got {preds.shape}")
     pos = assignment.positive_indices
     if pos.size == 0:
-        out = _node(np.array(0.0), (preds,))
-        out._backward = lambda g: None
-        return out
+        return Tensor(np.array(0.0))
     targets = encode_array(np.asarray(gt_boxes)[assignment.anchor_gt[pos]],
                            np.asarray(anchors)[pos])
     diff = preds.data[pos] - targets
     ax = np.abs(diff)
     loss = float(np.where(ax < 1.0, 0.5 * diff * diff, ax - 0.5).sum())
-    out = _node(np.array(loss), (preds,))
 
-    def bwd(g):
-        if _wants_grad(preds):
-            grad = np.zeros_like(preds.data)
-            grad[pos] = smooth_l1_grad(diff)
-            preds._accumulate(g * grad)
-    out._backward = bwd
-    return out
+    def grad_preds(g):
+        grad = np.zeros_like(preds.data)
+        grad[pos] = smooth_l1_grad(diff)
+        return g * grad
+    return _node(np.array(loss), (preds,), grad_preds)
 
 
 def background_ce(conf_logits: np.ndarray) -> np.ndarray:

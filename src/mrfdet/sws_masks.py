@@ -14,7 +14,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .tensor_core import ShapeError, _log_softmax, _node, _wants_grad, as_tensor
+from .tensor_core import ShapeError, Tensor, _log_softmax, _node, as_tensor
 
 
 class SegLabel(IntEnum):
@@ -78,9 +78,9 @@ def rasterize_sws_mask(gt_boxes, image_size: int, thresholds: AreaThresholds) ->
 def seg_loss(seg_logits, mask: np.ndarray):
     """Per-pixel binary softmax cross-entropy over valid (non-Ignore) pixels.
 
-    Returns (loss Tensor scalar, valid pixel count); loss is 0 with zero
-    gradient when no valid pixels exist. Gradient is defined w.r.t. the
-    logits.
+    Returns (loss Tensor scalar, valid pixel count); loss is a constant 0,
+    with no gradient, when no valid pixels exist. Gradient is defined
+    w.r.t. the logits.
     """
     logits = as_tensor(seg_logits)
     if logits.data.ndim != 3 or logits.shape[0] != 2:
@@ -89,24 +89,18 @@ def seg_loss(seg_logits, mask: np.ndarray):
         raise ShapeError(f"logits extent {logits.shape[1:]} != mask extent {mask.shape}")
     valid = mask != int(SegLabel.IGNORE)
     count = int(valid.sum())
-    logp = _log_softmax(logits.data, axis=0)
     if count == 0:
-        out = _node(np.array(0.0), (logits,))
-        out._backward = lambda g: None
-        return out, 0
+        return Tensor(np.array(0.0)), 0
+    logp = _log_softmax(logits.data, axis=0)
     truth = (mask == int(SegLabel.FOREGROUND)).astype(np.int64)
     picked = np.where(truth == 1, logp[1], logp[0])
     loss = -float(picked[valid].sum()) / count
-    out = _node(np.array(loss), (logits,))
 
-    def bwd(g):
-        if _wants_grad(logits):
-            p = np.exp(logp)
-            onehot = np.stack([1.0 - truth, truth.astype(np.float64)])
-            grad = (p - onehot) * (valid / count)
-            logits._accumulate(g * grad)
-    out._backward = bwd
-    return out, count
+    def grad_logits(g):
+        p = np.exp(logp)
+        onehot = np.stack([1.0 - truth, truth.astype(np.float64)])
+        return g * ((p - onehot) * (valid / count))
+    return _node(np.array(loss), (logits,), grad_logits), count
 
 
 def mask_to_pgm_bytes(mask: np.ndarray) -> bytes:

@@ -57,16 +57,19 @@ class ConvSpec:
 
 
 class Tensor:
-    """A numpy array plus an optional tape node for reverse-mode gradients."""
+    """A numpy array plus an optional tape node for reverse-mode gradients.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    _edges holds one (input, gradient function) pair per input that needs a
+    gradient; the function maps this node's gradient to that input's share.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_edges")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64 if np.asarray(data).dtype.kind != "f" else None)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward = None
+        self._edges = ()
 
     @property
     def shape(self):
@@ -78,9 +81,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def zero_grad(self):
         self.grad = None
@@ -99,22 +99,22 @@ class Tensor:
             grad = np.ones_like(self.data)
         elif np.shape(grad) != self.shape:
             raise ShapeError(f"backward grad shape {np.shape(grad)} != node shape {self.shape}")
-        # Depth-first post-order (parents in order) with an explicit stack,
+        # Depth-first post-order (inputs in order) with an explicit stack,
         # so tape depth is not bounded by the recursion limit.
-        topo, seen, stack = [], {id(self)}, [(self, iter(self._parents))]
+        topo, seen, stack = [], {id(self)}, [(self, iter(self._edges))]
         while stack:
-            node, parents = stack[-1]
-            for p in parents:
+            node, edges = stack[-1]
+            for p, _ in edges:
                 if id(p) not in seen:
                     seen.add(id(p))
-                    stack.append((p, iter(p._parents)))
+                    stack.append((p, iter(p._edges)))
                     break
             else:
                 topo.append(stack.pop()[0])
         self._accumulate(grad)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            for p, fn in node._edges:
+                p._accumulate(fn(node.grad))
 
     # Scalar arithmetic, enough to combine loss terms.
     def __add__(self, other):
@@ -125,13 +125,7 @@ class Tensor:
 
     def __mul__(self, scalar):
         s = float(scalar)
-        out = _node(self.data * s, (self,))
-
-        def bwd(g):
-            if self.requires_grad or self._parents:
-                self._accumulate(g * s)
-        out._backward = bwd
-        return out
+        return _node(self.data * s, (self,), lambda g: g * s)
 
     __rmul__ = __mul__
 
@@ -139,19 +133,20 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype})"
 
 
-def _node(data, parents):
+def _node(data, parents, *grad_fns):
+    """Tape node over data; grad_fns[i] maps its gradient to parents[i]'s.
+
+    Only inputs that need a gradient get an edge, so no other input's
+    gradient is ever computed.
+    """
     out = Tensor(data)
-    out._parents = tuple(p for p in parents
-                         if isinstance(p, Tensor) and (p.requires_grad or p._parents))
+    out._edges = tuple([(p, fn) for p, fn in zip(parents, grad_fns)
+                        if p.requires_grad or p._edges])
     return out
 
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _wants_grad(t: Tensor) -> bool:
-    return t.requires_grad or bool(t._parents)
 
 
 # ---------------------------------------------------------------------------
@@ -225,18 +220,11 @@ def conv2d(input, weights, bias, spec: ConvSpec) -> Tensor:
     if b.shape != (spec.out_channels,):
         raise ShapeError(f"bias shape {b.shape} != ({spec.out_channels},)")
     y = _conv_fwd(x.data, w.data, spec) + b.data[:, None, None]
-    out = _node(y, (x, w, b))
     h, wd = x.shape[1], x.shape[2]
-
-    def bwd(g):
-        if _wants_grad(x):
-            x._accumulate(_conv_grad_input(g, w.data, spec, h, wd))
-        if _wants_grad(w):
-            w._accumulate(_conv_grad_w(g, x.data, spec))
-        if _wants_grad(b):
-            b._accumulate(g.sum(axis=(1, 2)))
-    out._backward = bwd
-    return out
+    return _node(y, (x, w, b),
+                 lambda g: _conv_grad_input(g, w.data, spec, h, wd),
+                 lambda g: _conv_grad_w(g, x.data, spec),
+                 lambda g: g.sum(axis=(1, 2)))
 
 
 def transposed_conv2d(input, weights, bias, spec: ConvSpec) -> Tensor:
@@ -259,42 +247,23 @@ def transposed_conv2d(input, weights, bias, spec: ConvSpec) -> Tensor:
     h, wd = x.shape[1], x.shape[2]
     oh, ow = spec.transposed_out_extent(h), spec.transposed_out_extent(wd)
     y = _conv_grad_input(x.data, w.data, adj, oh, ow) + b.data[:, None, None]
-    out = _node(y, (x, w, b))
-
-    def bwd(g):
-        if _wants_grad(x):
-            x._accumulate(_conv_fwd(g, w.data, adj))
-        if _wants_grad(w):
-            w._accumulate(_conv_grad_w(x.data, g, adj))
-        if _wants_grad(b):
-            b._accumulate(g.sum(axis=(1, 2)))
-    out._backward = bwd
-    return out
+    return _node(y, (x, w, b),
+                 lambda g: _conv_fwd(g, w.data, adj),
+                 lambda g: _conv_grad_w(x.data, g, adj),
+                 lambda g: g.sum(axis=(1, 2)))
 
 
 def relu(input) -> Tensor:
     x = as_tensor(input)
-    out = _node(np.maximum(x.data, 0.0), (x,))
-
-    def bwd(g):
-        if _wants_grad(x):
-            x._accumulate(g * (x.data > 0))
-    out._backward = bwd
-    return out
+    return _node(np.maximum(x.data, 0.0), (x,), lambda g: g * (x.data > 0))
 
 
 def upsample_nearest_2x(input) -> Tensor:
     x = as_tensor(input)
     _check_chw(x.data, "input")
     y = np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2)
-    out = _node(y, (x,))
     c, h, w = x.shape
-
-    def bwd(g):
-        if _wants_grad(x):
-            x._accumulate(g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)))
-    out._backward = bwd
-    return out
+    return _node(y, (x,), lambda g: g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)))
 
 
 def concat(inputs) -> Tensor:
@@ -306,15 +275,9 @@ def concat(inputs) -> Tensor:
         if t.data.ndim == 0 or t.shape[1:] != ts[0].shape[1:]:
             raise ShapeError(f"concat shape mismatch: input[{i}] is {t.shape}, "
                              f"input[0] is {ts[0].shape}")
-    out = _node(np.concatenate([t.data for t in ts], axis=0), ts)
-    splits = np.cumsum([t.shape[0] for t in ts])[:-1]
-
-    def bwd(g):
-        for t, gpart in zip(ts, np.split(g, splits, axis=0)):
-            if _wants_grad(t):
-                t._accumulate(gpart)
-    out._backward = bwd
-    return out
+    ends = np.cumsum([t.shape[0] for t in ts]).tolist()
+    return _node(np.concatenate([t.data for t in ts], axis=0), ts,
+                 *(lambda g, lo=lo, hi=hi: g[lo:hi] for lo, hi in zip([0] + ends, ends)))
 
 
 def add(inputs) -> Tensor:
@@ -325,14 +288,7 @@ def add(inputs) -> Tensor:
         if t.shape != ts[0].shape:
             raise ShapeError(f"add shape mismatch: input[{i}] is {t.shape}, "
                              f"input[0] is {ts[0].shape}")
-    out = _node(np.sum([t.data for t in ts], axis=0), ts)
-
-    def bwd(g):
-        for t in ts:
-            if _wants_grad(t):
-                t._accumulate(g)
-    out._backward = bwd
-    return out
+    return _node(np.sum([t.data for t in ts], axis=0), ts, *[lambda g: g] * len(ts))
 
 
 def softmax_channels(input) -> Tensor:
@@ -344,13 +300,7 @@ def softmax_channels(input) -> Tensor:
     z = x.data - x.data.max(axis=0, keepdims=True)
     e = np.exp(z)
     s = e / e.sum(axis=0, keepdims=True)
-    out = _node(s, (x,))
-
-    def bwd(g):
-        if _wants_grad(x):
-            x._accumulate(s * (g - (g * s).sum(axis=0, keepdims=True)))
-    out._backward = bwd
-    return out
+    return _node(s, (x,), lambda g: s * (g - (g * s).sum(axis=0, keepdims=True)))
 
 
 def inner(input, coeffs) -> Tensor:
@@ -359,13 +309,7 @@ def inner(input, coeffs) -> Tensor:
     c = np.asarray(coeffs, dtype=x.dtype)
     if c.shape != x.shape:
         raise ShapeError(f"inner: shapes {x.shape} vs {c.shape}")
-    out = _node(np.array((x.data * c).sum()), (x,))
-
-    def bwd(g):
-        if _wants_grad(x):
-            x._accumulate(g * c)
-    out._backward = bwd
-    return out
+    return _node(np.array((x.data * c).sum()), (x,), lambda g: g * c)
 
 
 def _log_softmax(z: np.ndarray, axis: int) -> np.ndarray:

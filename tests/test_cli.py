@@ -8,8 +8,9 @@ from mrfdet.cli import (ABLATION_LADDER, _bool, _int_tuple,
                         dataset_spec_from, format_ablation_table, main,
                         mrf_spec_from, parse_config_file, train_config_from)
 from mrfdet.dataset import load_annotations
+from mrfdet.detector_net import BackboneSpec, build_network
 from mrfdet.sws_masks import mask_to_pgm_bytes, rasterize_sws_mask
-from mrfdet.trainer import TrainConfig
+from mrfdet.trainer import TrainConfig, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +218,53 @@ class TestDiagnostics:
                               str(tmp_path / "m")], capsys)
         assert err == (f"error: {bad / 'annotations.txt'}:2: expected "
                        "'image class xmin ymin xmax ymax'")
+
+    @pytest.fixture
+    def small_ckpt(self, tmp_path):
+        config = TrainConfig(image_size=32, stage_channels=(8, 8, 8, 8))
+        det = build_network(BackboneSpec(32, config.stage_channels), 3,
+                            config.toggles, seed=0)
+        save_checkpoint(str(tmp_path / "small.ckpt"), det, config)
+        return tmp_path / "small.ckpt"
+
+    def run_on_data(self, command, data, tmp_path, ckpt, capsys):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("epochs = 1\nwarmup_epochs = 0\nlr_drop_epochs =\n"
+                       "image_size = 32\nstage_channels = 8 8 8 8\n")
+        argv = {"train": ["train", "--config", str(cfg), "--data", str(data),
+                          "--out", str(tmp_path / "m.ckpt")],
+                "mask-gen": ["mask-gen", "--data", str(data), "--out",
+                             str(tmp_path / "masks")],
+                "eval": ["eval", "--ckpt", str(ckpt), "--data", str(data)]}[command]
+        err = self.run_error(argv, capsys)
+        assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "masks").exists()
+        return err
+
+    @pytest.mark.parametrize("command", ["train", "mask-gen", "eval"])
+    @pytest.mark.parametrize("coords", ["1 1 inf 9", "nan 1 5 9", "5 1 5 9", "1 9 5 2"])
+    def test_bad_box_located(self, data_dir, tmp_path, capsys, small_ckpt, command,
+                             coords):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir / "data", data)
+        with open(data / "annotations.txt", "a", encoding="utf-8") as f:
+            f.write(f"images/0000.ppm 1 {coords}\n")
+        line = len((data / "annotations.txt").read_text().splitlines())
+        err = self.run_on_data(command, data, tmp_path, small_ckpt, capsys)
+        assert err.startswith(f"error: {data / 'annotations.txt'}:{line}: box {coords} ")
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("header,message", [
+        (b"P6\n32 32\n65535\n", "not an 8-bit binary PPM (magic b'P6', maxval 65535)"),
+        (b"P6\n# made by hand\n32 32\n255\n", "cannot parse the PPM header")],
+        ids=["16-bit", "comment"])
+    def test_unreadable_ppm_named(self, data_dir, tmp_path, capsys, small_ckpt, command,
+                                  header, message):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir / "data", data)
+        image = data / "images" / "0003.ppm"
+        image.write_bytes(header + bytes(2 * 32 * 32 * 3))
+        err = self.run_on_data(command, data, tmp_path, small_ckpt, capsys)
+        assert err.startswith(f"error: {image}: {message}")
 
     def test_bad_branch_item_named(self, tmp_path, capsys):
         spec = tmp_path / "mrf.txt"

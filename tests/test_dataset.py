@@ -1,5 +1,6 @@
 import filecmp
 import os
+import re
 
 import numpy as np
 import pytest
@@ -94,9 +95,12 @@ class TestPpm:
 
     def test_rejects_non_ppm(self, tmp_path):
         path = tmp_path / "bad.ppm"
-        path.write_bytes(b"P5\n2 2\n255\n\x00\x00\x00\x00")
-        with pytest.raises(ShapeError, match="PPM"):
-            read_ppm(path)
+        for raw in (b"P5\n2 2\n255\n\x00\x00\x00\x00", b"P6\n2 2\n65535\n" + bytes(24),
+                    b"P6\n# comment\n2 2\n255\n" + bytes(12), b"P6\n2 2\n255\n" + bytes(11),
+                    b"P6\n2 2\n"):
+            path.write_bytes(raw)
+            with pytest.raises(ShapeError, match=f"^{re.escape(str(path))}: .*PPM"):
+                read_ppm(path)
 
 
 class TestSynth:

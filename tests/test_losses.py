@@ -68,6 +68,14 @@ class TestConfLoss:
         loss = conf_loss(logits, assign, np.array([1]), np.array([1]))
         assert loss.item() == pytest.approx(2 * np.log(2.0))
 
+    def test_no_rows_zero(self):
+        logits = Tensor(np.ones((2, 2)), requires_grad=True)
+        loss = conf_loss(logits, MatchAssignment(np.array([-1, -1])), np.zeros(0),
+                         np.zeros(0))
+        assert loss.item() == 0.0
+        loss.backward()
+        assert logits.grad is None
+
     def test_background_positive_rejected(self):
         assign = MatchAssignment(np.array([0, -1]))
         with pytest.raises(ShapeError, match="background"):
@@ -113,8 +121,11 @@ class TestLocLoss:
 
     def test_no_positives_zero(self):
         assign = MatchAssignment(np.array([-1, -1]))
-        loss = loc_loss(np.ones((2, 4)), assign, np.zeros((0, 4)), np.ones((2, 4)))
+        preds = Tensor(np.ones((2, 4)), requires_grad=True)
+        loss = loc_loss(preds, assign, np.zeros((0, 4)), np.ones((2, 4)))
         assert loss.item() == 0.0
+        loss.backward()
+        assert preds.grad is None
 
     def test_gradient(self):
         anchors, assign, gt_boxes, _, _, loc = micro_scene()

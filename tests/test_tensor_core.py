@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mrfdet import tensor_core
 from mrfdet.tensor_core import (ConvSpec, ShapeError, Tensor, add, concat,
                                 conv2d, finite_diff_check,
                                 inner, relu, softmax_channels,
@@ -285,17 +286,17 @@ class TestBackwardOrder:
         np.testing.assert_array_equal(x.grad, [5001.0, 15003.0])
 
     def test_nodes_run_in_reverse_depth_first_post_order(self):
-        # Post-order over parents in order is [x, p, y, q, d]; backward runs it
-        # reversed, so q's closure runs before p's.
+        # Post-order over inputs in order is [x, p, y, q, d]; backward runs it
+        # reversed, so q's gradient functions run before p's.
         ran = []
 
         def tagged(name, t):
-            inner_bwd = t._backward
+            (parent, fn), *rest = t._edges
 
-            def bwd(g):
+            def logged(g):
                 ran.append(name)
-                inner_bwd(g)
-            t._backward = bwd
+                return fn(g)
+            t._edges = ((parent, logged), *rest)
             return t
 
         x = Tensor(np.ones(2), requires_grad=True)
@@ -304,6 +305,17 @@ class TestBackwardOrder:
         tagged("d", add([p, q, p])).backward(np.ones(2))
         assert ran == ["d", "q", "p"]
         np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+    def test_unneeded_input_gradient_never_computed(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("input gradient computed for a plain array")
+        monkeypatch.setattr(tensor_core, "_conv_grad_input", fail)
+        w = Tensor(np.ones((2, 1, 3, 3)), requires_grad=True)
+        b = Tensor(np.zeros(2), requires_grad=True)
+        x = np.arange(16.0).reshape(1, 4, 4)
+        conv2d(x, w, b, ConvSpec(1, 2, 3, padding=1)).backward(np.ones((2, 4, 4)))
+        np.testing.assert_array_equal(b.grad, [16.0, 16.0])
+        assert w.grad.shape == (2, 1, 3, 3) and w.grad[0, 0, 1, 1] == x.sum()
 
 
 class TestFiniteDiff:
