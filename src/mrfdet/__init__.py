@@ -15,8 +15,8 @@ from .mrf_block import (BranchSpec, MRFBlockSpec, default_mrf_spec,
 from .sws_masks import (AreaThresholds, SegLabel, classify_box,
                         rasterize_sws_mask, seg_loss)
 from .tensor_core import (ConvSpec, ShapeError, Tensor, add, concat,
-                          conv2d, finite_diff_check, relu, softmax_channels,
-                          transposed_conv2d, upsample_nearest_2x)
+                          conv2d, finite_diff_check, relu, transposed_conv2d,
+                          upsample_nearest_2x)
 from .trainer import TrainConfig, load_checkpoint, lr_at, save_checkpoint, train
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ from dataclasses import replace
 
 from .dataset import DatasetSpec, load_annotations, synth_dataset
 from .detector_net import BackboneSpec, Toggles, build_network, describe
+from .eval_metrics import EvalConfig, coco_style_summary, evaluate_detections
 from .gradcheck import run_suite
 from .inference import collect_detections, evaluate_detector
 from .mrf_block import MRFBlockSpec, default_mrf_spec, format_rf_report
@@ -139,13 +140,11 @@ def cmd_train(args):
 
 def cmd_eval(args):
     det, _ = load_checkpoint(args.ckpt)
+    dets, gts = collect_detections(det, args.data, size_from=f"checkpoint {args.ckpt}")
     if args.coco_style:
-        from .eval_metrics import coco_style_summary
-        dets, gts = collect_detections(det, args.data)
         print(coco_style_summary(dets, gts))
     else:
-        report = evaluate_detector(det, args.data)
-        print(report.format_table())
+        print(evaluate_detections(dets, gts, EvalConfig()).format_table())
 
 
 ABLATION_LADDER = (

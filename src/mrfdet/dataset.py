@@ -168,11 +168,21 @@ def load_annotations(data_dir):
     return by_image
 
 
-def load_dataset(data_dir):
-    """Ordered list of (image key, (3, S, S) image, [Box])."""
-    by_image = load_annotations(data_dir)
-    return [(rel, read_ppm(os.path.join(data_dir, rel)), boxes)
-            for rel, boxes in sorted(by_image.items())]
+def load_dataset(data_dir, image_size=None, size_from=None):
+    """Ordered list of (image key, (3, S, S) image, [Box]).
+
+    With image_size, an image of any other size is rejected; the message
+    names size_from, the source of the expected size.
+    """
+    samples = []
+    for rel, boxes in sorted(load_annotations(data_dir).items()):
+        path = os.path.join(data_dir, rel)
+        image = read_ppm(path)
+        if image_size is not None and image.shape[1:] != (image_size, image_size):
+            raise ShapeError(f"{path}: image is {image.shape[2]}x{image.shape[1]} pixels; "
+                             f"{size_from} needs {image_size}x{image_size}")
+        samples.append((rel, image, boxes))
+    return samples
 
 
 def dataset_info(data_dir):

@@ -15,8 +15,7 @@ from .losses import LossConfig, conf_loss, loc_loss, total_loss
 from .mrf_block import default_mrf_spec, init_mrf_params, mrf_forward
 from .sws_masks import SegLabel, seg_loss
 from .tensor_core import (ConvSpec, Tensor, conv2d, finite_diff_check, inner,
-                          relu, softmax_channels, transposed_conv2d,
-                          upsample_nearest_2x)
+                          relu, transposed_conv2d, upsample_nearest_2x)
 
 PRIMITIVE_TOL = 1e-5
 COMPOSED_TOL = 1e-4
@@ -69,11 +68,6 @@ def primitive_checks(rng):
     cr = _coeffs(rng, xr.shape)
     checks.append(("relu (off-kink)",
                    finite_diff_check(lambda t: inner(relu(t), cr), xr)))
-
-    xs = rng.standard_normal((4, 3, 3))
-    cs = _coeffs(rng, xs.shape)
-    checks.append(("softmax_channels",
-                   finite_diff_check(lambda t: inner(softmax_channels(t), cs), xs)))
 
     xu = rng.standard_normal((2, 3, 3))
     cu = _coeffs(rng, (2, 6, 6))

@@ -34,9 +34,11 @@ def detect_image(det: DetectorParams, image, score_threshold=0.01,
 
 
 def collect_detections(det: DetectorParams, data_dir, score_threshold=0.01,
-                       nms_iou=0.45, max_keep=200):
+                       nms_iou=0.45, max_keep=200, size_from="the detector"):
+    """Detections and ground truth per image; size_from names the source of
+    the detector's image size in the error for an image of another size."""
     dets_by_image, gts_by_image = {}, {}
-    for rel, image, boxes in load_dataset(data_dir):
+    for rel, image, boxes in load_dataset(data_dir, det.backbone.image_size, size_from):
         gts_by_image[rel] = boxes
         dets_by_image[rel] = detect_image(det, image, score_threshold,
                                           nms_iou, max_keep)

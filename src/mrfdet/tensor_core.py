@@ -6,6 +6,12 @@ reverse-mode tape node, so composed blocks can be differentiated without
 hand-wiring adjoints at every call site. All gradients here are exact
 adjoints of the forward maps and are validated against central finite
 differences (see :func:`finite_diff_check`).
+
+Convolutions run one kernel (im2col as GEMM): the input is padded once into
+a zero-filled flat buffer, a strided view of it yields every tap as a
+contiguous run, and one GEMM follows. The input gradient, and with it the
+transposed convolution, is the same kernel applied to the zero-inserted
+gradient with the flipped kernel, so nothing is scatter-added.
 """
 
 from __future__ import annotations
@@ -150,7 +156,9 @@ def as_tensor(x) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Convolution internals (im2col over a small kernel-position loop).
+# Convolution internals: one gather of contiguous tap runs from a zero-padded
+# flat buffer, then one GEMM, for conv2d, both its gradients and the
+# transposed conv.
 # ---------------------------------------------------------------------------
 
 def _check_chw(x, name):
@@ -158,50 +166,75 @@ def _check_chw(x, name):
         raise ShapeError(f"{name} must be (C, H, W), got shape {x.shape}")
 
 
-def _cols(xp, spec: ConvSpec, oh, ow):
-    """Gather dilated/strided taps: (C, k, k, oh, ow) view-copy of padded input."""
-    c = xp.shape[0]
-    k, s, d = spec.kernel, spec.stride, spec.dilation
-    cols = np.empty((c, k, k, oh, ow), dtype=xp.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[:, i, j] = xp[:, i * d:i * d + (oh - 1) * s + 1:s,
-                               j * d:j * d + (ow - 1) * s + 1:s]
-    return cols
+def _tap_view(buf, k, d, s, oh, wp):
+    """(C, k, k, oh, wp // s) view of the taps in a C-contiguous (C, L) buffer.
+
+    Each buffer row holds a canvas row by row, wp wide. Tap (i, j) of output
+    (r, q) reads canvas row i*d + r*s, column j*d + q*s. An output column
+    whose taps run past the canvas width reads the next row instead; callers
+    drop those columns.
+    """
+    c, n = buf.shape
+    wq = wp // s
+    last = ((k - 1) * d + (oh - 1) * s) * wp + (k - 1) * d + (wq - 1) * s
+    if last >= n:
+        raise ShapeError(f"tap view reads element {last} of a {n}-element buffer row")
+    e = buf.itemsize
+    return np.ndarray((c, k, k, oh, wq), buf.dtype, buf, 0,
+                      (buf.strides[0], d * wp * e, d * e, s * wp * e, s * e))
+
+
+def _gather(x, k, d, s, oh, ow, offset, step=1):
+    """GEMM columns (C*k*k, oh*wq) of the taps of x, and the row width wq.
+
+    x[:, r, q] sits at canvas pixel (offset + r*step, offset + q*step) of a
+    zero canvas: offset is a conv's padding (a negative one crops x), and a
+    step above 1 inserts zeros between pixels. The canvas is as large as the
+    oh x ow outputs need, with its width rounded up to a multiple of s, so
+    that every tap's oh rows form one run of stride s; output columns ow..wq
+    of each row are spill.
+    """
+    c, h, w = x.shape
+    hp = (k - 1) * d + (oh - 1) * s + 1
+    wp = -(-((k - 1) * d + (ow - 1) * s + 1) // s) * s
+    buf = np.zeros((c, hp * wp + max(0, (k - 1) * d - s + 1)), dtype=x.dtype)
+    first = max(0, -(offset // step))
+    start = offset + first * step
+    nr = min(h, (hp - 1 - offset) // step + 1) - first
+    nc = min(w, (wp - 1 - offset) // step + 1) - first
+    if nr > 0 and nc > 0:
+        canvas = buf[:, :hp * wp].reshape(c, hp, wp)
+        canvas[:, start:start + (nr - 1) * step + 1:step,
+               start:start + (nc - 1) * step + 1:step] = x[:, first:first + nr,
+                                                             first:first + nc]
+    wq = wp // s
+    return _tap_view(buf, k, d, s, oh, wp).reshape(c * k * k, oh * wq), wq
 
 
 def _conv_fwd(x, w, spec: ConvSpec):
-    c, h, wd = x.shape
-    oh, ow = spec.out_extent(h), spec.out_extent(wd)
-    p = spec.padding
-    xp = np.pad(x, ((0, 0), (p, p), (p, p))) if p else x
-    cols = _cols(xp, spec, oh, ow)
-    y = w.reshape(spec.out_channels, -1) @ cols.reshape(c * spec.kernel ** 2, oh * ow)
-    return y.reshape(spec.out_channels, oh, ow)
+    oh, ow = spec.out_extent(x.shape[1]), spec.out_extent(x.shape[2])
+    cols, wq = _gather(x, spec.kernel, spec.dilation, spec.stride, oh, ow, spec.padding)
+    y = w.reshape(spec.out_channels, -1) @ cols
+    return y.reshape(spec.out_channels, oh, wq)[:, :, :ow]
 
 
 def _conv_grad_input(g, w, spec: ConvSpec, h, wd):
-    """Scatter-add adjoint of _conv_fwd with respect to its input."""
-    k, s, d, p = spec.kernel, spec.stride, spec.dilation, spec.padding
-    oh, ow = g.shape[1], g.shape[2]
-    cols = (w.reshape(spec.out_channels, -1).T @ g.reshape(spec.out_channels, -1))
-    cols = cols.reshape(spec.in_channels, k, k, oh, ow)
-    gxp = np.zeros((spec.in_channels, h + 2 * p, wd + 2 * p), dtype=g.dtype)
-    for i in range(k):
-        for j in range(k):
-            gxp[:, i * d:i * d + (oh - 1) * s + 1:s,
-                j * d:j * d + (ow - 1) * s + 1:s] += cols[:, i, j]
-    return gxp[:, p:p + h, p:p + wd]
+    """Adjoint of _conv_fwd in its input: the stride-1 correlation of the
+    zero-inserted gradient with the flipped, transposed kernel."""
+    k, d = spec.kernel, spec.dilation
+    cols, wq = _gather(g, k, d, 1, h, wd, (k - 1) * d - spec.padding, step=spec.stride)
+    wf = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(spec.in_channels, -1)
+    return (wf @ cols).reshape(spec.in_channels, h, wq)[:, :, :wd]
 
 
 def _conv_grad_w(g, x, spec: ConvSpec):
-    c, h, wd = x.shape
-    oh, ow = g.shape[1], g.shape[2]
-    p = spec.padding
-    xp = np.pad(x, ((0, 0), (p, p), (p, p))) if p else x
-    cols = _cols(xp, spec, oh, ow).reshape(c * spec.kernel ** 2, oh * ow)
-    gw = g.reshape(spec.out_channels, -1) @ cols.T
-    return gw.reshape(spec.out_channels, c, spec.kernel, spec.kernel)
+    k, oh, ow = spec.kernel, g.shape[1], g.shape[2]
+    cols, wq = _gather(x, k, spec.dilation, spec.stride, oh, ow, spec.padding)
+    # Zero gradient on the spill columns keeps their taps out of the sum.
+    gp = np.zeros((spec.out_channels, oh, wq), dtype=g.dtype)
+    gp[:, :, :ow] = g
+    gw = gp.reshape(spec.out_channels, -1) @ cols.T
+    return gw.reshape(spec.out_channels, x.shape[0], k, k)
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +322,6 @@ def add(inputs) -> Tensor:
             raise ShapeError(f"add shape mismatch: input[{i}] is {t.shape}, "
                              f"input[0] is {ts[0].shape}")
     return _node(np.sum([t.data for t in ts], axis=0), ts, *[lambda g: g] * len(ts))
-
-
-def softmax_channels(input) -> Tensor:
-    """Normalize across channels independently at every spatial position."""
-    x = as_tensor(input)
-    _check_chw(x.data, "input")
-    if x.shape[0] < 1:
-        raise ShapeError("softmax needs at least one channel")
-    z = x.data - x.data.max(axis=0, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=0, keepdims=True)
-    return _node(s, (x,), lambda g: s * (g - (g * s).sum(axis=0, keepdims=True)))
 
 
 def inner(input, coeffs) -> Tensor:

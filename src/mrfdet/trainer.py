@@ -130,7 +130,8 @@ def train(config: TrainConfig, data_dir, log_fn=None, ckpt_path=None) -> TrainRe
                         config.num_classes, config.toggles,
                         seed=config.seed, dtype=np.float32)
     samples = [prepare_sample(det, config, img, boxes)
-               for _, img, boxes in load_dataset(data_dir)]
+               for _, img, boxes in load_dataset(data_dir, config.image_size,
+                                                 "train config image_size")]
     if not samples:
         raise ShapeError(f"no images found under {data_dir}")
     opt = SGD(det.named_params(), config.momentum, config.weight_decay)

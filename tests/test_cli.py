@@ -266,6 +266,26 @@ class TestDiagnostics:
         err = self.run_on_data(command, data, tmp_path, small_ckpt, capsys)
         assert err.startswith(f"error: {image}: {message}")
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_image_size_mismatch_named(self, data_dir, tmp_path, capsys, command):
+        # Default 64-pixel model on the 32-pixel set: the error names the
+        # first image and where the expected size comes from.
+        config, out = TrainConfig(), tmp_path / "m.ckpt"
+        if command == "train":
+            argv, source = ["train", "--data", str(data_dir / "data"), "--out",
+                            str(out)], "train config image_size"
+        else:
+            ckpt = tmp_path / "default.ckpt"
+            det = build_network(BackboneSpec(config.image_size, config.stage_channels),
+                                config.num_classes, config.toggles, seed=0)
+            save_checkpoint(str(ckpt), det, config)
+            argv, source = ["eval", "--ckpt", str(ckpt), "--data",
+                            str(data_dir / "data")], f"checkpoint {ckpt}"
+        err = self.run_error(argv, capsys)
+        image = data_dir / "data" / "images" / "0000.ppm"
+        assert err == f"error: {image}: image is 32x32 pixels; {source} needs 64x64"
+        assert not out.exists()
+
     def test_bad_branch_item_named(self, tmp_path, capsys):
         spec = tmp_path / "mrf.txt"
         spec.write_text("branches = 3:1, 3\n")

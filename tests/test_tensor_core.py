@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrfdet import tensor_core
 from mrfdet.tensor_core import (ConvSpec, ShapeError, Tensor, add, concat,
-                                conv2d, finite_diff_check,
-                                inner, relu, softmax_channels,
+                                conv2d, finite_diff_check, inner, relu,
                                 transposed_conv2d, upsample_nearest_2x)
 
 
@@ -192,6 +193,103 @@ class TestTransposedConv:
             lambda t: inner(transposed_conv2d(x, t, b, spec), c), w) < 1e-5
 
 
+def conv_oracle(x, w, b, g, spec):
+    """Nested-loop conv2d output and its (input, weight, bias) gradients for
+    output gradient g."""
+    k, s, d, p = spec.kernel, spec.stride, spec.dilation, spec.padding
+    (_, h, wd), (_, oh, ow) = x.shape, g.shape
+    y = np.zeros(g.shape) + b[:, None, None]
+    gx, gw = np.zeros_like(x), np.zeros_like(w)
+    for r in range(oh):
+        for q in range(ow):
+            for i in range(k):
+                for j in range(k):
+                    a, c = r * s + i * d - p, q * s + j * d - p
+                    if 0 <= a < h and 0 <= c < wd:
+                        y[:, r, q] += w[:, :, i, j] @ x[:, a, c]
+                        gx[:, a, c] += w[:, :, i, j].T @ g[:, r, q]
+                        gw[:, :, i, j] += np.outer(g[:, r, q], x[:, a, c])
+    return y, gx, gw, g.sum(axis=(1, 2))
+
+
+def transposed_oracle(x, w, b, g, spec):
+    """Nested-loop transposed_conv2d: input pixel (r, q) adds w[:, :, i, j]
+    times its value at output (r*s + i*d - p, q*s + j*d - p)."""
+    k, s, d, p = spec.kernel, spec.stride, spec.dilation, spec.padding
+    (_, h, wd), (_, oh, ow) = x.shape, g.shape
+    y = np.zeros(g.shape) + b[:, None, None]
+    gx, gw = np.zeros_like(x), np.zeros_like(w)
+    for r in range(h):
+        for q in range(wd):
+            for i in range(k):
+                for j in range(k):
+                    a, c = r * s + i * d - p, q * s + j * d - p
+                    if 0 <= a < oh and 0 <= c < ow:
+                        y[:, a, c] += w[:, :, i, j].T @ x[:, r, q]
+                        gx[:, r, q] += w[:, :, i, j] @ g[:, a, c]
+                        gw[:, :, i, j] += np.outer(x[:, r, q], g[:, a, c])
+    return y, gx, gw, g.sum(axis=(1, 2))
+
+
+@st.composite
+def conv_geometry(draw, transposed=False):
+    """A ConvSpec with padding up to one past the kernel span, and an H != W
+    input on which it gives at least one output pixel."""
+    k, s, d = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    span = d * (k - 1) + 1
+    p = draw(st.integers(0, span))
+    if transposed:
+        low = max(1, 1 - (span - 2 * p - 1) // s)
+    else:
+        low = max(1, span - 2 * p)
+    h = draw(st.integers(low, low + 5))
+    w = draw(st.integers(low, low + 5).filter(lambda v: v != h))
+    spec = ConvSpec(draw(st.integers(1, 3)), draw(st.integers(1, 3)), k, s, p, d)
+    return spec, h, w, draw(st.integers(0, 2 ** 32 - 1))
+
+
+def assert_matches_oracle(op, oracle, x, w, b, g, spec):
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    y = op(xt, wt, bt, spec)
+    assert y.shape == g.shape
+    y.backward(g)
+    for got, want in zip((y.data, xt.grad, wt.grad, bt.grad), oracle(x, w, b, g, spec)):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+class TestConvOracle:
+    @given(conv_geometry())
+    @settings(max_examples=40, deadline=None)
+    def test_conv2d_forward_and_gradients(self, geometry):
+        spec, h, wd, seed = geometry
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((spec.in_channels, h, wd))
+        w = rng.standard_normal((spec.out_channels, spec.in_channels, spec.kernel, spec.kernel))
+        b = rng.standard_normal(spec.out_channels)
+        g = rng.standard_normal((spec.out_channels, spec.out_extent(h), spec.out_extent(wd)))
+        assert_matches_oracle(conv2d, conv_oracle, x, w, b, g, spec)
+
+    @given(conv_geometry(transposed=True))
+    @settings(max_examples=40, deadline=None)
+    def test_transposed_conv2d_forward_and_gradients(self, geometry):
+        spec, h, wd, seed = geometry
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((spec.in_channels, h, wd))
+        w = rng.standard_normal((spec.in_channels, spec.out_channels, spec.kernel, spec.kernel))
+        b = rng.standard_normal(spec.out_channels)
+        g = rng.standard_normal((spec.out_channels, spec.transposed_out_extent(h),
+                                 spec.transposed_out_extent(wd)))
+        assert_matches_oracle(transposed_conv2d, transposed_oracle, x, w, b, g, spec)
+
+    def test_tap_view_rejects_short_buffer(self):
+        # k=3, d=1, s=1, 2 output rows over a 4-wide canvas: the last tap of
+        # the last spill column is element 17 of each buffer row.
+        view = tensor_core._tap_view(np.arange(36.0).reshape(2, 18), 3, 1, 1, 2, 4)
+        assert view.shape == (2, 3, 3, 2, 4) and view[1, 2, 2, 1, 3] == 35.0
+        with pytest.raises(ShapeError, match="tap view"):
+            tensor_core._tap_view(np.zeros((2, 17)), 3, 1, 1, 2, 4)
+
+
 class TestElementwise:
     def test_relu_cases(self):
         np.testing.assert_array_equal(relu(np.full((1, 2, 2), -3.0)).data, 0.0)
@@ -252,14 +350,6 @@ class TestElementwise:
         c = rng.standard_normal((5, 3, 3))
         assert finite_diff_check(lambda t: inner(concat([a, t]), c), b) < 1e-6
         assert finite_diff_check(lambda t: inner(concat([t, b]), c), a) < 1e-6
-
-    def test_softmax_symmetry_and_normalization(self):
-        out = softmax_channels(np.zeros((2, 3, 3))).data
-        np.testing.assert_allclose(out, 0.5)
-        rng = np.random.default_rng(14)
-        s = softmax_channels(rng.standard_normal((5, 4, 4))).data
-        np.testing.assert_allclose(s.sum(axis=0), 1.0, atol=1e-12)
-        assert ((s > 0) & (s < 1)).all()
 
 
 class TestScalarArithmetic:
@@ -344,7 +434,6 @@ class TestTensorInvariants:
         x = rng.standard_normal((3, 6, 6))
         w = rng.standard_normal((4, 3, 3, 3))
         out = relu(conv2d(x, w, rng.standard_normal(4), ConvSpec(3, 4, 3, padding=1)))
-        out = softmax_channels(out)
         assert np.isfinite(out.data).all()
         out.backward(np.ones_like(out.data))
 
