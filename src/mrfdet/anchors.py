@@ -2,7 +2,7 @@
 
 Boxes live in input-image pixel units. Geometry works on (N, 4) arrays in
 corner form (xmin, ymin, xmax, ymax) or center form (cx, cy, w, h); the two
-conversions are exact inverses. Box is the annotation/detection record.
+conversions are exact inverses. Box is the annotation record.
 All tie-breaking is by lowest index so results are deterministic.
 """
 
@@ -22,7 +22,6 @@ class Box:
     xmax: float
     ymax: float
     class_id: int = 0
-    score: float = None
 
     def __post_init__(self):
         if not (self.xmax > self.xmin and self.ymax > self.ymin):

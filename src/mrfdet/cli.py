@@ -13,7 +13,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .dataset import DatasetSpec, load_annotations, synth_dataset
+from .dataset import DatasetSpec, load_dataset, synth_dataset
 from .detector_net import BackboneSpec, Toggles, build_network, describe
 from .eval_metrics import EvalConfig, coco_style_summary, evaluate_detections
 from .gradcheck import run_suite
@@ -201,12 +201,14 @@ def cmd_gradcheck(args):
 
 def cmd_mask_gen(args):
     thresholds = AreaThresholds(args.t1, args.t2)
-    by_image = load_annotations(args.data)
-    from .dataset import dataset_info
-    size = int(dataset_info(args.data).get("image_size", 64))
+    samples = load_dataset(args.data)
+    for rel, image, _ in samples:
+        if image.shape[1] != image.shape[2]:
+            raise ValueError(f"{os.path.join(args.data, rel)}: image is {image.shape[2]}x"
+                             f"{image.shape[1]} pixels; masks need a square image")
     os.makedirs(args.out, exist_ok=True)
-    for rel, boxes in sorted(by_image.items()):
-        mask = rasterize_sws_mask(boxes, size, thresholds)
+    for rel, image, boxes in samples:
+        mask = rasterize_sws_mask(boxes, image.shape[1], thresholds)
         name = os.path.splitext(os.path.basename(rel))[0] + ".pgm"
         with open(os.path.join(args.out, name), "wb") as f:
             f.write(mask_to_pgm_bytes(mask))

@@ -184,13 +184,3 @@ def load_dataset(data_dir, image_size=None, size_from=None):
         samples.append((rel, image, boxes))
     return samples
 
-
-def dataset_info(data_dir):
-    info = {}
-    path = os.path.join(data_dir, "dataset.txt")
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if "=" in line:
-                k, v = line.split("=", 1)
-                info[k.strip()] = v.strip()
-    return info

@@ -95,48 +95,42 @@ def average_precision(tp_fp_sequence, n_gt, interpolation="eleven_point"):
     Returns None (class excluded from the mean) when there are no ground
     truths and no detections.
     """
-    seq = [bool(v) for v in tp_fp_sequence]
+    tp = np.cumsum(np.asarray(tp_fp_sequence, dtype=bool))
     if n_gt == 0:
-        return None if not seq else 0.0
-    if not seq:
+        return None if not tp.size else 0.0
+    if not tp.size:
         return 0.0
-    tp = np.cumsum(seq)
-    fp = np.cumsum([not v for v in seq])
     recall = tp / n_gt
-    precision = tp / (tp + fp)
+    # Interpolated precision: the best precision at this rank or any later one.
+    envelope = np.maximum.accumulate((tp / np.arange(1, tp.size + 1))[::-1])[::-1]
     if interpolation == "eleven_point":
-        pts = []
-        for r in np.linspace(0, 1, 11):
-            above = precision[recall >= r - 1e-12]
-            pts.append(above.max() if above.size else 0.0)
-        return float(np.mean(pts))
-    # all_point: integrate the running-max precision envelope over recall.
-    r = np.concatenate([[0.0], recall, [recall[-1]]])
-    p = np.concatenate([[0.0], precision, [0.0]])
-    for i in range(p.size - 2, -1, -1):
-        p[i] = max(p[i], p[i + 1])
-    idx = np.flatnonzero(r[1:] != r[:-1]) + 1
-    return float(np.sum((r[idx] - r[idx - 1]) * p[idx]))
+        # First rank reaching each recall point; past the last rank it reads 0.
+        first = np.searchsorted(recall, np.linspace(0, 1, 11) - 1e-12)
+        return float(np.mean(np.append(envelope, 0.0)[first]))
+    # all_point: integrate the envelope over the ranks where recall rises.
+    r = np.concatenate([[0.0], recall])
+    rise = np.flatnonzero(r[1:] != r[:-1])
+    return float(np.sum((r[rise + 1] - r[rise]) * envelope[rise]))
 
 
 def _match_inputs(dets_by_image, gts_by_image):
-    """Per class, per image: (image, detection indices and scores in
-    descending score order, their IoU rows against the class's gts, gt
-    areas). One iou_matrix per image serves every class and area band.
-    Class ids are taken from the boxes (background id 0 never appears)."""
+    """Per class, per image: (image, detection rows and scores in descending
+    score order, their IoU rows against the class's gts, gt areas). One
+    iou_matrix per image serves every class and area band. Class ids are
+    taken from the detections and boxes (background id 0 never appears)."""
     classes = sorted({g.class_id for gts in gts_by_image.values() for g in gts} |
-                     {d.class_id for ds in dets_by_image.values() for d in ds})
+                     {int(c) for ds in dets_by_image.values() for c in set(ds[:, 5].tolist())})
     inputs = {cls: [] for cls in classes}
     for img in sorted(set(dets_by_image) | set(gts_by_image)):
-        dets, gts = dets_by_image.get(img, []), gts_by_image.get(img, [])
+        dets, gts = dets_by_image.get(img, np.zeros((0, 6))), gts_by_image.get(img, [])
         # Plain lists: per-element access on these few-gt rows is cheaper
         # than numpy calls.
-        rows = iou_matrix(boxes_to_corner_array(dets), boxes_to_corner_array(gts)).tolist()
+        rows = iou_matrix(dets[:, :4], boxes_to_corner_array(gts)).tolist()
         for cls in classes:
-            di = sorted((i for i, d in enumerate(dets) if d.class_id == cls),
-                        key=lambda i: -dets[i].score)
+            di = np.flatnonzero(dets[:, 5] == cls)
+            di = di[np.argsort(-dets[di, 4], kind="stable")].tolist()
             gi = [j for j, g in enumerate(gts) if g.class_id == cls]
-            inputs[cls].append((img, di, [dets[i].score for i in di],
+            inputs[cls].append((img, di, dets[di, 4].tolist(),
                                 [[rows[i][j] for j in gi] for i in di],
                                 [gts[j].area for j in gi]))
     return inputs
@@ -162,7 +156,8 @@ def evaluate_detections(dets_by_image, gts_by_image, config: EvalConfig,
                         inputs=None) -> EvalReport:
     """Per-class AP, mAP and per-area-band AP over a whole dataset.
 
-    dets_by_image and gts_by_image map an image key to lists of Box.
+    dets_by_image maps an image key to a (K, 6) array of detections (xmin,
+    ymin, xmax, ymax, score, class id), gts_by_image to a list of Box.
     inputs, if given, is their _match_inputs, shared between passes.
     """
     inputs = inputs or _match_inputs(dets_by_image, gts_by_image)

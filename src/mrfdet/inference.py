@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .anchors import Box, decode_array, nms_array
+from .anchors import decode_array, nms_array
 from .dataset import load_dataset
 from .detector_net import DetectorParams, forward
 from .eval_metrics import EvalConfig, EvalReport, evaluate_detections
@@ -13,7 +13,9 @@ from .eval_metrics import EvalConfig, EvalReport, evaluate_detections
 
 def detect_image(det: DetectorParams, image, score_threshold=0.01,
                  nms_iou=0.45, max_keep=200):
-    """Scored, NMS-filtered detections for one image."""
+    """Scored, NMS-filtered detections for one image as a float64 (K, 6)
+    array of xmin, ymin, xmax, ymax, score and class id, by descending
+    score (ties in class order, then NMS order)."""
     _, outputs = forward(det, image.astype(np.float32), with_seg=False)
     logits = outputs.conf.data.astype(np.float64)
     z = logits - logits.max(axis=1, keepdims=True)
@@ -23,30 +25,26 @@ def detect_image(det: DetectorParams, image, score_threshold=0.01,
     boxes = np.clip(decode_array(outputs.loc.data.astype(np.float64), det.anchors),
                     0, det.backbone.image_size)
     valid = (boxes[:, 2] - boxes[:, 0] > 1e-6) & (boxes[:, 3] - boxes[:, 1] > 1e-6)
-    detections = []
+    per_class = []
     for cls in range(1, det.num_classes + 1):
         keep = np.flatnonzero(valid & (probs[:, cls] > score_threshold))
-        decoded, scores = boxes[keep], probs[keep, cls]
-        for i in nms_array(decoded, scores, nms_iou, max_keep):
-            detections.append(Box(*decoded[i], class_id=cls, score=float(scores[i])))
-    detections.sort(key=lambda b: -b.score)
-    return detections[:max_keep]
+        keep = keep[nms_array(boxes[keep], probs[keep, cls], nms_iou, max_keep)]
+        per_class.append(np.column_stack([boxes[keep], probs[keep, cls],
+                                          np.full(len(keep), float(cls))]))
+    detections = np.concatenate(per_class)
+    return detections[np.argsort(-detections[:, 4], kind="stable")[:max_keep]]
 
 
-def collect_detections(det: DetectorParams, data_dir, score_threshold=0.01,
-                       nms_iou=0.45, max_keep=200, size_from="the detector"):
-    """Detections and ground truth per image; size_from names the source of
-    the detector's image size in the error for an image of another size."""
+def collect_detections(det: DetectorParams, data_dir, size_from="the detector"):
+    """(K, 6) detections and ground-truth Boxes per image; size_from names
+    the source of the detector's image size in the error for an image of
+    another size."""
     dets_by_image, gts_by_image = {}, {}
     for rel, image, boxes in load_dataset(data_dir, det.backbone.image_size, size_from):
         gts_by_image[rel] = boxes
-        dets_by_image[rel] = detect_image(det, image, score_threshold,
-                                          nms_iou, max_keep)
+        dets_by_image[rel] = detect_image(det, image)
     return dets_by_image, gts_by_image
 
 
-def evaluate_detector(det: DetectorParams, data_dir, config: EvalConfig = None,
-                      score_threshold=0.01, nms_iou=0.45, max_keep=200) -> EvalReport:
-    return evaluate_detections(*collect_detections(det, data_dir, score_threshold,
-                                                   nms_iou, max_keep),
-                               config or EvalConfig())
+def evaluate_detector(det: DetectorParams, data_dir) -> EvalReport:
+    return evaluate_detections(*collect_detections(det, data_dir), EvalConfig())

@@ -245,6 +245,10 @@ def load_checkpoint(path):
         if key not in records:
             raise ShapeError(f"checkpoint {path} has no {key} record")
     meta = records["meta"]
+    if (meta.shape != (7,) or not np.isfinite(meta).all() or (meta != np.round(meta)).any()
+            or not 0 <= meta[5] < len(SEG_MODES)):
+        raise ShapeError(f"checkpoint {path} has a malformed meta record {meta.tolist()}: "
+                         f"expected 7 integers with a seg-mode index below {len(SEG_MODES)}")
     toggles = Toggles(mrf=bool(int(meta[3])), extra_level=bool(int(meta[4])),
                       seg_mode=SEG_MODES[int(meta[5])])
     stages = tuple(int(c) for c in records["meta.stages"])

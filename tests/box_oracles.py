@@ -6,16 +6,33 @@ or one pair at a time, and the tests check the array functions against
 them.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from mrfdet.anchors import Box, boxes_to_corner_array, nms_array
 from mrfdet.tensor_core import ShapeError
 
 
-def box_from_center(cx, cy, w, h, class_id=0, score=None) -> Box:
+@dataclass
+class ScoredBox(Box):
+    """A detection one box at a time; the package keeps detections as rows
+    of a (K, 6) array instead (see detection_array)."""
+
+    score: float = None
+
+
+def detection_array(detections) -> np.ndarray:
+    """ScoredBoxes as the package's (K, 6) rows: xmin, ymin, xmax, ymax,
+    score, class id."""
+    return np.array([[d.xmin, d.ymin, d.xmax, d.ymax, d.score, d.class_id]
+                     for d in detections], dtype=np.float64).reshape(-1, 6)
+
+
+def box_from_center(cx, cy, w, h, class_id=0) -> Box:
     if w <= 0 or h <= 0:
         raise ShapeError(f"non-positive box extent ({w}, {h})")
-    return Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2, class_id, score)
+    return Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2, class_id)
 
 
 def center(b: Box):

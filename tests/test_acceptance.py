@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from box_oracles import box_from_center, iou, nms_array_by_class
+from box_oracles import ScoredBox, box_from_center, iou, nms_array_by_class
 from mrfdet.anchors import (Box, boxes_to_corner_array, encode_array,
                             iou_matrix, match_anchors)
 from mrfdet.cli import ablate, format_ablation_table
@@ -153,8 +153,8 @@ def test_criterion_3_oracle_equivalence():
     # Per-class NMS vs O(n^2) reference, 1000 instances.
     nms_exact = True
     for _ in range(1000):
-        dets = [Box(b.xmin, b.ymin, b.xmax, b.ymax,
-                    class_id=int(rng.integers(0, 2)), score=float(rng.random()))
+        dets = [ScoredBox(b.xmin, b.ymin, b.xmax, b.ymax,
+                          class_id=int(rng.integers(0, 2)), score=float(rng.random()))
                 for b in (int_box(rng) for _ in range(10))]
         got = nms_array_by_class(dets, 0.45, 50)
         chosen = []

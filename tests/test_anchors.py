@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from box_oracles import (box_from_center, encode_box, iou, nms,
+from box_oracles import (ScoredBox, box_from_center, encode_box, iou, nms,
                          nms_array_by_class)
 from mrfdet.anchors import (Box, boxes_to_corner_array, center_to_corner,
                             corner_to_center, decode_array, encode_array,
@@ -17,7 +17,7 @@ box_coords = st.tuples(st.floats(0, 50), st.floats(0, 50),
 
 def make_box(coords, class_id=0, score=None):
     x, y, w, h = coords
-    return Box(x, y, x + w, y + h, class_id, score)
+    return ScoredBox(x, y, x + w, y + h, class_id, score)
 
 
 def pixel_iou(a: Box, b: Box, grid=400):
@@ -258,22 +258,22 @@ def brute_force_nms(dets, thr, max_keep):
 
 class TestNms:
     def test_suppresses_overlap(self):
-        dets = [Box(0, 0, 10, 10, 0, 0.9), Box(1, 1, 11, 11, 0, 0.8),
-                Box(30, 30, 40, 40, 0, 0.7)]
+        dets = [ScoredBox(0, 0, 10, 10, 0, 0.9), ScoredBox(1, 1, 11, 11, 0, 0.8),
+                ScoredBox(30, 30, 40, 40, 0, 0.7)]
         kept = nms_array(boxes_to_corner_array(dets), np.array([0.9, 0.8, 0.7]), 0.45)
         assert kept.tolist() == [0, 2]
 
     def test_classes_independent(self):
-        dets = [Box(0, 0, 10, 10, 0, 0.9), Box(0, 0, 10, 10, 1, 0.8)]
+        dets = [ScoredBox(0, 0, 10, 10, 0, 0.9), ScoredBox(0, 0, 10, 10, 1, 0.8)]
         assert len(nms_array_by_class(dets)) == 2
 
     def test_tie_break_by_insertion_order(self):
-        dets = [Box(0, 0, 10, 10, 0, 0.5), Box(0.1, 0, 10.1, 10, 0, 0.5)]
+        dets = [ScoredBox(0, 0, 10, 10, 0, 0.5), ScoredBox(0.1, 0, 10.1, 10, 0, 0.5)]
         kept = nms_array(boxes_to_corner_array(dets), np.array([0.5, 0.5]), 0.45)
         assert kept.tolist() == [0]
 
     def test_max_keep(self):
-        dets = [Box(20 * i, 0, 20 * i + 10, 10, 0, 1.0 - i * 0.01) for i in range(10)]
+        dets = [ScoredBox(20 * i, 0, 20 * i + 10, 10, 0, 1.0 - i * 0.01) for i in range(10)]
         scores = np.array([d.score for d in dets])
         assert len(nms_array(boxes_to_corner_array(dets), scores, max_keep=3)) == 3
 
@@ -313,7 +313,7 @@ class TestNms:
             if trial % 2:
                 xy, wh, scores = np.round(xy), np.round(wh), np.round(scores, 1)
             boxes = np.concatenate([xy, xy + wh], axis=1)
-            dets = [Box(*b, class_id=0, score=float(s)) for b, s in zip(boxes, scores)]
+            dets = [ScoredBox(*b, class_id=0, score=float(s)) for b, s in zip(boxes, scores)]
             position = {id(d): i for i, d in enumerate(dets)}
             keep = nms_array(boxes, scores, thr, max_keep)
             want = [position[id(d)] for d in nms(dets, thr, max_keep)]
@@ -325,7 +325,7 @@ class TestNms:
         boxes = np.array([[0.0, 0.0, 10.0, 10.0]] * 500 +
                          [[20.0 * i, 20.0, 20.0 * i + 10, 30.0] for i in range(5)])
         scores = np.array([1.0] * 500 + [0.5 - 0.01 * i for i in range(5)])
-        dets = [Box(*b, class_id=0, score=float(s)) for b, s in zip(boxes, scores)]
+        dets = [ScoredBox(*b, class_id=0, score=float(s)) for b, s in zip(boxes, scores)]
         keep = nms_array(boxes, scores, 0.45, max_keep=3)
         assert keep.tolist() == [0, 500, 501]
         assert [dets[i] for i in keep] == nms(dets, 0.45, 3)

@@ -1,4 +1,5 @@
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from mrfdet.cli import (ABLATION_LADDER, _bool, _int_tuple,
                         dataset_spec_from, format_ablation_table, main,
                         mrf_spec_from, parse_config_file, train_config_from)
-from mrfdet.dataset import load_annotations
+from mrfdet.dataset import load_annotations, write_ppm
 from mrfdet.detector_net import BackboneSpec, build_network
 from mrfdet.sws_masks import mask_to_pgm_bytes, rasterize_sws_mask
 from mrfdet.trainer import TrainConfig, save_checkpoint
@@ -117,6 +118,17 @@ class TestCommands:
         assert main(["mask-gen", "--data", str(data_dir / "data"),
                      "--out", str(out_dir)]) == 0
         for rel, boxes in sorted(load_annotations(data_dir / "data").items()):
+            want = mask_to_pgm_bytes(rasterize_sws_mask(boxes, 32, TrainConfig().thresholds))
+            assert (out_dir / (Path(rel).stem + ".pgm")).read_bytes() == want
+
+    def test_mask_gen_without_dataset_txt(self, data_dir, tmp_path):
+        # `train` accepts a dataset without dataset.txt, and so does mask-gen:
+        # each mask takes its size from its image.
+        data, out_dir = tmp_path / "data", tmp_path / "masks"
+        shutil.copytree(data_dir / "data", data)
+        (data / "dataset.txt").unlink()
+        assert main(["mask-gen", "--data", str(data), "--out", str(out_dir)]) == 0
+        for rel, boxes in sorted(load_annotations(data).items()):
             want = mask_to_pgm_bytes(rasterize_sws_mask(boxes, 32, TrainConfig().thresholds))
             assert (out_dir / (Path(rel).stem + ".pgm")).read_bytes() == want
 
@@ -285,6 +297,30 @@ class TestDiagnostics:
         image = data_dir / "data" / "images" / "0000.ppm"
         assert err == f"error: {image}: image is 32x32 pixels; {source} needs 64x64"
         assert not out.exists()
+
+    def test_mask_gen_non_square_image_named(self, data_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir / "data", data)
+        image = data / "images" / "0002.ppm"
+        write_ppm(image, np.zeros((3, 32, 24)))
+        err = self.run_error(["mask-gen", "--data", str(data), "--out",
+                              str(tmp_path / "masks")], capsys)
+        assert err == f"error: {image}: image is 24x32 pixels; masks need a square image"
+        assert not (tmp_path / "masks").exists()
+
+    @pytest.mark.parametrize("meta", [
+        [0, 3, 32], [0, 3, 32, 1, 1, 7, 0], [0, 3, float("nan"), 1, 1, 2, 0]],
+        ids=["short", "seg-mode-7", "nan-size"])
+    def test_malformed_meta_named(self, data_dir, small_ckpt, capsys, meta):
+        # The meta record comes first after the 8-byte header: name length,
+        # b"meta", rank 1, its length 7, then 7 float32 values.
+        raw = small_ckpt.read_bytes()
+        record = (struct.pack("<I", 4) + b"meta" + struct.pack("<II", 1, len(meta))
+                  + np.array(meta, dtype="<f4").tobytes())
+        small_ckpt.write_bytes(raw[:8] + record + raw[8 + 16 + 4 * 7:])
+        err = self.run_error(["eval", "--ckpt", str(small_ckpt), "--data",
+                              str(data_dir / "data")], capsys)
+        assert err.startswith(f"error: checkpoint {small_ckpt} has a malformed meta record")
 
     def test_bad_branch_item_named(self, tmp_path, capsys):
         spec = tmp_path / "mrf.txt"

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from box_oracles import iou
-from mrfdet.dataset import (CLASS_COLORS, DatasetSpec, dataset_info,
-                            load_annotations, load_dataset, read_ppm,
-                            render_image, synth_dataset, write_ppm)
+from mrfdet.dataset import (CLASS_COLORS, DatasetSpec, load_annotations,
+                            load_dataset, read_ppm, render_image,
+                            synth_dataset, write_ppm)
 from mrfdet.tensor_core import ShapeError
 
 SMALL = DatasetSpec(image_size=48, num_images=6, large_side=(30, 40), seed=42)
@@ -152,10 +152,3 @@ class TestSynth:
             load_annotations(tmp_path)
         assert str(info.value) == (f"{ann}:{n_lines + 1}: expected "
                                    "'image class xmin ymin xmax ymax'")
-
-    def test_dataset_info(self, tmp_path):
-        synth_dataset(SMALL, tmp_path)
-        info = dataset_info(tmp_path)
-        assert info["image_size"] == "48"
-        assert info["num_images"] == "6"
-        assert info["seed"] == "42"

@@ -1,11 +1,45 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from box_oracles import ScoredBox, detection_array
 from mrfdet.anchors import Box, boxes_to_corner_array, iou_matrix
 from mrfdet.eval_metrics import (DEFAULT_AREA_RANGES, EvalConfig, EvalReport,
                                  average_precision, coco_style_summary,
                                  evaluate_detections, greedy_match)
 from mrfdet.tensor_core import ShapeError
+
+
+def as_arrays(dets_by_image):
+    """ScoredBox lists as the (K, 6) detection arrays evaluation reads."""
+    return {img: detection_array(dets) for img, dets in dets_by_image.items()}
+
+
+def loop_average_precision(tp_fp_sequence, n_gt, interpolation="eleven_point"):
+    """Reference AP: 11 recall points scanned one at a time, and the all-point
+    envelope built by a backward loop."""
+    seq = [bool(v) for v in tp_fp_sequence]
+    if n_gt == 0:
+        return None if not seq else 0.0
+    if not seq:
+        return 0.0
+    tp = np.cumsum(seq)
+    fp = np.cumsum([not v for v in seq])
+    recall = tp / n_gt
+    precision = tp / (tp + fp)
+    if interpolation == "eleven_point":
+        pts = []
+        for r in np.linspace(0, 1, 11):
+            above = precision[recall >= r - 1e-12]
+            pts.append(above.max() if above.size else 0.0)
+        return float(np.mean(pts))
+    r = np.concatenate([[0.0], recall, [recall[-1]]])
+    p = np.concatenate([[0.0], precision, [0.0]])
+    for i in range(p.size - 2, -1, -1):
+        p[i] = max(p[i], p[i + 1])
+    idx = np.flatnonzero(r[1:] != r[:-1]) + 1
+    return float(np.sum((r[idx] - r[idx - 1]) * p[idx]))
 
 
 def match(dets, gts, iou_threshold, ignore_gts=()):
@@ -22,20 +56,20 @@ def match(dets, gts, iou_threshold, ignore_gts=()):
 class TestGreedyMatch:
     def test_simple_tp_fp(self):
         gts = [Box(0, 0, 10, 10)]
-        dets = [Box(0, 0, 10, 10, 0, 0.9), Box(50, 50, 60, 60, 0, 0.8)]
+        dets = [ScoredBox(0, 0, 10, 10, 0, 0.9), ScoredBox(50, 50, 60, 60, 0, 0.8)]
         flags, matched = match(dets, gts, 0.5)
         assert flags == [True, False]
         assert matched == [True]
 
     def test_duplicate_detection_is_fp(self):
         gts = [Box(0, 0, 10, 10)]
-        dets = [Box(0, 0, 10, 10, 0, 0.9), Box(0.5, 0, 10.5, 10, 0, 0.8)]
+        dets = [ScoredBox(0, 0, 10, 10, 0, 0.9), ScoredBox(0.5, 0, 10.5, 10, 0, 0.8)]
         flags, _ = match(dets, gts, 0.5)
         assert flags == [True, False]
 
     def test_higher_score_claims_first(self):
         gts = [Box(0, 0, 10, 10)]
-        dets = [Box(0.5, 0, 10.5, 10, 0, 0.3), Box(0, 0, 10, 10, 0, 0.9)]
+        dets = [ScoredBox(0.5, 0, 10.5, 10, 0, 0.3), ScoredBox(0, 0, 10, 10, 0, 0.9)]
         flags, _ = match(dets, gts, 0.5)
         # flags come back in descending score order: 0.9 first.
         assert flags == [True, False]
@@ -43,20 +77,20 @@ class TestGreedyMatch:
     def test_strictly_above_threshold(self):
         # IoU exactly at the threshold does not match.
         gts = [Box(0, 0, 10, 10)]
-        dets = [Box(0, 0, 10, 5, 0, 0.9)]  # IoU exactly 0.5
+        dets = [ScoredBox(0, 0, 10, 5, 0, 0.9)]  # IoU exactly 0.5
         flags, matched = match(dets, gts, 0.5)
         assert flags == [False] and matched == [False]
 
     def test_ignored_gts_absorb_detections(self):
         ignore = [Box(0, 0, 10, 10)]
-        dets = [Box(0, 0, 10, 10, 0, 0.9), Box(50, 50, 60, 60, 0, 0.8)]
+        dets = [ScoredBox(0, 0, 10, 10, 0, 0.9), ScoredBox(50, 50, 60, 60, 0, 0.8)]
         flags, _ = match(dets, [], 0.5, ignore_gts=ignore)
         assert flags == [None, False]
 
     def test_real_gt_preferred_over_ignore(self):
         gts = [Box(0, 0, 10, 10)]
         ignore = [Box(0, 0, 10, 10)]
-        flags, matched = match([Box(0, 0, 10, 10, 0, 0.9)], gts, 0.5, ignore)
+        flags, matched = match([ScoredBox(0, 0, 10, 10, 0, 0.9)], gts, 0.5, ignore)
         assert flags == [True] and matched == [True]
 
 
@@ -100,6 +134,18 @@ class TestAveragePrecision:
             assert (average_precision(better, 3, interp)
                     >= average_precision(base, 3, interp))
 
+    @settings(max_examples=400, deadline=None)
+    @given(seq=st.lists(st.booleans(), max_size=40), n_gt=st.integers(0, 45),
+           interpolation=st.sampled_from(["eleven_point", "all_point"]))
+    @example(seq=[], n_gt=0, interpolation="all_point")
+    @example(seq=[], n_gt=3, interpolation="eleven_point")
+    @example(seq=[False, False], n_gt=0, interpolation="eleven_point")
+    @example(seq=[True, False, False, True, False], n_gt=10, interpolation="eleven_point")
+    def test_equals_loop_oracle_exactly(self, seq, n_gt, interpolation):
+        # FPs repeat the previous recall, so most sequences have recall ties.
+        assert average_precision(seq, n_gt, interpolation) == \
+            loop_average_precision(seq, n_gt, interpolation)
+
 
 def two_image_fixture():
     gts = {
@@ -107,10 +153,10 @@ def two_image_fixture():
         "b": [Box(5, 5, 15, 15, 1)],
     }
     dets = {
-        "a": [Box(0, 0, 10, 10, 1, 0.9),       # TP class 1
-              Box(21, 21, 41, 41, 2, 0.8),     # TP class 2
-              Box(50, 50, 60, 60, 1, 0.7)],    # FP class 1
-        "b": [Box(5, 5, 15, 15, 1, 0.6)],      # TP class 1
+        "a": [ScoredBox(0, 0, 10, 10, 1, 0.9),       # TP class 1
+              ScoredBox(21, 21, 41, 41, 2, 0.8),     # TP class 2
+              ScoredBox(50, 50, 60, 60, 1, 0.7)],    # FP class 1
+        "b": [ScoredBox(5, 5, 15, 15, 1, 0.6)],      # TP class 1
     }
     return dets, gts
 
@@ -118,29 +164,30 @@ def two_image_fixture():
 class TestEvaluateDetections:
     def test_counts(self):
         dets, gts = two_image_fixture()
-        rep = evaluate_detections(dets, gts, EvalConfig())
+        rep = evaluate_detections(as_arrays(dets), gts, EvalConfig())
         assert rep.tp == 3 and rep.fp == 1 and rep.missed == 0
 
     def test_per_class_ap(self):
         dets, gts = two_image_fixture()
-        rep = evaluate_detections(dets, gts, EvalConfig(interpolation="all_point"))
+        rep = evaluate_detections(as_arrays(dets), gts, EvalConfig(interpolation="all_point"))
         # Class 1: [TP at 0.9, FP at 0.7, TP at 0.6] against 2 gts -> 5/6.
         assert rep.per_class_ap[1] == pytest.approx(5 / 6)
         assert rep.per_class_ap[2] == pytest.approx(1.0)
         assert rep.map == pytest.approx((5 / 6 + 1.0) / 2)
 
     def test_detection_only_class_scores_zero(self):
-        dets = {"a": [Box(0, 0, 10, 10, 3, 0.9)]}
+        dets = {"a": [ScoredBox(0, 0, 10, 10, 3, 0.9)]}
         gts = {"a": [Box(0, 0, 10, 10, 1)]}
-        rep = evaluate_detections(dets, gts, EvalConfig())
+        rep = evaluate_detections(as_arrays(dets), gts, EvalConfig())
         assert rep.per_class_ap[3] == 0.0
         assert rep.per_class_ap[1] == 0.0
 
     def test_area_bands_ignore_semantics(self):
         # A gt of area 400 (small band) and one of 1600 (medium band).
         gts = {"a": [Box(0, 0, 20, 20, 1), Box(30, 0, 70, 40, 1)]}
-        dets = {"a": [Box(0, 0, 20, 20, 1, 0.9), Box(30, 0, 70, 40, 1, 0.8)]}
-        bands = evaluate_detections(dets, gts, EvalConfig(interpolation="all_point")).per_area_ap
+        dets = {"a": [ScoredBox(0, 0, 20, 20, 1, 0.9), ScoredBox(30, 0, 70, 40, 1, 0.8)]}
+        bands = evaluate_detections(as_arrays(dets), gts,
+                                    EvalConfig(interpolation="all_point")).per_area_ap
         # In the S band the medium gt is ignored, so its matching detection
         # is dropped rather than counted as an FP.
         assert bands["S"] == pytest.approx(1.0)
@@ -149,8 +196,9 @@ class TestEvaluateDetections:
 
     def test_out_of_band_fp_still_counts(self):
         gts = {"a": [Box(0, 0, 20, 20, 1)]}
-        dets = {"a": [Box(0, 0, 20, 20, 1, 0.9), Box(40, 40, 60, 60, 1, 0.8)]}
-        bands = evaluate_detections(dets, gts, EvalConfig(interpolation="all_point")).per_area_ap
+        dets = {"a": [ScoredBox(0, 0, 20, 20, 1, 0.9), ScoredBox(40, 40, 60, 60, 1, 0.8)]}
+        bands = evaluate_detections(as_arrays(dets), gts,
+                                    EvalConfig(interpolation="all_point")).per_area_ap
         # The stray detection overlaps no gt at all: an FP even in band S.
         assert bands["S"] == pytest.approx(1.0)  # FP ranks after the TP
 
@@ -159,8 +207,8 @@ class TestEvaluateDetections:
         # detection (area 1600). No class has a gt in the M band, so, as in
         # the COCO evaluation, the band has no AP rather than 0.
         gts = {"a": [Box(0, 0, 20, 20, 1)]}
-        dets = {"a": [Box(0, 0, 20, 20, 1, 0.9), Box(20, 20, 60, 60, 1, 0.8)]}
-        rep = evaluate_detections(dets, gts, EvalConfig(interpolation="all_point"))
+        dets = {"a": [ScoredBox(0, 0, 20, 20, 1, 0.9), ScoredBox(20, 20, 60, 60, 1, 0.8)]}
+        rep = evaluate_detections(as_arrays(dets), gts, EvalConfig(interpolation="all_point"))
         assert rep.per_area_ap["S"] == pytest.approx(1.0)
         assert rep.per_area_ap["M"] is None and rep.per_area_ap["L"] is None
         assert "AP_M=n/a" in rep.format_table()
@@ -168,25 +216,32 @@ class TestEvaluateDetections:
     def test_band_mean_skips_classes_without_gt_in_band(self):
         # Class 1 has an M-band gt; class 2 has only a stray M-sized detection.
         gts = {"a": [Box(0, 0, 40, 40, 1)]}
-        dets = {"a": [Box(0, 0, 40, 40, 1, 0.9), Box(0, 0, 40, 40, 2, 0.8)]}
-        rep = evaluate_detections(dets, gts, EvalConfig(interpolation="all_point"))
+        dets = {"a": [ScoredBox(0, 0, 40, 40, 1, 0.9), ScoredBox(0, 0, 40, 40, 2, 0.8)]}
+        rep = evaluate_detections(as_arrays(dets), gts, EvalConfig(interpolation="all_point"))
         assert rep.per_class_ap[2] == 0.0
         assert rep.per_area_ap["M"] == pytest.approx(1.0)
 
     def test_global_score_ordering_across_images(self):
         gts = {"a": [Box(0, 0, 10, 10, 1)], "b": [Box(0, 0, 10, 10, 1)]}
-        dets = {"a": [Box(50, 50, 60, 60, 1, 0.9)],  # highest-scoring is an FP
-                "b": [Box(0, 0, 10, 10, 1, 0.5)]}
-        rep = evaluate_detections(dets, gts, EvalConfig(interpolation="all_point"))
+        dets = {"a": [ScoredBox(50, 50, 60, 60, 1, 0.9)],  # highest-scoring is an FP
+                "b": [ScoredBox(0, 0, 10, 10, 1, 0.5)]}
+        rep = evaluate_detections(as_arrays(dets), gts, EvalConfig(interpolation="all_point"))
         # Sequence is [FP, TP] against 2 gts: AP = 0.5 * 0.5 = 0.25.
         assert rep.per_class_ap[1] == pytest.approx(0.25)
 
     def test_format_table(self):
         dets, gts = two_image_fixture()
-        rep = evaluate_detections(dets, gts, EvalConfig())
+        rep = evaluate_detections(as_arrays(dets), gts, EvalConfig())
         text = rep.format_table()
         assert text.splitlines()[0] == "class  AP"
         assert "mAP" in text and "TP=3" in text
+
+    def test_class_ids_from_the_array_stay_ints(self):
+        # The class column is float64; the report keys and table rows are ints.
+        dets, gts = two_image_fixture()
+        rep = evaluate_detections(as_arrays(dets), {}, EvalConfig())
+        assert all(type(cls) is int for cls in rep.per_class_ap)
+        assert rep.format_table().splitlines()[1:3] == ["    1  0.0000", "    2  0.0000"]
 
     def test_config_validation(self):
         with pytest.raises(ShapeError):
@@ -200,15 +255,15 @@ class TestEvaluateDetections:
 class TestCocoSummary:
     def test_perfect_detector_all_ones(self):
         gts = {"a": [Box(0, 0, 20, 20, 1)]}
-        dets = {"a": [Box(0, 0, 20, 20, 1, 0.99)]}
-        text = coco_style_summary(dets, gts)
+        dets = {"a": [ScoredBox(0, 0, 20, 20, 1, 0.99)]}
+        text = coco_style_summary(as_arrays(dets), gts)
         assert "AP@0.5        1.0000" in text
         assert "AP@0.75       1.0000" in text
         assert "AP@[0.5:0.95] 1.0000" in text
 
     def test_loose_detection_fails_high_thresholds(self):
         gts = {"a": [Box(0, 0, 20, 20, 1)]}
-        dets = {"a": [Box(3, 3, 23, 23, 1, 0.99)]}  # IoU ~ 0.57
-        text = coco_style_summary(dets, gts)
+        dets = {"a": [ScoredBox(3, 3, 23, 23, 1, 0.99)]}  # IoU ~ 0.57
+        text = coco_style_summary(as_arrays(dets), gts)
         assert "AP@0.5        1.0000" in text
         assert "AP@0.75       0.0000" in text

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from box_oracles import nms
-from mrfdet.anchors import Box, decode_array
+from box_oracles import ScoredBox, detection_array, nms
+from mrfdet.anchors import decode_array
 from mrfdet.dataset import DatasetSpec, load_dataset, synth_dataset
 from mrfdet.detector_net import BackboneSpec, Toggles, build_network, forward
 from mrfdet.gradcheck import COMPOSED_TOL, PRIMITIVE_TOL, run_suite
@@ -30,16 +30,16 @@ class TestDetectImage:
     def test_outputs_are_valid_boxes(self, small_det):
         img = np.random.default_rng(0).random((3, 32, 32))
         dets = detect_image(small_det, img)
-        for d in dets:
-            assert 0 <= d.xmin < d.xmax <= 32
-            assert 0 <= d.ymin < d.ymax <= 32
-            assert d.class_id in (1, 2, 3)
-            assert 0 < d.score <= 1.0
+        for xmin, ymin, xmax, ymax, score, class_id in dets:
+            assert 0 <= xmin < xmax <= 32
+            assert 0 <= ymin < ymax <= 32
+            assert class_id in (1, 2, 3)
+            assert 0 < score <= 1.0
 
     def test_sorted_by_score(self, small_det):
         img = np.random.default_rng(1).random((3, 32, 32))
         dets = detect_image(small_det, img)
-        scores = [d.score for d in dets]
+        scores = dets[:, 4].tolist()
         assert scores == sorted(scores, reverse=True)
 
     def test_max_keep_respected(self, small_det):
@@ -56,8 +56,21 @@ class TestDetectImage:
         img = np.random.default_rng(4).random((3, 32, 32))
         a = detect_image(small_det, img)
         b = detect_image(small_det, img)
-        assert [(d.xmin, d.score, d.class_id) for d in a] == \
-               [(d.xmin, d.score, d.class_id) for d in b]
+        np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("max_keep", [1, 7, 200])
+    @pytest.mark.parametrize("score_threshold", [0.01, 0.26, 0.999])
+    def test_array_contract(self, small_det, max_keep, score_threshold):
+        img = np.random.default_rng(max_keep).random((3, 32, 32))
+        dets = detect_image(small_det, img, score_threshold=score_threshold,
+                            max_keep=max_keep)
+        assert dets.dtype == np.float64 and dets.ndim == 2 and dets.shape[1] == 6
+        assert len(dets) <= max_keep
+        classes = dets[:, 5]
+        assert np.array_equal(classes, np.round(classes))
+        assert ((classes >= 1) & (classes <= small_det.num_classes)).all()
+        assert (np.diff(dets[:, 4]) <= 0).all()
+        assert (dets[:, 4] > score_threshold).all()
 
 
 class TestDenseRegime:
@@ -82,12 +95,12 @@ class TestDenseRegime:
             assert idx.size == len(det.anchors) == 1520
             boxes = np.clip(decode_array(outputs.loc.data[idx].astype(np.float64),
                                          det.anchors[idx]), 0, cfg.image_size)
-            candidates += [Box(*b, class_id=cls, score=float(probs[i, cls]))
+            candidates += [ScoredBox(*b, class_id=cls, score=float(probs[i, cls]))
                            for b, i in zip(boxes, idx)]
         want = nms(candidates, 0.45, 200)
         got = detect_image(det, image)
         assert len(got) == 200
-        assert got == want
+        np.testing.assert_array_equal(got, detection_array(want))
 
 
 class TestEvaluateDetector:

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+import sits at module level."""
 
 import ast
 from pathlib import Path
@@ -20,11 +21,32 @@ def unused_imports(source):
     return sorted(imported - used)
 
 
+def nested_imports(source):
+    """Line numbers of imports inside a function or class body."""
+    tree = ast.parse(source)
+    return sorted({node.lineno
+                   for scope in ast.walk(tree)
+                   if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                   for node in ast.walk(scope)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
 def test_detector_finds_an_unused_name():
     source = "import os\nimport sys\nfrom numpy import pi, e as euler\nprint(sys.argv, euler)\n"
     assert unused_imports(source) == ["os", "pi"]
 
 
+def test_detector_finds_a_nested_import():
+    source = ("import os\n\ndef f():\n    from .dataset import info\n    return info\n\n"
+              "class C:\n    def g(self):\n        import sys\n")
+    assert nested_imports(source) == [4, 9]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_only_at_module_level(path):
+    assert nested_imports(path.read_text(encoding="utf-8")) == []
