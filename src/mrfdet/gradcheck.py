@@ -33,11 +33,11 @@ def conv_checks(rng):
                 e = k + (k - 1) * (d - 1)
                 size = e + 3
                 spec = ConvSpec(2, 3, k, stride=s, padding=0, dilation=d)
-                x = rng.standard_normal((2, size, size))
+                x = rng.standard_normal((1, 2, size, size))
                 w = rng.standard_normal((3, 2, k, k)) * 0.5
                 b = rng.standard_normal(3) * 0.1
                 oh = spec.out_extent(size)
-                c = _coeffs(rng, (3, oh, oh))
+                c = _coeffs(rng, (1, 3, oh, oh))
                 checks.append((
                     f"conv2d k={k} d={d} s={s} (input)",
                     finite_diff_check(lambda t: inner(conv2d(t, w, b, spec), c), x),
@@ -46,31 +46,47 @@ def conv_checks(rng):
                     f"conv2d k={k} d={d} s={s} (weights)",
                     finite_diff_check(lambda t: inner(conv2d(x, t, b, spec), c), w),
                 ))
+    # Two-image batches: the weight gradient sums over the images.
+    for k, d, s, pad in ((3, 2, 2, 1), (3, 3, 1, 3)):
+        spec = ConvSpec(2, 3, k, stride=s, padding=pad, dilation=d)
+        x = rng.standard_normal((2, 2, 7, 6))
+        w = rng.standard_normal((3, 2, k, k)) * 0.5
+        b = rng.standard_normal(3) * 0.1
+        c = _coeffs(rng, (2, 3, spec.out_extent(7), spec.out_extent(6)))
+        name = f"conv2d k={k} d={d} s={s} N=2"
+        checks += [
+            (f"{name} (input)", finite_diff_check(lambda t: inner(conv2d(t, w, b, spec), c), x)),
+            (f"{name} (weights)",
+             finite_diff_check(lambda t: inner(conv2d(x, t, b, spec), c), w)),
+            (f"{name} (bias)", finite_diff_check(lambda t: inner(conv2d(x, w, t, spec), c), b))]
     return checks
 
 
-def primitive_checks(rng):
-    checks = conv_checks(rng)
-
+def transposed_checks(rng, n):
     spec = ConvSpec(3, 2, 2, stride=2)
-    x = rng.standard_normal((3, 4, 4))
+    x = rng.standard_normal((n, 3, 4, 4))
     w = rng.standard_normal((3, 2, 2, 2)) * 0.5
     b = rng.standard_normal(2) * 0.1
-    c = _coeffs(rng, (2, 8, 8))
-    checks.append(("transposed_conv2d (input)",
-                   finite_diff_check(lambda t: inner(transposed_conv2d(t, w, b, spec), c), x)))
-    checks.append(("transposed_conv2d (weights)",
-                   finite_diff_check(lambda t: inner(transposed_conv2d(x, t, b, spec), c), w)))
+    c = _coeffs(rng, (n, 2, 8, 8))
+    batch = "" if n == 1 else f" N={n}"
+    return [(f"transposed_conv2d{batch} (input)",
+             finite_diff_check(lambda t: inner(transposed_conv2d(t, w, b, spec), c), x)),
+            (f"transposed_conv2d{batch} (weights)",
+             finite_diff_check(lambda t: inner(transposed_conv2d(x, t, b, spec), c), w))]
+
+
+def primitive_checks(rng):
+    checks = conv_checks(rng) + transposed_checks(rng, 1) + transposed_checks(rng, 2)
 
     # ReLU away from the kink at 0.
-    xr = rng.standard_normal((2, 5, 5))
+    xr = rng.standard_normal((1, 2, 5, 5))
     xr += np.sign(xr) * 0.2
     cr = _coeffs(rng, xr.shape)
     checks.append(("relu (off-kink)",
                    finite_diff_check(lambda t: inner(relu(t), cr), xr)))
 
-    xu = rng.standard_normal((2, 3, 3))
-    cu = _coeffs(rng, (2, 6, 6))
+    xu = rng.standard_normal((1, 2, 3, 3))
+    cu = _coeffs(rng, (1, 2, 6, 6))
     checks.append(("upsample_nearest_2x",
                    finite_diff_check(lambda t: inner(upsample_nearest_2x(t), cu), xu)))
     return checks
@@ -138,8 +154,8 @@ def mrf_checks(rng):
     spec = default_mrf_spec(8, 8)
     params = {}
     init_mrf_params(params, "mrf", spec, np.random.default_rng(7))
-    x = rng.standard_normal((8, 9, 9)) * 0.5
-    c = _coeffs(rng, (8, 9, 9))
+    x = rng.standard_normal((1, 8, 9, 9)) * 0.5
+    c = _coeffs(rng, (1, 8, 9, 9))
     err = finite_diff_check(lambda t: inner(mrf_forward(params, "mrf", spec, t), c), x)
     return [("mrf_block (composed)", err, COMPOSED_TOL)]
 
@@ -152,37 +168,33 @@ def tiny_net():
 
 
 def net_checks(rng):
+    """The tiny net on one (3, H, W) image and on a batch of two."""
     det = tiny_net()
-    image = rng.standard_normal((3, 16, 16)) * 0.5 + 0.5
-
-    def scalarize(img_tensor):
-        _, out = forward(det, img_tensor, with_seg=True)
-        return (inner(out.conf, conf_c) + inner(out.loc, loc_c)
-                + inner(out.seg_logits, seg_c))
-
-    _, probe = forward(det, image, with_seg=True)
-    conf_c = _coeffs(rng, probe.conf.shape)
-    loc_c = _coeffs(rng, probe.loc.shape)
-    seg_c = _coeffs(rng, probe.seg_logits.shape)
-
-    checks = [("tiny net end-to-end (image)",
-               finite_diff_check(lambda t: scalarize(t), image), COMPOSED_TOL)]
-
     wname = "backbone.s0.c0.w"
-    w0 = det.params[wname].data.copy()
+    checks = []
+    for shape, label in (((3, 16, 16), ""), ((2, 3, 16, 16), " N=2")):
+        image = rng.standard_normal(shape) * 0.5 + 0.5
+        _, probe = forward(det, image, with_seg=True)
+        coeffs = [_coeffs(rng, t.shape) for t in (probe.conf, probe.loc, probe.seg_logits)]
 
-    def check_weight(t):
-        saved = det.params[wname]
-        det.params[wname] = t
-        try:
-            _, o = forward(det, Tensor(image), with_seg=True)
-            return (inner(o.conf, conf_c) + inner(o.loc, loc_c)
-                    + inner(o.seg_logits, seg_c))
-        finally:
-            det.params[wname] = saved
+        def scalarize(img_tensor):
+            _, out = forward(det, img_tensor, with_seg=True)
+            return (inner(out.conf, coeffs[0]) + inner(out.loc, coeffs[1])
+                    + inner(out.seg_logits, coeffs[2]))
 
-    checks.append(("tiny net end-to-end (first conv weights)",
-                   finite_diff_check(check_weight, w0), COMPOSED_TOL))
+        def check_weight(t):
+            saved = det.params[wname]
+            det.params[wname] = t
+            try:
+                return scalarize(Tensor(image))
+            finally:
+                det.params[wname] = saved
+
+        checks += [(f"tiny net end-to-end{label} (image)",
+                    finite_diff_check(scalarize, image), COMPOSED_TOL),
+                   (f"tiny net end-to-end{label} (first conv weights)",
+                    finite_diff_check(check_weight, det.params[wname].data.copy()),
+                    COMPOSED_TOL)]
     return checks
 
 

@@ -1,5 +1,6 @@
-"""Detection inference: forward, per-class score threshold, box decoding,
-NMS, and dataset-level evaluation."""
+"""Detection inference: a no-grad forward over batches of images, then per
+image a per-class score threshold, box decoding and NMS, and
+dataset-level evaluation."""
 
 from __future__ import annotations
 
@@ -7,22 +8,29 @@ import numpy as np
 
 from .anchors import decode_array, nms_array
 from .dataset import load_dataset
-from .detector_net import DetectorParams, forward
+from .detector_net import FORWARD_BATCH, DetectorParams, forward
 from .eval_metrics import EvalConfig, EvalReport, evaluate_detections
+from .tensor_core import no_grad
 
 
 def detect_image(det: DetectorParams, image, score_threshold=0.01,
-                 nms_iou=0.45, max_keep=200):
+                 nms_iou=0.45, max_keep=200, head=None):
     """Scored, NMS-filtered detections for one image as a float64 (K, 6)
     array of xmin, ymin, xmax, ymax, score and class id, by descending
-    score (ties in class order, then NMS order)."""
-    _, outputs = forward(det, image.astype(np.float32), with_seg=False)
-    logits = outputs.conf.data.astype(np.float64)
+    score (ties in class order, then NMS order).
+
+    head is this image's HeadOutputs when a batch forward already ran;
+    without it the image gets a forward of its own.
+    """
+    if head is None:
+        with no_grad():
+            _, head = forward(det, image.astype(np.float32), with_seg=False)
+    logits = head.conf.data.astype(np.float64)
     z = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(z)
     probs /= probs.sum(axis=1, keepdims=True)
     # Decoding is row-wise, so one pass over every anchor serves all classes.
-    boxes = np.clip(decode_array(outputs.loc.data.astype(np.float64), det.anchors),
+    boxes = np.clip(decode_array(head.loc.data.astype(np.float64), det.anchors),
                     0, det.backbone.image_size)
     valid = (boxes[:, 2] - boxes[:, 0] > 1e-6) & (boxes[:, 3] - boxes[:, 1] > 1e-6)
     per_class = []
@@ -36,13 +44,19 @@ def detect_image(det: DetectorParams, image, score_threshold=0.01,
 
 
 def collect_detections(det: DetectorParams, data_dir, size_from="the detector"):
-    """(K, 6) detections and ground-truth Boxes per image; size_from names
-    the source of the detector's image size in the error for an image of
-    another size."""
+    """(K, 6) detections and ground-truth Boxes per image, from one no-grad
+    forward per FORWARD_BATCH images; size_from names the source of the
+    detector's image size in the error for an image of another size."""
     dets_by_image, gts_by_image = {}, {}
-    for rel, image, boxes in load_dataset(data_dir, det.backbone.image_size, size_from):
-        gts_by_image[rel] = boxes
-        dets_by_image[rel] = detect_image(det, image)
+    samples = load_dataset(data_dir, det.backbone.image_size, size_from)
+    for start in range(0, len(samples), FORWARD_BATCH):
+        chunk = samples[start:start + FORWARD_BATCH]
+        with no_grad():
+            _, outputs = forward(det, np.stack([image for _, image, _ in chunk])
+                                 .astype(np.float32), with_seg=False)
+        for i, (rel, image, boxes) in enumerate(chunk):
+            gts_by_image[rel] = boxes
+            dets_by_image[rel] = detect_image(det, image, head=outputs.image(i))
     return dets_by_image, gts_by_image
 
 

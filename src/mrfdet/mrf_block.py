@@ -122,16 +122,18 @@ def init_mrf_params(params: dict, name, spec: MRFBlockSpec, rng, dtype=np.float6
 
 
 def mrf_forward(params: dict, name, spec: MRFBlockSpec, input) -> Tensor:
-    """bottleneck -> parallel branches -> concat -> 1x1 fuse -> +shortcut -> ReLU.
+    """bottleneck -> parallel branches -> concat -> 1x1 fuse -> +shortcut -> ReLU,
+    over an (N, C, H, W) batch.
 
     Weights are read from params under the names init_mrf_params gave them.
     """
     x = as_tensor(input)
-    if x.shape[0] != spec.in_channels:
-        raise ShapeError(f"input has {x.shape[0]} channels, spec expects {spec.in_channels}")
-    if min(x.shape[1], x.shape[2]) < spec.max_effective_kernel:
+    if x.data.ndim != 4 or x.shape[1] != spec.in_channels:
+        raise ShapeError(f"input has shape {x.shape}, spec expects {spec.in_channels} "
+                         "channels in (N, C, H, W)")
+    if min(x.shape[2], x.shape[3]) < spec.max_effective_kernel:
         raise ShapeError(
-            f"input extent {x.shape[1:]} smaller than largest effective kernel "
+            f"input extent {x.shape[2:]} smaller than largest effective kernel "
             f"{spec.max_effective_kernel}")
     neck = relu(named_conv(params, f"{name}.bottleneck", x))
     outs = [named_conv(params, f"{name}.branch{i}", neck, dilation=b.dilation)

@@ -1,24 +1,44 @@
 """Minimal dense-array layer primitives with explicit backward passes.
 
-Every operation works on channels-first arrays (C, H, W) and is a pure
-function of its inputs. Results are wrapped in :class:`Tensor`, a thin
-reverse-mode tape node, so composed blocks can be differentiated without
-hand-wiring adjoints at every call site. All gradients here are exact
-adjoints of the forward maps and are validated against central finite
-differences (see :func:`finite_diff_check`).
+Every spatial operation works on batches of channels-first arrays
+(N, C, H, W) and is a pure function of its inputs. Results are wrapped in
+:class:`Tensor`, a thin reverse-mode tape node, so composed blocks can be
+differentiated without hand-wiring adjoints at every call site. All
+gradients here are exact adjoints of the forward maps and are validated
+against central finite differences (see :func:`finite_diff_check`).
 
-Convolutions run one kernel (im2col as GEMM): the input is padded once into
-a zero-filled flat buffer, a strided view of it yields every tap as a
-contiguous run, and one GEMM follows. The input gradient, and with it the
-transposed convolution, is the same kernel applied to the zero-inserted
-gradient with the flipped kernel, so nothing is scatter-added.
+Convolutions run one kernel (im2col as GEMM): the N inputs are padded once
+into a zero-filled flat buffer, a strided view of it yields every tap as a
+contiguous run, and one GEMM per image follows, with the shapes of a
+one-image batch, so an image's forward keeps its bits in any batch.
+The input gradient, and with it the transposed convolution, is the same
+kernel applied to the zero-inserted gradient with the flipped kernel, so
+nothing is scatter-added.
+
+Under :func:`no_grad` ops record no tape, so each intermediate array is
+freed as soon as the next op has read it. ``Tensor.backward`` frees each
+interior node's gradient and edges once they have been used.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Ops run inside this block keep no tape edges."""
+    global _grad_enabled
+    saved, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
 
 
 class ShapeError(ValueError):
@@ -98,7 +118,12 @@ class Tensor:
             self.grad += g
 
     def backward(self, grad=None):
-        """Reverse-mode sweep from this node; default seed is 1 for scalars."""
+        """Reverse-mode sweep from this node; default seed is 1 for scalars.
+
+        Each interior node's gradient and edges are dropped once its
+        gradient functions have run, so the tape is consumed and only leaf
+        gradients remain.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ShapeError("backward() without an explicit gradient needs a scalar")
@@ -118,9 +143,12 @@ class Tensor:
             else:
                 topo.append(stack.pop()[0])
         self._accumulate(grad)
-        for node in reversed(topo):
-            for p, fn in node._edges:
-                p._accumulate(fn(node.grad))
+        while topo:
+            node = topo.pop()
+            if node._edges:
+                for p, fn in node._edges:
+                    p._accumulate(fn(node.grad))
+                node.grad, node._edges = None, ()
 
     # Scalar arithmetic, enough to combine loss terms.
     def __add__(self, other):
@@ -143,11 +171,12 @@ def _node(data, parents, *grad_fns):
     """Tape node over data; grad_fns[i] maps its gradient to parents[i]'s.
 
     Only inputs that need a gradient get an edge, so no other input's
-    gradient is ever computed.
+    gradient is ever computed; under no_grad no input gets one.
     """
     out = Tensor(data)
-    out._edges = tuple([(p, fn) for p, fn in zip(parents, grad_fns)
-                        if p.requires_grad or p._edges])
+    if _grad_enabled:
+        out._edges = tuple([(p, fn) for p, fn in zip(parents, grad_fns)
+                            if p.requires_grad or p._edges])
     return out
 
 
@@ -157,84 +186,102 @@ def as_tensor(x) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # Convolution internals: one gather of contiguous tap runs from a zero-padded
-# flat buffer, then one GEMM, for conv2d, both its gradients and the
-# transposed conv.
+# flat buffer, then one GEMM per image, for conv2d, both its gradients and
+# the transposed conv.
 # ---------------------------------------------------------------------------
 
-def _check_chw(x, name):
-    if x.ndim != 3:
-        raise ShapeError(f"{name} must be (C, H, W), got shape {x.shape}")
+def _check_nchw(x, name):
+    if x.ndim != 4:
+        raise ShapeError(f"{name} must be (N, C, H, W), got shape {x.shape}")
 
 
 def _tap_view(buf, k, d, s, oh, wp):
-    """(C, k, k, oh, wp // s) view of the taps in a C-contiguous (C, L) buffer.
+    """(..., k, k, oh, wp // s) view of the taps in a buffer whose last axis
+    is contiguous, e.g. (N, C, L).
 
     Each buffer row holds a canvas row by row, wp wide. Tap (i, j) of output
     (r, q) reads canvas row i*d + r*s, column j*d + q*s. An output column
     whose taps run past the canvas width reads the next row instead; callers
     drop those columns.
     """
-    c, n = buf.shape
+    n = buf.shape[-1]
     wq = wp // s
     last = ((k - 1) * d + (oh - 1) * s) * wp + (k - 1) * d + (wq - 1) * s
     if last >= n:
         raise ShapeError(f"tap view reads element {last} of a {n}-element buffer row")
     e = buf.itemsize
-    return np.ndarray((c, k, k, oh, wq), buf.dtype, buf, 0,
-                      (buf.strides[0], d * wp * e, d * e, s * wp * e, s * e))
+    return np.ndarray(buf.shape[:-1] + (k, k, oh, wq), buf.dtype, buf, 0,
+                      buf.strides[:-1] + (d * wp * e, d * e, s * wp * e, s * e))
 
 
 def _gather(x, k, d, s, oh, ow, offset, step=1):
-    """GEMM columns (C*k*k, oh*wq) of the taps of x, and the row width wq.
+    """(N, C, k, k, oh, wq) view of the taps of x, and the row width wq.
 
-    x[:, r, q] sits at canvas pixel (offset + r*step, offset + q*step) of a
-    zero canvas: offset is a conv's padding (a negative one crops x), and a
-    step above 1 inserts zeros between pixels. The canvas is as large as the
-    oh x ow outputs need, with its width rounded up to a multiple of s, so
-    that every tap's oh rows form one run of stride s; output columns ow..wq
-    of each row are spill.
+    x[:, :, r, q] sits at canvas pixel (offset + r*step, offset + q*step) of
+    a zero canvas: offset is a conv's padding (a negative one crops x), and
+    a step above 1 inserts zeros between pixels. The canvas is as large as
+    the oh x ow outputs need, with its width rounded up to a multiple of s,
+    so that every tap's oh rows form one run of stride s; output columns
+    ow..wq of each row are spill. All N canvases share one zero fill.
     """
-    c, h, w = x.shape
+    n, c, h, w = x.shape
     hp = (k - 1) * d + (oh - 1) * s + 1
     wp = -(-((k - 1) * d + (ow - 1) * s + 1) // s) * s
-    buf = np.zeros((c, hp * wp + max(0, (k - 1) * d - s + 1)), dtype=x.dtype)
+    buf = np.zeros((n, c, hp * wp + max(0, (k - 1) * d - s + 1)), dtype=x.dtype)
     first = max(0, -(offset // step))
     start = offset + first * step
     nr = min(h, (hp - 1 - offset) // step + 1) - first
     nc = min(w, (wp - 1 - offset) // step + 1) - first
     if nr > 0 and nc > 0:
-        canvas = buf[:, :hp * wp].reshape(c, hp, wp)
-        canvas[:, start:start + (nr - 1) * step + 1:step,
-               start:start + (nc - 1) * step + 1:step] = x[:, first:first + nr,
+        canvas = buf[:, :, :hp * wp].reshape(n, c, hp, wp)
+        canvas[:, :, start:start + (nr - 1) * step + 1:step,
+               start:start + (nc - 1) * step + 1:step] = x[:, :, first:first + nr,
                                                              first:first + nc]
-    wq = wp // s
-    return _tap_view(buf, k, d, s, oh, wp).reshape(c * k * k, oh * wq), wq
+    return _tap_view(buf, k, d, s, oh, wp), wp // s
+
+
+def _apply(a, taps):
+    """(N, rows, oh*wq) product of a with each image's GEMM columns
+    (C*k*k, oh*wq), copied out of its (C, k, k, oh, wq) taps.
+
+    One GEMM per image, of the shapes of a one-image batch, so an image's
+    result keeps its bits in any batch. Copying one image's columns at a
+    time bounds the transient copy: the 3x3 seg transition of a 4-image
+    training tape would otherwise copy out 4.9 MB at once.
+    """
+    out = np.empty((taps.shape[0], a.shape[0], taps.shape[-2] * taps.shape[-1]), a.dtype)
+    for i, image_taps in enumerate(taps):
+        np.matmul(a, image_taps.reshape(a.shape[1], -1), out=out[i])
+    return out
 
 
 def _conv_fwd(x, w, spec: ConvSpec):
-    oh, ow = spec.out_extent(x.shape[1]), spec.out_extent(x.shape[2])
-    cols, wq = _gather(x, spec.kernel, spec.dilation, spec.stride, oh, ow, spec.padding)
-    y = w.reshape(spec.out_channels, -1) @ cols
-    return y.reshape(spec.out_channels, oh, wq)[:, :, :ow]
+    n, oh, ow = x.shape[0], spec.out_extent(x.shape[2]), spec.out_extent(x.shape[3])
+    taps, wq = _gather(x, spec.kernel, spec.dilation, spec.stride, oh, ow, spec.padding)
+    y = _apply(w.reshape(spec.out_channels, -1), taps)
+    return y.reshape(n, spec.out_channels, oh, wq)[..., :ow]
 
 
 def _conv_grad_input(g, w, spec: ConvSpec, h, wd):
     """Adjoint of _conv_fwd in its input: the stride-1 correlation of the
     zero-inserted gradient with the flipped, transposed kernel."""
     k, d = spec.kernel, spec.dilation
-    cols, wq = _gather(g, k, d, 1, h, wd, (k - 1) * d - spec.padding, step=spec.stride)
+    taps, wq = _gather(g, k, d, 1, h, wd, (k - 1) * d - spec.padding, step=spec.stride)
     wf = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(spec.in_channels, -1)
-    return (wf @ cols).reshape(spec.in_channels, h, wq)[:, :, :wd]
+    return _apply(wf, taps).reshape(g.shape[0], spec.in_channels, h, wq)[..., :wd]
 
 
 def _conv_grad_w(g, x, spec: ConvSpec):
-    k, oh, ow = spec.kernel, g.shape[1], g.shape[2]
-    cols, wq = _gather(x, k, spec.dilation, spec.stride, oh, ow, spec.padding)
+    """Weight gradient summed over the batch, image by image."""
+    k, oh, ow = spec.kernel, g.shape[2], g.shape[3]
+    taps, wq = _gather(x, k, spec.dilation, spec.stride, oh, ow, spec.padding)
     # Zero gradient on the spill columns keeps their taps out of the sum.
     gp = np.zeros((spec.out_channels, oh, wq), dtype=g.dtype)
-    gp[:, :, :ow] = g
-    gw = gp.reshape(spec.out_channels, -1) @ cols.T
-    return gw.reshape(spec.out_channels, x.shape[0], k, k)
+    gw = 0
+    for gi, image_taps in zip(g, taps):
+        gp[:, :, :ow] = gi
+        gw = gw + gp.reshape(spec.out_channels, -1) @ image_taps.reshape(-1, oh * wq).T
+    return gw.reshape(spec.out_channels, x.shape[1], k, k)
 
 
 # ---------------------------------------------------------------------------
@@ -244,20 +291,20 @@ def _conv_grad_w(g, x, spec: ConvSpec):
 def conv2d(input, weights, bias, spec: ConvSpec) -> Tensor:
     """Dilated cross-correlation; tap (i, j) samples offset (d*i, d*j)."""
     x, w, b = as_tensor(input), as_tensor(weights), as_tensor(bias)
-    _check_chw(x.data, "input")
+    _check_nchw(x.data, "input")
     if w.shape != (spec.out_channels, spec.in_channels, spec.kernel, spec.kernel):
         raise ShapeError(f"weights shape {w.shape} != "
                          f"({spec.out_channels}, {spec.in_channels}, {spec.kernel}, {spec.kernel})")
-    if x.shape[0] != spec.in_channels:
-        raise ShapeError(f"input has {x.shape[0]} channels, spec expects {spec.in_channels}")
+    if x.shape[1] != spec.in_channels:
+        raise ShapeError(f"input has {x.shape[1]} channels, spec expects {spec.in_channels}")
     if b.shape != (spec.out_channels,):
         raise ShapeError(f"bias shape {b.shape} != ({spec.out_channels},)")
     y = _conv_fwd(x.data, w.data, spec) + b.data[:, None, None]
-    h, wd = x.shape[1], x.shape[2]
+    h, wd = x.shape[2], x.shape[3]
     return _node(y, (x, w, b),
                  lambda g: _conv_grad_input(g, w.data, spec, h, wd),
                  lambda g: _conv_grad_w(g, x.data, spec),
-                 lambda g: g.sum(axis=(1, 2)))
+                 lambda g: g.sum(axis=(0, 2, 3)))
 
 
 def transposed_conv2d(input, weights, bias, spec: ConvSpec) -> Tensor:
@@ -267,23 +314,23 @@ def transposed_conv2d(input, weights, bias, spec: ConvSpec) -> Tensor:
     spatial extent roughly doubles.
     """
     x, w, b = as_tensor(input), as_tensor(weights), as_tensor(bias)
-    _check_chw(x.data, "input")
+    _check_nchw(x.data, "input")
     if w.shape != (spec.in_channels, spec.out_channels, spec.kernel, spec.kernel):
         raise ShapeError(f"weights shape {w.shape} != "
                          f"({spec.in_channels}, {spec.out_channels}, {spec.kernel}, {spec.kernel})")
-    if x.shape[0] != spec.in_channels:
-        raise ShapeError(f"input has {x.shape[0]} channels, spec expects {spec.in_channels}")
+    if x.shape[1] != spec.in_channels:
+        raise ShapeError(f"input has {x.shape[1]} channels, spec expects {spec.in_channels}")
     # The adjoint of a conv mapping out_channels -> in_channels with the
     # same geometry; reuse the conv gradient kernels with roles swapped.
     adj = ConvSpec(spec.out_channels, spec.in_channels, spec.kernel,
                    spec.stride, spec.padding, spec.dilation)
-    h, wd = x.shape[1], x.shape[2]
+    h, wd = x.shape[2], x.shape[3]
     oh, ow = spec.transposed_out_extent(h), spec.transposed_out_extent(wd)
     y = _conv_grad_input(x.data, w.data, adj, oh, ow) + b.data[:, None, None]
     return _node(y, (x, w, b),
                  lambda g: _conv_fwd(g, w.data, adj),
                  lambda g: _conv_grad_w(x.data, g, adj),
-                 lambda g: g.sum(axis=(1, 2)))
+                 lambda g: g.sum(axis=(0, 2, 3)))
 
 
 def relu(input) -> Tensor:
@@ -293,24 +340,37 @@ def relu(input) -> Tensor:
 
 def upsample_nearest_2x(input) -> Tensor:
     x = as_tensor(input)
-    _check_chw(x.data, "input")
-    y = np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2)
-    c, h, w = x.shape
-    return _node(y, (x,), lambda g: g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)))
+    _check_nchw(x.data, "input")
+    y = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
+    n, c, h, w = x.shape
+    return _node(y, (x,), lambda g: g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
 
 
 def concat(inputs) -> Tensor:
-    """Join tensors along axis 0; every other axis must agree."""
+    """Join tensors along axis 1, the axis after the batch axis; every other
+    axis must agree."""
     ts = [as_tensor(t) for t in inputs]
     if not ts:
         raise ShapeError("concat needs at least one input")
     for i, t in enumerate(ts):
-        if t.data.ndim == 0 or t.shape[1:] != ts[0].shape[1:]:
+        if t.data.ndim < 2 or (t.shape[:1] + t.shape[2:]) != (ts[0].shape[:1] + ts[0].shape[2:]):
             raise ShapeError(f"concat shape mismatch: input[{i}] is {t.shape}, "
                              f"input[0] is {ts[0].shape}")
-    ends = np.cumsum([t.shape[0] for t in ts]).tolist()
-    return _node(np.concatenate([t.data for t in ts], axis=0), ts,
-                 *(lambda g, lo=lo, hi=hi: g[lo:hi] for lo, hi in zip([0] + ends, ends)))
+    ends = np.cumsum([t.shape[1] for t in ts]).tolist()
+    return _node(np.concatenate([t.data for t in ts], axis=1), ts,
+                 *(lambda g, lo=lo, hi=hi: g[:, lo:hi] for lo, hi in zip([0] + ends, ends)))
+
+
+def take_row(input, index: int) -> Tensor:
+    """Row `index` of the leading (batch) axis; its gradient fills that row
+    of a zero array."""
+    x = as_tensor(input)
+
+    def grad(g):
+        out = np.zeros_like(x.data)
+        out[index] = g
+        return out
+    return _node(x.data[index], (x,), grad)
 
 
 def add(inputs) -> Tensor:

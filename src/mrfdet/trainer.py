@@ -17,11 +17,11 @@ import numpy as np
 
 from .anchors import boxes_to_corner_array, match_anchors
 from .dataset import load_annotations, load_dataset
-from .detector_net import (SEG_MODES, BackboneSpec, DetectorParams, Toggles,
-                           build_network, forward)
+from .detector_net import (FORWARD_BATCH, SEG_MODES, BackboneSpec, DetectorParams,
+                           Toggles, build_network, forward)
 from .losses import LossBreakdown, LossConfig, total_loss
 from .sws_masks import AWS_THRESHOLDS, AreaThresholds, rasterize_sws_mask
-from .tensor_core import ShapeError
+from .tensor_core import ShapeError, add
 
 CHECKPOINT_MAGIC = b"MRFD"
 CHECKPOINT_VERSION = 1
@@ -120,7 +120,12 @@ def prepare_sample(det: DetectorParams, config: TrainConfig, image, boxes):
 
 
 def train(config: TrainConfig, data_dir, log_fn=None, ckpt_path=None) -> TrainResult:
-    """Train on a dataset directory; aborts with diagnostics on NaN loss."""
+    """Train on a dataset directory; aborts with diagnostics on NaN loss.
+
+    Each mini-batch runs as tapes of up to FORWARD_BATCH images: one forward,
+    one loss per image, and one backward seeding every loss with
+    1/len(batch), so the step follows the mean loss of the mini-batch.
+    """
     bad = [b.class_id for boxes in load_annotations(data_dir).values() for b in boxes
            if not 1 <= b.class_id <= config.num_classes]
     if bad:
@@ -144,18 +149,22 @@ def train(config: TrainConfig, data_dir, log_fn=None, ckpt_path=None) -> TrainRe
             batch = order[start:start + config.batch_size]
             sums = np.zeros(5)
             n_pos = 0
-            for idx in batch:
-                image, gts, assignment, mask = samples[idx]
-                _, outputs = forward(det, image)
-                breakdown, loss = total_loss(outputs, assignment, gts, mask, config.loss)
-                if not np.isfinite(breakdown.total):
-                    raise FloatingPointError(
-                        f"NaN/Inf loss at step {step}: l_conf={breakdown.l_conf} "
-                        f"l_loc={breakdown.l_loc} l_seg={breakdown.l_seg}")
-                loss.backward(np.array(1.0 / len(batch), dtype=np.float32))
-                sums += [breakdown.l_conf, breakdown.l_loc, breakdown.l_det,
-                         breakdown.l_seg, breakdown.total]
-                n_pos += breakdown.n_pos
+            for tape_start in range(0, len(batch), FORWARD_BATCH):
+                tape = [samples[idx] for idx in batch[tape_start:tape_start + FORWARD_BATCH]]
+                _, outputs = forward(det, np.stack([image for image, _, _, _ in tape]))
+                losses = []
+                for i, (_, gts, assignment, mask) in enumerate(tape):
+                    breakdown, loss = total_loss(outputs.image(i), assignment, gts, mask,
+                                                 config.loss)
+                    if not np.isfinite(breakdown.total):
+                        raise FloatingPointError(
+                            f"NaN/Inf loss at step {step}: l_conf={breakdown.l_conf} "
+                            f"l_loc={breakdown.l_loc} l_seg={breakdown.l_seg}")
+                    losses.append(loss)
+                    sums += [breakdown.l_conf, breakdown.l_loc, breakdown.l_det,
+                             breakdown.l_seg, breakdown.total]
+                    n_pos += breakdown.n_pos
+                add(losses).backward(np.array(1.0 / len(batch), dtype=np.float32))
             opt.step(lr)
             avg = LossBreakdown(*(sums / len(batch)), n_pos=n_pos)
             log.append(avg)
@@ -249,11 +258,23 @@ def load_checkpoint(path):
             or not 0 <= meta[5] < len(SEG_MODES)):
         raise ShapeError(f"checkpoint {path} has a malformed meta record {meta.tolist()}: "
                          f"expected 7 integers with a seg-mode index below {len(SEG_MODES)}")
-    toggles = Toggles(mrf=bool(int(meta[3])), extra_level=bool(int(meta[4])),
-                      seg_mode=SEG_MODES[int(meta[5])])
-    stages = tuple(int(c) for c in records["meta.stages"])
-    det = build_network(BackboneSpec(int(meta[2]), stages), int(meta[1]), toggles,
-                        seed=int(meta[0]), dtype=np.float32)
+    for field, value, low in (("seed", meta[0], 0), ("num_classes", meta[1], 1),
+                              ("image_size", meta[2], 1)):
+        if value < low:
+            raise ShapeError(f"checkpoint {path} has {field} {int(value)} in its meta "
+                             f"record; expected at least {low}")
+    stages = records["meta.stages"]
+    if (stages.ndim != 1 or not np.isfinite(stages).all()
+            or (stages != np.round(stages)).any() or (stages < 1).any()):
+        raise ShapeError(f"checkpoint {path} has a malformed meta.stages record "
+                         f"{stages.tolist()}: expected positive integer stage widths")
+    try:
+        toggles = Toggles(mrf=bool(int(meta[3])), extra_level=bool(int(meta[4])),
+                          seg_mode=SEG_MODES[int(meta[5])])
+        det = build_network(BackboneSpec(int(meta[2]), tuple(int(c) for c in stages)),
+                            int(meta[1]), toggles, seed=int(meta[0]), dtype=np.float32)
+    except ShapeError as exc:
+        raise ShapeError(f"checkpoint {path} describes no valid network: {exc}") from None
     expected = {"param." + name for name, _ in det.named_params()}
     stored = {n for n in records if n.startswith("param.")}
     if expected != stored:

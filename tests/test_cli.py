@@ -1,6 +1,7 @@
 import shutil
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -321,6 +322,32 @@ class TestDiagnostics:
         err = self.run_error(["eval", "--ckpt", str(small_ckpt), "--data",
                               str(data_dir / "data")], capsys)
         assert err.startswith(f"error: checkpoint {small_ckpt} has a malformed meta record")
+
+    @pytest.mark.parametrize("meta,field", [
+        ([-1, 3, 32, 1, 1, 2, 0], "seed -1"), ([0, 0, 32, 1, 1, 2, 0], "num_classes 0"),
+        ([0, 3, 0, 1, 1, 2, 0], "image_size 0")], ids=["seed", "num-classes", "image-size"])
+    def test_meta_field_out_of_range_named(self, data_dir, small_ckpt, capsys, meta, field):
+        raw = small_ckpt.read_bytes()
+        record = (struct.pack("<I", 4) + b"meta" + struct.pack("<II", 1, len(meta))
+                  + np.array(meta, dtype="<f4").tobytes())
+        small_ckpt.write_bytes(raw[:8] + record + raw[8 + 16 + 4 * 7:])
+        err = self.run_error(["eval", "--ckpt", str(small_ckpt), "--data",
+                              str(data_dir / "data")], capsys)
+        assert err.startswith(f"error: checkpoint {small_ckpt} has {field} in its meta record")
+
+    @pytest.mark.parametrize("stages,message", [
+        ((8, 0, 8, 8), "has a malformed meta.stages record [8.0, 0.0, 8.0, 8.0]"),
+        ((8, float("nan"), 8, 8), "has a malformed meta.stages record [8.0, nan, 8.0, 8.0]"),
+        ((8, 8), "describes no valid network: backbone needs at least 3 stages")],
+        ids=["zero-width", "nan-width", "two-stages"])
+    def test_bad_stages_named(self, data_dir, tmp_path, capsys, stages, message):
+        det = build_network(BackboneSpec(32, (8, 8, 8, 8)), 3, TrainConfig().toggles, seed=0)
+        ckpt = tmp_path / "stages.ckpt"
+        save_checkpoint(str(ckpt), det, SimpleNamespace(seed=0, image_size=32,
+                                                        stage_channels=stages))
+        err = self.run_error(["eval", "--ckpt", str(ckpt), "--data",
+                              str(data_dir / "data")], capsys)
+        assert err.startswith(f"error: checkpoint {ckpt} {message}")
 
     def test_bad_branch_item_named(self, tmp_path, capsys):
         spec = tmp_path / "mrf.txt"

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrfdet.detector_net import (BackboneSpec, HeadOutputs, Toggles,
                                  anchor_counts, anchor_scales,
                                  aspect_ratios_for, build_network, describe,
                                  flatten_level_maps, forward, fpn_merge,
                                  seg_head_forward)
-from mrfdet.tensor_core import (ShapeError, Tensor, finite_diff_check, inner,
-                                relu)
+from mrfdet.tensor_core import (ShapeError, Tensor, add, finite_diff_check,
+                                inner, no_grad, relu)
 
 SMALL = BackboneSpec(image_size=32, stage_channels=(8, 8, 8, 8))
 
@@ -100,19 +102,20 @@ class TestBuild:
 class TestFpnMerge:
     def test_shape_and_value(self):
         rng = np.random.default_rng(0)
-        top = rng.standard_normal((4, 2, 2))
-        lat = rng.standard_normal((6, 4, 4))
+        top = rng.standard_normal((1, 4, 2, 2))
+        lat = rng.standard_normal((1, 6, 4, 4))
         w = rng.standard_normal((4, 6, 1, 1))
         b = rng.standard_normal(4)
         out = fpn_merge(top, lat, w, b)
-        assert out.shape == (4, 4, 4)
+        assert out.shape == (1, 4, 4, 4)
         # Spot check one cell: nearest upsample + 1x1 projection.
-        proj = np.tensordot(w[:, :, 0, 0], lat, axes=(1, 0)) + b[:, None, None]
-        np.testing.assert_allclose(out.data, np.repeat(np.repeat(top, 2, 1), 2, 2) + proj)
+        proj = np.tensordot(w[:, :, 0, 0], lat[0], axes=(1, 0)) + b[:, None, None]
+        np.testing.assert_allclose(out.data[0],
+                                   np.repeat(np.repeat(top[0], 2, 1), 2, 2) + proj)
 
     def test_extent_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="twice"):
-            fpn_merge(np.zeros((2, 3, 3)), np.zeros((2, 5, 5)),
+            fpn_merge(np.zeros((1, 2, 3, 3)), np.zeros((1, 2, 5, 5)),
                       np.zeros((2, 2, 1, 1)), np.zeros(2))
 
 
@@ -121,7 +124,7 @@ class TestFlatten:
         # One level, 2 anchors, K=3, extent 2: channel c = a*K + k holds the
         # value for anchor a, output k.
         m = np.arange(2 * 3 * 2 * 2, dtype=float).reshape(6, 2, 2)
-        flat = flatten_level_maps([m], 3).data
+        flat = flatten_level_maps([m[None]], 3).data[0]
         assert flat.shape == (8, 3)
         # Row 0: cell (0,0) anchor 0 -> channels 0..2 at (0,0).
         np.testing.assert_array_equal(flat[0], m[0:3, 0, 0])
@@ -134,22 +137,22 @@ class TestFlatten:
 
     def test_gradient(self):
         rng = np.random.default_rng(1)
-        m = rng.standard_normal((8, 3, 3))
-        c = rng.standard_normal((18, 4))
+        m = rng.standard_normal((1, 8, 3, 3))
+        c = rng.standard_normal((1, 18, 4))
         assert finite_diff_check(lambda t: inner(flatten_level_maps([t], 4), c), m) < 1e-6
 
     def test_two_levels_stack_level_by_level(self):
         rng = np.random.default_rng(4)
-        fine, coarse = rng.standard_normal((8, 3, 3)), rng.standard_normal((4, 2, 2))
+        fine, coarse = rng.standard_normal((1, 8, 3, 3)), rng.standard_normal((1, 4, 2, 2))
         flat = flatten_level_maps([fine, coarse], 4).data
-        assert flat.shape == (3 * 3 * 2 + 2 * 2 * 1, 4)
-        np.testing.assert_array_equal(flat[:18], flatten_level_maps([fine], 4).data)
-        np.testing.assert_array_equal(flat[18:], flatten_level_maps([coarse], 4).data)
+        assert flat.shape == (1, 3 * 3 * 2 + 2 * 2 * 1, 4)
+        np.testing.assert_array_equal(flat[:, :18], flatten_level_maps([fine], 4).data)
+        np.testing.assert_array_equal(flat[:, 18:], flatten_level_maps([coarse], 4).data)
 
     def test_gradient_two_levels(self):
         rng = np.random.default_rng(5)
-        fine, coarse = rng.standard_normal((8, 3, 3)), rng.standard_normal((4, 2, 2))
-        c = rng.standard_normal((22, 4))
+        fine, coarse = rng.standard_normal((1, 8, 3, 3)), rng.standard_normal((1, 4, 2, 2))
+        c = rng.standard_normal((1, 22, 4))
         assert finite_diff_check(
             lambda t: inner(flatten_level_maps([t, coarse], 4), c), fine) < 1e-6
         assert finite_diff_check(
@@ -157,7 +160,7 @@ class TestFlatten:
 
     def test_indivisible_channels_rejected(self):
         with pytest.raises(ShapeError, match="divisible"):
-            flatten_level_maps([np.zeros((5, 2, 2))], 4)
+            flatten_level_maps([np.zeros((1, 5, 2, 2))], 4)
 
 
 class TestForward:
@@ -263,11 +266,80 @@ class TestForward:
         assert finite_diff_check(f, det.params[wname].data) < 1e-4
 
 
+MRF_NET = build_network(BackboneSpec(image_size=32, stage_channels=(8, 8, 8, 8)), 2,
+                        Toggles(mrf=True, extra_level=True, seg_mode="sws"),
+                        seed=12, dtype=np.float32)
+
+
+def head_arrays(outputs):
+    return [t.data for t in (outputs.loc, outputs.conf, outputs.seg_logits)]
+
+
+class TestBatch:
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_no_grad_batch_equals_one_image_forwards_bit_for_bit(self, n, seed):
+        images = np.random.default_rng(seed).random((n, 3, 32, 32)).astype(np.float32)
+        with no_grad():
+            pyramid, batch = forward(MRF_NET, images)
+        assert batch.conf._edges == () and batch.loc.shape == (n, MRF_NET.num_anchors, 4)
+        for i, image in enumerate(images):
+            one_pyramid, one = forward(MRF_NET, image)
+            for got, want in zip(head_arrays(batch.image(i)), head_arrays(one)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            for (_, _, feat), (_, _, one_feat) in zip(pyramid, one_pyramid):
+                assert np.array_equal(feat.data[i], one_feat.data)
+
+    def test_one_image_is_a_batch_of_one(self):
+        image = np.random.default_rng(13).random((3, 32, 32))
+        _, one = forward(MRF_NET, image)
+        _, batch = forward(MRF_NET, image[None])
+        assert one.conf.shape == batch.conf.shape[1:]
+        for got, want in zip(head_arrays(one), head_arrays(batch)):
+            np.testing.assert_array_equal(got, want[0])
+
+    def test_batch_tape_leaf_gradients_match_one_image_tapes(self):
+        det = build_network(BackboneSpec(image_size=32, stage_channels=(8, 8, 8, 8)), 2,
+                            Toggles(mrf=True, extra_level=True, seg_mode="sws"), seed=14)
+        rng = np.random.default_rng(15)
+        images = rng.random((3, 3, 32, 32))
+        coeffs = [[rng.standard_normal(t.shape) for t in (o.loc, o.conf, o.seg_logits)]
+                  for o in (forward(det, image)[1] for image in images)]
+
+        def image_loss(out, c):
+            return add([inner(t, ci) for t, ci in zip((out.loc, out.conf, out.seg_logits), c)])
+
+        for image, c in zip(images, coeffs):
+            image_loss(forward(det, image)[1], c).backward()
+        want = {name: t.grad for name, t in det.named_params()}
+        for _, t in det.named_params():
+            t.zero_grad()
+        _, batch = forward(det, images)
+        root = add([image_loss(batch.image(i), c) for i, c in enumerate(coeffs)])
+        interior, stack = {}, [root]
+        while stack:
+            node = stack.pop()
+            if node._edges and id(node) not in interior:
+                interior[id(node)] = node
+                stack.extend(p for p, _ in node._edges)
+        root.backward()
+        assert all(n.grad is None and n._edges == () for n in interior.values())
+        for name, t in det.named_params():
+            np.testing.assert_allclose(t.grad, want[name], rtol=1e-9, atol=1e-12,
+                                       err_msg=name)
+
+    def test_bad_batch_shape_rejected(self):
+        with pytest.raises(ShapeError, match="image"):
+            forward(MRF_NET, np.zeros((2, 4, 32, 32)))
+        with pytest.raises(ShapeError, match="image"):
+            forward(MRF_NET, np.zeros((1, 2, 3, 32, 32)))
+
+
 class TestSegHead:
     def test_rejects_wrong_stride(self):
         det = small_net()
         with pytest.raises(ShapeError, match="stride-4"):
-            seg_head_forward(det, np.zeros((8, 4, 4)))
+            seg_head_forward(det, np.zeros((1, 8, 4, 4)))
 
 
 class TestDescribe:

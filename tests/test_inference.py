@@ -114,6 +114,18 @@ class TestEvaluateDetector:
         assert a.per_class_ap == b.per_class_ap
         assert a.map == b.map and a.tp == b.tp and a.fp == b.fp
 
+    def test_collect_equals_one_image_detect_exactly(self, small_det, tmp_path):
+        # 6 images: one full batch of 4 and a partial batch of 2.
+        synth_dataset(DatasetSpec(image_size=32, num_images=6, small_side=(8, 16),
+                                  large_side=(18, 24), seed=12), tmp_path)
+        dets, gts = collect_detections(small_det, tmp_path)
+        samples = load_dataset(tmp_path)
+        assert list(dets) == [rel for rel, _, _ in samples]
+        for rel, image, boxes in samples:
+            want = detect_image(small_det, image)
+            assert dets[rel].dtype == want.dtype and np.array_equal(dets[rel], want)
+            assert gts[rel] == boxes
+
     def test_collect_keys_match_dataset(self, small_det, small_data):
         dets, gts = collect_detections(small_det, small_data)
         assert set(dets) == set(gts)

@@ -58,7 +58,8 @@ class TestSpecs:
         for k, d in DEFAULT_BRANCHES:
             params = {}
             init_conv(params, "b", 4, 2, k, np.random.default_rng(0))
-            assert named_conv(params, "b", np.zeros((2, 9, 9)), dilation=d).shape == (4, 9, 9)
+            assert (named_conv(params, "b", np.zeros((1, 2, 9, 9)), dilation=d).shape
+                    == (1, 4, 9, 9))
 
     def test_even_effective_kernel_rejected(self):
         with pytest.raises(ShapeError, match="even"):
@@ -120,11 +121,11 @@ class TestNamedConv:
         init_conv(params, "c", 4, 3, 5, np.random.default_rng(0))
         assert params["c.w"].shape == (4, 3, 5, 5) and params["c.b"].shape == (4,)
         params["c.b"].data[:] = [1.0, 2.0, 3.0, 4.0]
-        x = np.zeros((3, 11, 11))
+        x = np.zeros((1, 3, 11, 11))
         out = named_conv(params, "c", x, dilation=2).data
-        assert out.shape == (4, 11, 11)
-        np.testing.assert_array_equal(out[:, 5, 5], [1.0, 2.0, 3.0, 4.0])
-        assert named_conv(params, "c", x, stride=2).shape == (4, 6, 6)
+        assert out.shape == (1, 4, 11, 11)
+        np.testing.assert_array_equal(out[0, :, 5, 5], [1.0, 2.0, 3.0, 4.0])
+        assert named_conv(params, "c", x, stride=2).shape == (1, 4, 6, 6)
 
     def test_scale(self):
         a, b = {}, {}
@@ -137,14 +138,14 @@ class TestForward:
     def test_extent_preserved(self):
         spec = default_mrf_spec(8, 8)
         params = block_params(spec, 2)
-        x = np.random.default_rng(3).standard_normal((8, 9, 9))
+        x = np.random.default_rng(3).standard_normal((1, 8, 9, 9))
         out = mrf_forward(params, "mrf", spec, x)
-        assert out.shape == (8, 9, 9)
+        assert out.shape == (1, 8, 9, 9)
 
     def test_output_nonnegative(self):
         spec = default_mrf_spec(8, 16)
         params = block_params(spec, 4)
-        x = np.random.default_rng(5).standard_normal((8, 9, 9))
+        x = np.random.default_rng(5).standard_normal((1, 8, 9, 9))
         assert (mrf_forward(params, "mrf", spec, x).data >= 0).all()
 
     def test_zero_weights_give_relu_shortcut(self):
@@ -154,7 +155,7 @@ class TestForward:
         params = block_params(spec, 6)
         for t in params.values():
             t.data[...] = 0.0
-        x = np.random.default_rng(7).standard_normal((8, 9, 9))
+        x = np.random.default_rng(7).standard_normal((1, 8, 9, 9))
         np.testing.assert_array_equal(mrf_forward(params, "mrf", spec, x).data,
                                       relu(x).data)
 
@@ -162,20 +163,20 @@ class TestForward:
         spec = default_mrf_spec(8, 8)
         params = block_params(spec, 8)
         with pytest.raises(ShapeError, match="channels"):
-            mrf_forward(params, "mrf", spec, np.zeros((4, 9, 9)))
+            mrf_forward(params, "mrf", spec, np.zeros((1, 4, 9, 9)))
 
     def test_too_small_extent_rejected(self):
         spec = default_mrf_spec(8, 8)
         params = block_params(spec, 9)
         with pytest.raises(ShapeError, match="effective kernel"):
-            mrf_forward(params, "mrf", spec, np.zeros((8, 5, 5)))
+            mrf_forward(params, "mrf", spec, np.zeros((1, 8, 5, 5)))
 
     def test_gradients_input_and_weights(self):
         spec = default_mrf_spec(6, 10)
         params = block_params(spec, 10)
         rng = np.random.default_rng(11)
-        x = rng.standard_normal((6, 9, 9))
-        c = rng.standard_normal((10, 9, 9)) + 0.3
+        x = rng.standard_normal((1, 6, 9, 9))
+        c = rng.standard_normal((1, 10, 9, 9)) + 0.3
         assert finite_diff_check(
             lambda t: inner(mrf_forward(params, "mrf", spec, t), c), x) < 1e-4
 
@@ -194,12 +195,12 @@ class TestForward:
         # away from the probe location must change the output there.
         spec = default_mrf_spec(4, 5)
         params = block_params(spec, 12)
-        x = np.random.default_rng(13).standard_normal((4, 11, 11))
+        x = np.random.default_rng(13).standard_normal((1, 4, 11, 11))
         base = mrf_forward(params, "mrf", spec, x).data
         x2 = x.copy()
-        x2[:, 2, 5] += 10.0
+        x2[:, :, 2, 5] += 10.0
         bumped = mrf_forward(params, "mrf", spec, x2).data
-        assert not np.allclose(base[:, 5, 5], bumped[:, 5, 5])
+        assert not np.allclose(base[:, :, 5, 5], bumped[:, :, 5, 5])
 
 
 class TestRfReport:

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from mrfdet import tensor_core
 from mrfdet.tensor_core import (ConvSpec, ShapeError, Tensor, add, concat,
-                                conv2d, finite_diff_check, inner, relu,
-                                transposed_conv2d, upsample_nearest_2x)
+                                conv2d, finite_diff_check, inner, no_grad,
+                                relu, take_row, transposed_conv2d,
+                                upsample_nearest_2x)
 
 
 def identity_kernel(channels):
@@ -27,26 +28,26 @@ def conv2d_grads(g, x, w, spec):
 class TestConvForward:
     def test_identity_1x1(self):
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((3, 5, 5))
+        x = rng.standard_normal((1, 3, 5, 5))
         out = conv2d(x, identity_kernel(3), np.zeros(3), ConvSpec(3, 3, 1)).data
         np.testing.assert_array_equal(out, x)
 
     def test_all_ones_3x3_on_constant(self):
         # 3x3 all-ones kernel over constant 2 sums 9 taps of 2 -> 18 everywhere.
-        x = np.full((1, 5, 5), 2.0)
+        x = np.full((1, 1, 5, 5), 2.0)
         out = conv2d(x, np.ones((1, 1, 3, 3)), np.zeros(1), ConvSpec(1, 1, 3)).data
-        assert out.shape == (1, 3, 3)
+        assert out.shape == (1, 1, 3, 3)
         np.testing.assert_allclose(out, 18.0)
 
     def test_dilation_2_tap_positions(self):
         # Oracle: enumerate tap coordinates {0,2,4} x {0,2,4} by hand.
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((1, 5, 5))
+        x = rng.standard_normal((1, 1, 5, 5))
         out = conv2d(x, np.ones((1, 1, 3, 3)), np.zeros(1),
                      ConvSpec(1, 1, 3, dilation=2)).data
-        expected = sum(x[0, i, j] for i in (0, 2, 4) for j in (0, 2, 4))
-        assert out.shape == (1, 1, 1)
-        np.testing.assert_allclose(out[0, 0, 0], expected)
+        expected = sum(x[0, 0, i, j] for i in (0, 2, 4) for j in (0, 2, 4))
+        assert out.shape == (1, 1, 1, 1)
+        np.testing.assert_allclose(out[0, 0, 0, 0], expected)
 
     def test_loop_oracle_random_case(self):
         # Brute-force nested-loop convolution on a random strided dilated case.
@@ -55,7 +56,7 @@ class TestConvForward:
         x = rng.standard_normal((2, 7, 7))
         w = rng.standard_normal((3, 2, 3, 3))
         b = rng.standard_normal(3)
-        out = conv2d(x, w, b, spec).data
+        out = conv2d(x[None], w, b, spec).data[0]
         xp = np.pad(x, ((0, 0), (2, 2), (2, 2)))
         oh = spec.out_extent(7)
         expected = np.zeros((3, oh, oh))
@@ -72,7 +73,7 @@ class TestConvForward:
 
     def test_kernel1_dilation_is_vacuous(self):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((2, 6, 6))
+        x = rng.standard_normal((1, 2, 6, 6))
         w = rng.standard_normal((2, 2, 1, 1))
         b = rng.standard_normal(2)
         for d in (2, 3, 5):
@@ -81,14 +82,14 @@ class TestConvForward:
                 conv2d(x, w, b, ConvSpec(2, 2, 1)).data)
 
     def test_bias_per_output_channel(self):
-        x = np.zeros((1, 3, 3))
+        x = np.zeros((1, 1, 3, 3))
         out = conv2d(x, np.zeros((2, 1, 1, 1)), np.array([1.5, -2.0]),
                      ConvSpec(1, 2, 1)).data
-        np.testing.assert_allclose(out[0], 1.5)
-        np.testing.assert_allclose(out[1], -2.0)
+        np.testing.assert_allclose(out[0, 0], 1.5)
+        np.testing.assert_allclose(out[0, 1], -2.0)
 
     def test_shape_mismatch_names_dimension(self):
-        x = np.zeros((2, 5, 5))
+        x = np.zeros((1, 2, 5, 5))
         with pytest.raises(ShapeError, match="channels"):
             conv2d(x, np.zeros((1, 3, 3, 3)), np.zeros(1), ConvSpec(3, 1, 3))
         with pytest.raises(ShapeError, match="weights shape"):
@@ -96,12 +97,12 @@ class TestConvForward:
 
     def test_too_small_input_rejected(self):
         with pytest.raises(ShapeError, match="extent"):
-            conv2d(np.zeros((1, 4, 4)), np.ones((1, 1, 3, 3)), np.zeros(1),
+            conv2d(np.zeros((1, 1, 4, 4)), np.ones((1, 1, 3, 3)), np.zeros(1),
                    ConvSpec(1, 1, 3, dilation=3))
 
     def test_determinism(self):
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((3, 8, 8))
+        x = rng.standard_normal((1, 3, 8, 8))
         w = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
         spec = ConvSpec(3, 4, 3, padding=1)
@@ -113,67 +114,67 @@ class TestConvBackward:
     def test_zero_grad_out(self):
         rng = np.random.default_rng(5)
         spec = ConvSpec(2, 3, 3)
-        x = rng.standard_normal((2, 5, 5))
+        x = rng.standard_normal((1, 2, 5, 5))
         w = rng.standard_normal((3, 2, 3, 3))
-        gx, gw, gb = conv2d_grads(np.zeros((3, 3, 3)), x, w, spec)
+        gx, gw, gb = conv2d_grads(np.zeros((1, 3, 3, 3)), x, w, spec)
         assert not gx.any() and not gw.any() and not gb.any()
 
     def test_identity_kernel_adjoint(self):
         rng = np.random.default_rng(6)
-        g = rng.standard_normal((2, 4, 4))
-        gx, _, _ = conv2d_grads(g, rng.standard_normal((2, 4, 4)),
+        g = rng.standard_normal((1, 2, 4, 4))
+        gx, _, _ = conv2d_grads(g, rng.standard_normal((1, 2, 4, 4)),
                                 identity_kernel(2), ConvSpec(2, 2, 1))
         np.testing.assert_array_equal(gx, g)
 
     def test_grad_bias_is_channel_sum(self):
         rng = np.random.default_rng(7)
         spec = ConvSpec(1, 2, 3)
-        g = rng.standard_normal((2, 3, 3))
-        _, _, gb = conv2d_grads(g, rng.standard_normal((1, 5, 5)),
+        g = rng.standard_normal((1, 2, 3, 3))
+        _, _, gb = conv2d_grads(g, rng.standard_normal((1, 1, 5, 5)),
                                 rng.standard_normal((2, 1, 3, 3)), spec)
-        np.testing.assert_allclose(gb, g.sum(axis=(1, 2)))
+        np.testing.assert_allclose(gb, g.sum(axis=(0, 2, 3)))
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         spec = ConvSpec(2, 3, 3, padding=1)
-        x = rng.standard_normal((2, 4, 4))
+        x = rng.standard_normal((1, 2, 4, 4))
         w = rng.standard_normal((3, 2, 3, 3))
         b = rng.standard_normal(3)
-        c = rng.standard_normal((3, 4, 4))
+        c = rng.standard_normal((1, 3, 4, 4))
         assert finite_diff_check(lambda t: inner(conv2d(t, w, b, spec), c), x) < 1e-5
         assert finite_diff_check(lambda t: inner(conv2d(x, t, b, spec), c), w) < 1e-5
         assert finite_diff_check(lambda t: inner(conv2d(x, w, t, spec), c), b) < 1e-5
 
     def test_grad_out_shape_rejected(self):
         with pytest.raises(ShapeError, match="grad shape"):
-            conv2d_grads(np.zeros((1, 4, 4)), np.zeros((1, 5, 5)),
+            conv2d_grads(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 5, 5)),
                          np.zeros((1, 1, 3, 3)), ConvSpec(1, 1, 3))
 
 
 class TestTransposedConv:
     def test_identity(self):
         rng = np.random.default_rng(9)
-        x = rng.standard_normal((2, 4, 4))
+        x = rng.standard_normal((1, 2, 4, 4))
         out = transposed_conv2d(x, identity_kernel(2), np.zeros(2),
                                 ConvSpec(2, 2, 1)).data
         np.testing.assert_array_equal(out, x)
 
     def test_stride2_disjoint_blocks(self):
-        x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
+        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
         out = transposed_conv2d(x, np.ones((1, 1, 2, 2)), np.zeros(1),
                                 ConvSpec(1, 1, 2, stride=2)).data
-        assert out.shape == (1, 4, 4)
-        for (y, xx), v in np.ndenumerate(x[0]):
-            np.testing.assert_allclose(out[0, 2 * y:2 * y + 2, 2 * xx:2 * xx + 2], v)
+        assert out.shape == (1, 1, 4, 4)
+        for (y, xx), v in np.ndenumerate(x[0, 0]):
+            np.testing.assert_allclose(out[0, 0, 2 * y:2 * y + 2, 2 * xx:2 * xx + 2], v)
 
     def test_adjoint_inner_product_identity(self):
         # <transposed(x), y> == <x, conv(y)> for the matched spec.
         rng = np.random.default_rng(10)
         spec = ConvSpec(3, 2, 3, stride=2, padding=1)
         conv_spec = ConvSpec(2, 3, 3, stride=2, padding=1)
-        x = rng.standard_normal((3, 4, 4))
+        x = rng.standard_normal((1, 3, 4, 4))
         w = rng.standard_normal((3, 2, 3, 3))
-        y = rng.standard_normal((2, spec.transposed_out_extent(4),
+        y = rng.standard_normal((1, 2, spec.transposed_out_extent(4),
                                  spec.transposed_out_extent(4)))
         lhs = (transposed_conv2d(x, w, np.zeros(2), spec).data * y).sum()
         # conv weights (out, in, k, k) = (3, 2, k, k): same array.
@@ -183,10 +184,10 @@ class TestTransposedConv:
     def test_gradients(self):
         rng = np.random.default_rng(11)
         spec = ConvSpec(2, 3, 2, stride=2)
-        x = rng.standard_normal((2, 3, 3))
+        x = rng.standard_normal((1, 2, 3, 3))
         w = rng.standard_normal((2, 3, 2, 2))
         b = rng.standard_normal(3)
-        c = rng.standard_normal((3, 6, 6))
+        c = rng.standard_normal((1, 3, 6, 6))
         assert finite_diff_check(
             lambda t: inner(transposed_conv2d(t, w, b, spec), c), x) < 1e-5
         assert finite_diff_check(
@@ -245,39 +246,45 @@ def conv_geometry(draw, transposed=False):
     h = draw(st.integers(low, low + 5))
     w = draw(st.integers(low, low + 5).filter(lambda v: v != h))
     spec = ConvSpec(draw(st.integers(1, 3)), draw(st.integers(1, 3)), k, s, p, d)
-    return spec, h, w, draw(st.integers(0, 2 ** 32 - 1))
+    return spec, h, w, draw(st.integers(1, 3)), draw(st.integers(0, 2 ** 32 - 1))
 
 
 def assert_matches_oracle(op, oracle, x, w, b, g, spec):
+    """op on an (N, C, H, W) batch against the one-image oracle per image:
+    outputs and input gradients stack, parameter gradients sum."""
     xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
     y = op(xt, wt, bt, spec)
     assert y.shape == g.shape
     y.backward(g)
-    for got, want in zip((y.data, xt.grad, wt.grad, bt.grad), oracle(x, w, b, g, spec)):
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+    per_image = [oracle(xi, w, b, gi, spec) for xi, gi in zip(x, g)]
+    want = (np.stack([r[0] for r in per_image]), np.stack([r[1] for r in per_image]),
+            sum(r[2] for r in per_image), sum(r[3] for r in per_image))
+    for got, expected in zip((y.data, xt.grad, wt.grad, bt.grad), want):
+        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
 
 
 class TestConvOracle:
     @given(conv_geometry())
     @settings(max_examples=40, deadline=None)
     def test_conv2d_forward_and_gradients(self, geometry):
-        spec, h, wd, seed = geometry
+        spec, h, wd, n, seed = geometry
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((spec.in_channels, h, wd))
+        x = rng.standard_normal((n, spec.in_channels, h, wd))
         w = rng.standard_normal((spec.out_channels, spec.in_channels, spec.kernel, spec.kernel))
         b = rng.standard_normal(spec.out_channels)
-        g = rng.standard_normal((spec.out_channels, spec.out_extent(h), spec.out_extent(wd)))
+        g = rng.standard_normal((n, spec.out_channels, spec.out_extent(h),
+                                 spec.out_extent(wd)))
         assert_matches_oracle(conv2d, conv_oracle, x, w, b, g, spec)
 
     @given(conv_geometry(transposed=True))
     @settings(max_examples=40, deadline=None)
     def test_transposed_conv2d_forward_and_gradients(self, geometry):
-        spec, h, wd, seed = geometry
+        spec, h, wd, n, seed = geometry
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((spec.in_channels, h, wd))
+        x = rng.standard_normal((n, spec.in_channels, h, wd))
         w = rng.standard_normal((spec.in_channels, spec.out_channels, spec.kernel, spec.kernel))
         b = rng.standard_normal(spec.out_channels)
-        g = rng.standard_normal((spec.out_channels, spec.transposed_out_extent(h),
+        g = rng.standard_normal((n, spec.out_channels, spec.transposed_out_extent(h),
                                  spec.transposed_out_extent(wd)))
         assert_matches_oracle(transposed_conv2d, transposed_oracle, x, w, b, g, spec)
 
@@ -292,62 +299,62 @@ class TestConvOracle:
 
 class TestElementwise:
     def test_relu_cases(self):
-        np.testing.assert_array_equal(relu(np.full((1, 2, 2), -3.0)).data, 0.0)
-        x = np.full((1, 2, 2), 3.0)
+        np.testing.assert_array_equal(relu(np.full((1, 1, 2, 2), -3.0)).data, 0.0)
+        x = np.full((1, 1, 2, 2), 3.0)
         np.testing.assert_array_equal(relu(x).data, x)
         np.testing.assert_array_equal(
-            relu(np.array([[[-1.0, 0.0, 2.0]]])).data, [[[0.0, 0.0, 2.0]]])
+            relu(np.array([[[[-1.0, 0.0, 2.0]]]])).data, [[[[0.0, 0.0, 2.0]]]])
 
     def test_relu_backward_gating(self):
-        g = np.ones((1, 1, 3))
-        x = np.array([[[-1.0, 0.0, 2.0]]])
+        g = np.ones((1, 1, 1, 3))
+        x = np.array([[[[-1.0, 0.0, 2.0]]]])
         t = Tensor(x, requires_grad=True)
         relu(t).backward(g)
-        np.testing.assert_array_equal(t.grad, [[[0.0, 0.0, 1.0]]])
+        np.testing.assert_array_equal(t.grad, [[[[0.0, 0.0, 1.0]]]])
 
     def test_upsample(self):
-        out = upsample_nearest_2x(np.full((1, 1, 1), 7.0)).data
-        np.testing.assert_array_equal(out, np.full((1, 2, 2), 7.0))
-        x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
+        out = upsample_nearest_2x(np.full((1, 1, 1, 1), 7.0)).data
+        np.testing.assert_array_equal(out, np.full((1, 1, 2, 2), 7.0))
+        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
         out = upsample_nearest_2x(x).data
-        expected = np.array([[[1, 1, 2, 2], [1, 1, 2, 2],
-                              [3, 3, 4, 4], [3, 3, 4, 4]]], dtype=float)
+        expected = np.array([[[[1, 1, 2, 2], [1, 1, 2, 2],
+                               [3, 3, 4, 4], [3, 3, 4, 4]]]], dtype=float)
         np.testing.assert_array_equal(out, expected)
 
     def test_upsample_add_lateral(self):
         rng = np.random.default_rng(12)
-        top = rng.standard_normal((2, 3, 3))
-        lateral = rng.standard_normal((2, 6, 6))
+        top = rng.standard_normal((1, 2, 3, 3))
+        lateral = rng.standard_normal((1, 2, 6, 6))
         out = add([upsample_nearest_2x(top), Tensor(lateral)])
-        assert out.shape == (2, 6, 6)
+        assert out.shape == (1, 2, 6, 6)
 
     def test_concat(self):
         rng = np.random.default_rng(13)
-        a = rng.standard_normal((2, 4, 4))
-        b = rng.standard_normal((3, 4, 4))
+        a = rng.standard_normal((1, 2, 4, 4))
+        b = rng.standard_normal((1, 3, 4, 4))
         out = concat([Tensor(a), Tensor(b)]).data
-        assert out.shape == (5, 4, 4)
-        np.testing.assert_array_equal(out[:2], a)
-        np.testing.assert_array_equal(out[2:], b)
-        # Any rank: (rows, K) tables stack the same way.
-        rows = concat([np.ones((2, 3)), np.zeros((1, 3))]).data
-        np.testing.assert_array_equal(rows, [[1, 1, 1], [1, 1, 1], [0, 0, 0]])
+        assert out.shape == (1, 5, 4, 4)
+        np.testing.assert_array_equal(out[:, :2], a)
+        np.testing.assert_array_equal(out[:, 2:], b)
+        # Any rank: (N, rows, K) tables stack the same way.
+        rows = concat([np.ones((1, 2, 3)), np.zeros((1, 1, 3))]).data
+        np.testing.assert_array_equal(rows, [[[1, 1, 1], [1, 1, 1], [0, 0, 0]]])
 
     def test_concat_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="mismatch"):
-            concat([Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 3, 3)))])
+            concat([Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 3, 3)))])
         with pytest.raises(ShapeError, match="mismatch"):
-            concat([np.zeros((2, 3)), np.zeros((2, 4))])
+            concat([np.zeros((1, 2, 3)), np.zeros((1, 2, 4))])
         with pytest.raises(ShapeError, match="mismatch"):
-            concat([np.zeros((2, 3)), np.zeros((2, 3, 1))])
+            concat([np.zeros((1, 2, 3)), np.zeros((1, 2, 3, 1))])
         with pytest.raises(ShapeError, match="at least one"):
             concat([])
 
     def test_concat_gradient(self):
         rng = np.random.default_rng(15)
-        a = rng.standard_normal((2, 3, 3))
-        b = rng.standard_normal((3, 3, 3))
-        c = rng.standard_normal((5, 3, 3))
+        a = rng.standard_normal((1, 2, 3, 3))
+        b = rng.standard_normal((1, 3, 3, 3))
+        c = rng.standard_normal((1, 5, 3, 3))
         assert finite_diff_check(lambda t: inner(concat([a, t]), c), b) < 1e-6
         assert finite_diff_check(lambda t: inner(concat([t, b]), c), a) < 1e-6
 
@@ -402,8 +409,8 @@ class TestBackwardOrder:
         monkeypatch.setattr(tensor_core, "_conv_grad_input", fail)
         w = Tensor(np.ones((2, 1, 3, 3)), requires_grad=True)
         b = Tensor(np.zeros(2), requires_grad=True)
-        x = np.arange(16.0).reshape(1, 4, 4)
-        conv2d(x, w, b, ConvSpec(1, 2, 3, padding=1)).backward(np.ones((2, 4, 4)))
+        x = np.arange(16.0).reshape(1, 1, 4, 4)
+        conv2d(x, w, b, ConvSpec(1, 2, 3, padding=1)).backward(np.ones((1, 2, 4, 4)))
         np.testing.assert_array_equal(b.grad, [16.0, 16.0])
         assert w.grad.shape == (2, 1, 3, 3) and w.grad[0, 0, 1, 1] == x.sum()
 
@@ -412,8 +419,8 @@ class TestFiniteDiff:
     def test_linear_op_exact(self):
         rng = np.random.default_rng(15)
         w = rng.standard_normal((2, 2, 1, 1))
-        c = rng.standard_normal((2, 3, 3))
-        x = rng.standard_normal((2, 3, 3))
+        c = rng.standard_normal((1, 2, 3, 3))
+        x = rng.standard_normal((1, 2, 3, 3))
         err = finite_diff_check(
             lambda t: inner(conv2d(t, w, np.zeros(2), ConvSpec(2, 2, 1)), c), x)
         assert err < 1e-9
@@ -421,9 +428,9 @@ class TestFiniteDiff:
     def test_dilated_conv(self):
         rng = np.random.default_rng(16)
         spec = ConvSpec(1, 2, 3, dilation=3)
-        x = rng.standard_normal((1, 8, 8))
+        x = rng.standard_normal((1, 1, 8, 8))
         w = rng.standard_normal((2, 1, 3, 3))
-        c = rng.standard_normal((2, 2, 2))
+        c = rng.standard_normal((1, 2, 2, 2))
         assert finite_diff_check(
             lambda t: inner(conv2d(t, w, np.zeros(2), spec), c), x) < 1e-5
 
@@ -431,7 +438,7 @@ class TestFiniteDiff:
 class TestTensorInvariants:
     def test_all_finite_after_ops(self):
         rng = np.random.default_rng(17)
-        x = rng.standard_normal((3, 6, 6))
+        x = rng.standard_normal((1, 3, 6, 6))
         w = rng.standard_normal((4, 3, 3, 3))
         out = relu(conv2d(x, w, rng.standard_normal(4), ConvSpec(3, 4, 3, padding=1)))
         assert np.isfinite(out.data).all()
@@ -439,7 +446,7 @@ class TestTensorInvariants:
 
     def test_accumulation_order_deterministic(self):
         rng = np.random.default_rng(18)
-        x = Tensor(rng.standard_normal((2, 4, 4)), requires_grad=True)
+        x = Tensor(rng.standard_normal((1, 2, 4, 4)), requires_grad=True)
         out = add([relu(x), relu(x), x])
         out.backward(np.ones_like(out.data))
         g1 = x.grad.copy()
@@ -447,3 +454,64 @@ class TestTensorInvariants:
         out2 = add([relu(x), relu(x), x])
         out2.backward(np.ones_like(out2.data))
         assert np.array_equal(g1, x.grad)
+
+
+class TestTakeRow:
+    def test_row_and_gradient(self):
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal((3, 2, 4))
+        np.testing.assert_array_equal(take_row(x, 1).data, x[1])
+        c = rng.standard_normal((2, 4))
+        assert finite_diff_check(lambda t: inner(take_row(t, 2), c), x) < 1e-9
+        t = Tensor(x, requires_grad=True)
+        take_row(t, 2).backward(c)
+        np.testing.assert_array_equal(t.grad[2], c)
+        assert not t.grad[:2].any()
+
+
+class TestNoGrad:
+    def test_ops_keep_no_edges(self):
+        w = Tensor(np.ones((2, 1, 3, 3)), requires_grad=True)
+        b = Tensor(np.zeros(2), requires_grad=True)
+        x = np.ones((2, 1, 4, 4))
+        with no_grad():
+            out = relu(conv2d(x, w, b, ConvSpec(1, 2, 3, padding=1)))
+        assert out._edges == ()
+        taped = relu(conv2d(x, w, b, ConvSpec(1, 2, 3, padding=1)))
+        np.testing.assert_array_equal(out.data, taped.data)
+        assert taped._edges != ()
+
+    def test_mode_restored_after_an_error(self):
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError
+        x = Tensor(np.ones(2), requires_grad=True)
+        assert relu(x)._edges != ()
+
+
+def tape_nodes(root):
+    """Every node reachable from root, leaves included."""
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for p, _ in stack.pop()._edges:
+            if id(p) not in seen:
+                seen[id(p)] = p
+                stack.append(p)
+    return list(seen.values())
+
+
+class TestBackwardFreesTheTape:
+    def test_interior_nodes_released_and_leaf_gradients_kept(self):
+        rng = np.random.default_rng(20)
+        x = Tensor(rng.standard_normal((2, 2, 5, 5)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal(3), requires_grad=True)
+        h = relu(conv2d(x, w, b, ConvSpec(2, 3, 3, padding=1)))
+        out = add([h, relu(h)])
+        nodes = tape_nodes(out)
+        interior = [n for n in nodes if n._edges]
+        assert len(interior) == 4 and len(nodes) == 7
+        out.backward(np.ones(out.shape))
+        for node in interior:
+            assert node.grad is None and node._edges == ()
+        assert all(t.grad is not None for t in (x, w, b))

@@ -1,8 +1,13 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mrfdet
 from mrfdet import trainer
 from mrfdet.cli import main
 from mrfdet.dataset import DatasetSpec, synth_dataset
@@ -301,3 +306,28 @@ class TestCheckpoint:
             save_checkpoint(path, tiny_result.detector, TINY_CFG, step=5)
         assert path.read_bytes() == before
         assert int(load_checkpoint(path)[1]["meta"][6]) == 0
+
+
+@pytest.fixture(scope="module")
+def sixteen_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("sixteen")
+    synth_dataset(DatasetSpec(num_images=16, seed=7), d)
+    return d
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cli_training_byte_identical_across_processes(sixteen_dir, tmp_path, threads):
+    """Two `mrfdet train` processes, 1 epoch of the default network on 16
+    images (two 8-image steps of two 4-image tapes), write the same bytes."""
+    config = tmp_path / "train.txt"
+    config.write_text("epochs = 1\nwarmup_epochs = 0\nlr_drop_epochs =\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=str(Path(mrfdet.__file__).resolve().parents[1]))
+    ckpts = []
+    for run in ("a", "b"):
+        out = tmp_path / f"{run}.ckpt"
+        subprocess.run([sys.executable, "-m", "mrfdet.cli", "train", "--config",
+                        str(config), "--data", str(sixteen_dir), "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        ckpts.append(out.read_bytes())
+    assert ckpts[0] == ckpts[1]
