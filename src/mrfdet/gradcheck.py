@@ -129,24 +129,18 @@ def loss_checks(rng):
     seg = rng.standard_normal((2, 4, 4))
     cfg = LossConfig(alpha=0.7, beta=1.3, neg_pos_ratio=4.0)
 
-    def total_wrt_conf(t):
-        head = SimpleNamespace(conf=t, loc=Tensor(loc), seg_logits=Tensor(seg),
-                               anchors=anchors)
-        return total_loss(head, assignment, (gt_boxes, gt_labels), mask, cfg)[1]
+    point = {"conf": conf, "loc": loc, "seg_logits": seg}
 
-    def total_wrt_loc(t):
-        head = SimpleNamespace(conf=Tensor(conf), loc=t, seg_logits=Tensor(seg),
-                               anchors=anchors)
-        return total_loss(head, assignment, (gt_boxes, gt_labels), mask, cfg)[1]
+    def total_wrt(field):
+        def total(t):
+            head = SimpleNamespace(anchors=anchors, **{k: t if k == field else Tensor(v)
+                                                       for k, v in point.items()})
+            return total_loss(head, assignment, (gt_boxes, gt_labels), mask, cfg)[1]
+        return total
 
-    def total_wrt_seg(t):
-        head = SimpleNamespace(conf=Tensor(conf), loc=Tensor(loc), seg_logits=t,
-                               anchors=anchors)
-        return total_loss(head, assignment, (gt_boxes, gt_labels), mask, cfg)[1]
-
-    checks.append(("total_loss (conf path)", finite_diff_check(total_wrt_conf, conf)))
-    checks.append(("total_loss (loc path)", finite_diff_check(total_wrt_loc, loc)))
-    checks.append(("total_loss (seg path)", finite_diff_check(total_wrt_seg, seg)))
+    for path, field in (("conf", "conf"), ("loc", "loc"), ("seg", "seg_logits")):
+        checks.append((f"total_loss ({path} path)",
+                       finite_diff_check(total_wrt(field), point[field])))
     return checks
 
 

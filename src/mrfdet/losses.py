@@ -44,10 +44,10 @@ class LossBreakdown:
                 f"l_seg={self.l_seg:.6f} total={self.total:.6f} n_pos={self.n_pos}")
 
 
-def smooth_l1(x: float) -> float:
-    """0.5 x^2 inside |x| < 1, |x| - 0.5 outside."""
-    ax = abs(x)
-    return 0.5 * x * x if ax < 1.0 else ax - 0.5
+def smooth_l1(x):
+    """Elementwise 0.5 x^2 inside |x| < 1, |x| - 0.5 outside."""
+    ax = np.abs(x)
+    return np.where(ax < 1.0, 0.5 * x * x, ax - 0.5)
 
 
 def smooth_l1_grad(x):
@@ -95,8 +95,7 @@ def loc_loss(loc_preds, assignment: MatchAssignment, gt_boxes,
     targets = encode_array(np.asarray(gt_boxes)[assignment.anchor_gt[pos]],
                            np.asarray(anchors)[pos])
     diff = preds.data[pos] - targets
-    ax = np.abs(diff)
-    loss = float(np.where(ax < 1.0, 0.5 * diff * diff, ax - 0.5).sum())
+    loss = float(smooth_l1(diff).sum())
 
     def grad_preds(g):
         grad = np.zeros_like(preds.data)

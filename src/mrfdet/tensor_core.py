@@ -108,9 +108,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def _accumulate(self, g):
         if self.grad is None:
             self.grad = np.array(g, dtype=self.data.dtype)

@@ -10,7 +10,7 @@ bit-identical checkpoints.
 from __future__ import annotations
 
 import os
-import struct
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,10 +22,6 @@ from .detector_net import (FORWARD_BATCH, SEG_MODES, BackboneSpec, DetectorParam
 from .losses import LossBreakdown, LossConfig, total_loss
 from .sws_masks import AWS_THRESHOLDS, AreaThresholds, rasterize_sws_mask
 from .tensor_core import ShapeError, add
-
-CHECKPOINT_MAGIC = b"MRFD"
-CHECKPOINT_VERSION = 1
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -177,114 +173,116 @@ def train(config: TrainConfig, data_dir, log_fn=None, ckpt_path=None) -> TrainRe
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format: magic "MRFD", version u32, then repeated records of
-# (name length u32, name bytes, rank u32, dims u32..., f32 little-endian).
-# Metadata, optimizer state and the RNG state ride along as extra records.
+# Checkpoint: one uncompressed numpy .npz whose zip container CRC-checks every
+# member. Members:
+#   meta         <i8 (7,)  seed, num_classes, image_size, mrf, extra_level,
+#                          seg-mode index, step
+#   meta.stages  <i8 (S,)  backbone stage widths
+#   rng.pcg64    u1 (32,)  PCG64 state then increment, 16 bytes little-endian each
+#   names        <U (P,)   parameter names in det.params order
+#   params       <f4 (n,)  every parameter, flattened, in that order
+#   momentum     <f4 (n,)  the SGD velocities, in that order (only with an optimizer)
 # ---------------------------------------------------------------------------
 
-def _write_record(f, name, arr):
-    nb = name.encode("utf-8")
-    a = np.ascontiguousarray(arr, dtype="<f4")
-    f.write(struct.pack("<I", len(nb)))
-    f.write(nb)
-    f.write(struct.pack("<I", a.ndim))
-    f.write(struct.pack(f"<{a.ndim}I", *a.shape))
-    f.write(a.tobytes())
+REQUIRED_MEMBERS = ("meta", "meta.stages", "rng.pcg64", "names", "params")
 
 
-def _read_exact(f, n, path):
-    data = f.read(n)
-    if len(data) != n:
-        raise ShapeError(f"checkpoint {path} is truncated")
-    return data
-
-
-def _read_records(f, path):
-    records = {}
-    while head := f.read(4):
-        # A partial length word at the end is a truncation too.
-        (nlen,) = struct.unpack("<I", head + _read_exact(f, 4 - len(head), path))
-        name = _read_exact(f, nlen, path).decode("utf-8")
-        (rank,) = struct.unpack("<I", _read_exact(f, 4, path))
-        dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, path)) if rank else ()
-        count = int(np.prod(dims)) if dims else 1
-        records[name] = np.frombuffer(_read_exact(f, 4 * count, path),
-                                      dtype="<f4").reshape(dims)
-    return records
+def _flat(arrays):
+    return np.concatenate([np.ravel(a) for a in arrays]).astype("<f4", copy=False)
 
 
 def save_checkpoint(path, det: DetectorParams, config: TrainConfig,
                     optimizer: SGD = None, step: int = 0, rng=None):
-    meta = np.array([det.seed, det.num_classes, config.image_size,
-                     int(det.toggles.mrf), int(det.toggles.extra_level),
-                     SEG_MODES.index(det.toggles.seg_mode),
-                     step], dtype="<f4")
+    """Write `det` (plus the optimizer state, step and shuffle RNG) to `path`."""
+    names = list(det.params)
+    meta = [det.seed, det.num_classes, det.backbone.image_size, int(det.toggles.mrf),
+            int(det.toggles.extra_level), SEG_MODES.index(det.toggles.seg_mode), step]
+    if rng is None:
+        rng = np.random.default_rng(config.seed + 1)
+    state = rng.bit_generator.state["state"]
+    raw = state["state"].to_bytes(16, "little") + state["inc"].to_bytes(16, "little")
+    members = {"meta": np.array(meta, dtype="<i8"),
+               "meta.stages": np.array(det.backbone.stage_channels, dtype="<i8"),
+               "rng.pcg64": np.frombuffer(raw, dtype="u1"),
+               "names": np.array(names),
+               "params": _flat(t.data for t in det.params.values())}
+    if optimizer is not None:
+        members["momentum"] = _flat(optimizer.velocity[name] for name in names)
     # Write a sibling file and rename it over the target, so a failed write
     # never leaves a cut checkpoint at `path`.
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        _write_record(f, "meta", meta)
-        _write_record(f, "meta.stages", np.array(config.stage_channels, dtype="<f4"))
-        # PCG64 state as raw bits so the round trip is exact.
-        if rng is None:
-            rng = np.random.default_rng(config.seed + 1)
-        state = rng.bit_generator.state["state"]
-        raw = state["state"].to_bytes(16, "little") + state["inc"].to_bytes(16, "little")
-        _write_record(f, "rng.pcg64", np.frombuffer(raw, dtype="<f4").copy())
-        for name, t in det.named_params():
-            _write_record(f, "param." + name, t.data)
-        if optimizer is not None:
-            for name, v in optimizer.velocity.items():
-                _write_record(f, "momentum." + name, v)
+        np.savez(f, **members)
     os.replace(tmp, path)
 
 
 def load_checkpoint(path):
-    """Rebuild the detector and return (DetectorParams, records dict)."""
+    """Rebuild the detector and return (DetectorParams, members dict)."""
     with open(path, "rb") as f:
-        if f.read(4) != CHECKPOINT_MAGIC:
-            raise ShapeError(f"{path} is not a detector checkpoint")
-        (version,) = struct.unpack("<I", _read_exact(f, 4, path))
-        if version != CHECKPOINT_VERSION:
-            raise ShapeError(f"unsupported checkpoint version {version}")
-        records = _read_records(f, path)
-    for key in ("meta", "meta.stages"):
-        if key not in records:
-            raise ShapeError(f"checkpoint {path} has no {key} record")
-    meta = records["meta"]
-    if (meta.shape != (7,) or not np.isfinite(meta).all() or (meta != np.round(meta)).any()
-            or not 0 <= meta[5] < len(SEG_MODES)):
-        raise ShapeError(f"checkpoint {path} has a malformed meta record {meta.tolist()}: "
-                         f"expected 7 integers with a seg-mode index below {len(SEG_MODES)}")
+        head = f.read(4)
+    if head == b"MRFD":
+        raise ShapeError(f"checkpoint {path} is in the retired version-1 format; "
+                         "train again to write an .npz checkpoint")
+    if not b"PK\x03\x04".startswith(head):
+        raise ShapeError(f"{path} is not a detector checkpoint")
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            # Members are written uncompressed and without comments: another
+            # method is a corrupt header (refusing it keeps the decompressors
+            # out of reach), and a comment would swallow the entries after it.
+            if any(info.compress_type != zipfile.ZIP_STORED or info.comment
+                   for info in z.zip.infolist()):
+                raise zipfile.BadZipFile("corrupt member entry")
+            # np.load checks a member's CRC-32 only when it reads to the
+            # member's end, which a corrupt .npy header can prevent.
+            if (bad := z.zip.testzip()) is not None:
+                raise zipfile.BadZipFile(f"bad CRC-32 for {bad}")
+            members = {key: z[key] for key in z.files}
+            if not all(isinstance(a, np.ndarray) for a in members.values()):
+                raise zipfile.BadZipFile("a member is not an .npy array")
+    # What a cut or a flipped byte raises inside zipfile and numpy's .npy reader.
+    except (zipfile.BadZipFile, EOFError, ValueError, OSError, RuntimeError) as exc:
+        raise ShapeError(f"checkpoint {path} is truncated or corrupt ({exc!r})") from None
+    for key in REQUIRED_MEMBERS:
+        if key not in members:
+            raise ShapeError(f"checkpoint {path} is truncated: it has no {key} member")
+    meta = members["meta"]
+    if meta.dtype != "<i8" or meta.shape != (7,) or not 0 <= meta[5] < len(SEG_MODES):
+        raise ShapeError(f"checkpoint {path} has a malformed meta member {meta.dtype.str} "
+                         f"{meta.tolist()}: expected 7 int64 values with a seg-mode index "
+                         f"below {len(SEG_MODES)}")
     for field, value, low in (("seed", meta[0], 0), ("num_classes", meta[1], 1),
                               ("image_size", meta[2], 1)):
         if value < low:
-            raise ShapeError(f"checkpoint {path} has {field} {int(value)} in its meta "
-                             f"record; expected at least {low}")
-    stages = records["meta.stages"]
-    if (stages.ndim != 1 or not np.isfinite(stages).all()
-            or (stages != np.round(stages)).any() or (stages < 1).any()):
-        raise ShapeError(f"checkpoint {path} has a malformed meta.stages record "
-                         f"{stages.tolist()}: expected positive integer stage widths")
+            raise ShapeError(f"checkpoint {path} has {field} {value} in its meta "
+                             f"member; expected at least {low}")
+    stages = members["meta.stages"]
+    if stages.dtype != "<i8" or stages.ndim != 1 or (stages < 1).any():
+        raise ShapeError(f"checkpoint {path} has a malformed meta.stages member "
+                         f"{stages.dtype.str} {stages.tolist()}: expected positive int64 "
+                         "stage widths")
     try:
-        toggles = Toggles(mrf=bool(int(meta[3])), extra_level=bool(int(meta[4])),
-                          seg_mode=SEG_MODES[int(meta[5])])
-        det = build_network(BackboneSpec(int(meta[2]), tuple(int(c) for c in stages)),
+        toggles = Toggles(mrf=bool(meta[3]), extra_level=bool(meta[4]),
+                          seg_mode=SEG_MODES[meta[5]])
+        det = build_network(BackboneSpec(int(meta[2]), tuple(stages.tolist())),
                             int(meta[1]), toggles, seed=int(meta[0]), dtype=np.float32)
     except ShapeError as exc:
         raise ShapeError(f"checkpoint {path} describes no valid network: {exc}") from None
-    expected = {"param." + name for name, _ in det.named_params()}
-    stored = {n for n in records if n.startswith("param.")}
-    if expected != stored:
-        raise ShapeError("checkpoint parameter names do not match the current "
-                         f"network layout (missing {sorted(expected - stored)[:3]}, "
-                         f"unexpected {sorted(stored - expected)[:3]})")
-    for name, t in det.named_params():
-        data = records["param." + name]
-        if data.shape != t.data.shape:
-            raise ShapeError(f"checkpoint tensor {name} has shape {data.shape}, "
-                             f"expected {t.data.shape}")
-        t.data = data.astype(np.float32)
-    return det, records
+    names, expected = members["names"], list(det.params)
+    if names.ndim != 1 or names.tolist() != expected:
+        stored = set(names.ravel().tolist())
+        raise ShapeError(f"checkpoint {path} parameter names do not match the network "
+                         f"layout (missing {sorted(set(expected) - stored)[:3]}, "
+                         f"unexpected {sorted(stored - set(expected), key=str)[:3]})")
+    size = sum(t.data.size for t in det.params.values())
+    for key, dtype, shape in (("rng.pcg64", "u1", (32,)), ("params", "<f4", (size,)),
+                              ("momentum", "<f4", (size,))):
+        if key in members and (members[key].dtype != dtype or members[key].shape != shape):
+            raise ShapeError(f"checkpoint {path} has a {key} member of "
+                             f"{members[key].dtype.str} {members[key].shape}; "
+                             f"expected {dtype} {shape}")
+    offset = 0
+    for t in det.params.values():
+        t.data = members["params"][offset:offset + t.data.size].reshape(t.data.shape)
+        offset += t.data.size
+    return det, members

@@ -1,10 +1,13 @@
+import contextlib
+import io
 import shutil
-import struct
+import zipfile
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrfdet.cli import (ABLATION_LADDER, _bool, _int_tuple,
                         dataset_spec_from, format_ablation_table, main,
@@ -12,7 +15,7 @@ from mrfdet.cli import (ABLATION_LADDER, _bool, _int_tuple,
 from mrfdet.dataset import load_annotations, write_ppm
 from mrfdet.detector_net import BackboneSpec, build_network
 from mrfdet.sws_masks import mask_to_pgm_bytes, rasterize_sws_mask
-from mrfdet.trainer import TrainConfig, save_checkpoint
+from mrfdet.trainer import SGD, TrainConfig, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -309,51 +312,156 @@ class TestDiagnostics:
         assert err == f"error: {image}: image is 24x32 pixels; masks need a square image"
         assert not (tmp_path / "masks").exists()
 
+    @staticmethod
+    def rewrite(ckpt, **edits):
+        """Replace members of `ckpt` with `edits` (None drops one) through np.savez."""
+        with np.load(ckpt) as z:
+            members = {key: z[key] for key in z.files}
+        members.update(edits)
+        with open(ckpt, "wb") as f:
+            np.savez(f, **{k: v for k, v in members.items() if v is not None})
+
     @pytest.mark.parametrize("meta", [
-        [0, 3, 32], [0, 3, 32, 1, 1, 7, 0], [0, 3, float("nan"), 1, 1, 2, 0]],
+        np.array([0, 3, 32], dtype="<i8"), np.array([0, 3, 32, 1, 1, 7, 0], dtype="<i8"),
+        np.array([0, 3, np.nan, 1, 1, 2, 0], dtype="<f8")],
         ids=["short", "seg-mode-7", "nan-size"])
     def test_malformed_meta_named(self, data_dir, small_ckpt, capsys, meta):
-        # The meta record comes first after the 8-byte header: name length,
-        # b"meta", rank 1, its length 7, then 7 float32 values.
-        raw = small_ckpt.read_bytes()
-        record = (struct.pack("<I", 4) + b"meta" + struct.pack("<II", 1, len(meta))
-                  + np.array(meta, dtype="<f4").tobytes())
-        small_ckpt.write_bytes(raw[:8] + record + raw[8 + 16 + 4 * 7:])
+        self.rewrite(small_ckpt, meta=meta)
         err = self.run_error(["eval", "--ckpt", str(small_ckpt), "--data",
                               str(data_dir / "data")], capsys)
-        assert err.startswith(f"error: checkpoint {small_ckpt} has a malformed meta record")
+        assert err.startswith(f"error: checkpoint {small_ckpt} has a malformed meta member "
+                              f"{meta.dtype.str} {meta.tolist()}")
 
     @pytest.mark.parametrize("meta,field", [
         ([-1, 3, 32, 1, 1, 2, 0], "seed -1"), ([0, 0, 32, 1, 1, 2, 0], "num_classes 0"),
         ([0, 3, 0, 1, 1, 2, 0], "image_size 0")], ids=["seed", "num-classes", "image-size"])
     def test_meta_field_out_of_range_named(self, data_dir, small_ckpt, capsys, meta, field):
-        raw = small_ckpt.read_bytes()
-        record = (struct.pack("<I", 4) + b"meta" + struct.pack("<II", 1, len(meta))
-                  + np.array(meta, dtype="<f4").tobytes())
-        small_ckpt.write_bytes(raw[:8] + record + raw[8 + 16 + 4 * 7:])
+        self.rewrite(small_ckpt, meta=np.array(meta, dtype="<i8"))
         err = self.run_error(["eval", "--ckpt", str(small_ckpt), "--data",
                               str(data_dir / "data")], capsys)
-        assert err.startswith(f"error: checkpoint {small_ckpt} has {field} in its meta record")
+        assert err.startswith(f"error: checkpoint {small_ckpt} has {field} in its meta member")
 
     @pytest.mark.parametrize("stages,message", [
-        ((8, 0, 8, 8), "has a malformed meta.stages record [8.0, 0.0, 8.0, 8.0]"),
-        ((8, float("nan"), 8, 8), "has a malformed meta.stages record [8.0, nan, 8.0, 8.0]"),
-        ((8, 8), "describes no valid network: backbone needs at least 3 stages")],
+        (np.array([8, 0, 8, 8], dtype="<i8"),
+         "has a malformed meta.stages member <i8 [8, 0, 8, 8]"),
+        (np.array([8, np.nan, 8, 8], dtype="<f8"),
+         "has a malformed meta.stages member <f8 [8.0, nan, 8.0, 8.0]"),
+        (np.array([8, 8], dtype="<i8"),
+         "describes no valid network: backbone needs at least 3 stages")],
         ids=["zero-width", "nan-width", "two-stages"])
-    def test_bad_stages_named(self, data_dir, tmp_path, capsys, stages, message):
-        det = build_network(BackboneSpec(32, (8, 8, 8, 8)), 3, TrainConfig().toggles, seed=0)
-        ckpt = tmp_path / "stages.ckpt"
-        save_checkpoint(str(ckpt), det, SimpleNamespace(seed=0, image_size=32,
-                                                        stage_channels=stages))
-        err = self.run_error(["eval", "--ckpt", str(ckpt), "--data",
+    def test_bad_stages_named(self, data_dir, small_ckpt, capsys, stages, message):
+        self.rewrite(small_ckpt, **{"meta.stages": stages})
+        err = self.run_error(["eval", "--ckpt", str(small_ckpt), "--data",
                               str(data_dir / "data")], capsys)
-        assert err.startswith(f"error: checkpoint {ckpt} {message}")
+        assert err.startswith(f"error: checkpoint {small_ckpt} {message}")
+
+    @pytest.mark.parametrize("damage", [
+        "not-a-checkpoint", "version-1", "empty", "cut", "flipped-byte", "encrypted-flag",
+        "moved-central-directory", "no-params", "malformed-meta", "bad-stages",
+        "no-network", "renamed-parameter", "short-params", "float64-momentum",
+        "short-rng", "compressed", "raw-member"])
+    def test_every_load_error_names_the_path(self, data_dir, small_ckpt, capsys, damage):
+        raw = small_ckpt.read_bytes()
+        with np.load(small_ckpt) as z:
+            names, params = z["names"], z["params"]
+        edits = {"no-params": {"params": None},
+                 "malformed-meta": {"meta": np.zeros(3, dtype="<i8")},
+                 "bad-stages": {"meta.stages": np.zeros(4, dtype="<i8")},
+                 "no-network": {"meta.stages": np.array([8, 8], dtype="<i8")},
+                 "renamed-parameter": {"names": np.array(["x"] + names[1:].tolist())},
+                 "short-params": {"params": params[:-1]},
+                 "float64-momentum": {"momentum": params.astype("<f8")},
+                 "short-rng": {"rng.pcg64": np.zeros(31, dtype="u1")}}
+        # The zip end record's last 6 bytes: central directory offset, comment length.
+        central = int.from_bytes(raw[-6:-2], "little")
+        flips = {"flipped-byte": (len(raw) // 2, 0x40),
+                 "encrypted-flag": (central + 8, 0x01),  # first entry's flag bits
+                 "moved-central-directory": (len(raw) - 3, 0x40)}
+        if damage in edits:
+            self.rewrite(small_ckpt, **edits[damage])
+        elif damage == "compressed":
+            with np.load(small_ckpt) as z:
+                members = {key: z[key] for key in z.files}
+            with open(small_ckpt, "wb") as f:
+                np.savez_compressed(f, **members)
+        elif damage == "raw-member":  # a stored member that is no .npy file
+            self.rewrite(small_ckpt, meta=None)
+            with zipfile.ZipFile(small_ckpt, "a") as zf:
+                zf.writestr("meta.npy", b"not an array")
+        elif damage in flips:
+            pos, xor = flips[damage]
+            flipped = bytearray(raw)
+            flipped[pos] ^= xor
+            small_ckpt.write_bytes(bytes(flipped))
+        else:
+            small_ckpt.write_bytes({"not-a-checkpoint": b"GIF89a" + raw,
+                                    "version-1": b"MRFD" + raw,
+                                    "empty": b"",
+                                    "cut": raw[:len(raw) // 2]}[damage])
+        err = self.run_error(["eval", "--ckpt", str(small_ckpt), "--data",
+                              str(data_dir / "data")], capsys)
+        assert str(small_ckpt) in err
 
     def test_bad_branch_item_named(self, tmp_path, capsys):
         spec = tmp_path / "mrf.txt"
         spec.write_text("branches = 3:1, 3\n")
         err = self.run_error(["rf-report", "--spec", str(spec)], capsys)
         assert "'3'" in err and "kernel:dilation" in err
+
+
+@pytest.fixture(scope="module")
+def damage_case(data_dir, tmp_path_factory):
+    """A small checkpoint with momentum, its eval report, the byte offsets of
+    its zip structure (local headers, .npy headers, central directory) and a
+    path for damaged copies."""
+    ckpt = tmp_path_factory.mktemp("damage") / "small.ckpt"
+    config = TrainConfig(image_size=32, stage_channels=(8, 8, 8, 8))
+    det = build_network(BackboneSpec(32, config.stage_channels), 3, config.toggles, seed=0)
+    save_checkpoint(ckpt, det, config, SGD(det.named_params(), 0.9, 0.0), step=3)
+    raw = ckpt.read_bytes()
+    with zipfile.ZipFile(ckpt) as z:
+        # Each member's local header (30 bytes, its name, a 20-byte zip64
+        # extra field) plus the first 128 bytes of its .npy file.
+        structure = [p for info in z.infolist()
+                     for p in range(info.header_offset, info.header_offset + 30
+                                    + len(info.filename) + 20 + 128)]
+        structure += range(z.start_dir, len(raw))
+    code, out, err = run_cli(["eval", "--ckpt", str(ckpt), "--data", str(data_dir / "data")])
+    assert code == 0 and err == ""
+    return raw, out, sorted(p for p in set(structure) if p < len(raw)), ckpt.with_name("d.ckpt")
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_damaged_checkpoint_gives_one_error_line_or_the_intact_report(
+        data_dir, damage_case, data):
+    """A byte cut or a single-byte flip anywhere (half the draws aimed at the
+    zip and .npy headers) either fails with exactly one `error:` line or, where
+    zip leaves a field unchecked (a timestamp, say), evaluates exactly like the
+    intact file. Never a traceback."""
+    raw, intact, structure, ckpt = damage_case
+    pos = data.draw(st.one_of(st.integers(0, len(raw) - 1), st.sampled_from(structure)))
+    if data.draw(st.booleans(), label="cut"):
+        damaged = raw[:pos]
+    else:
+        flipped = bytearray(raw)
+        flipped[pos] ^= data.draw(st.integers(1, 255), label="xor")
+        damaged = bytes(flipped)
+    ckpt.write_bytes(damaged)
+    code, out, err = run_cli(["eval", "--ckpt", str(ckpt), "--data", str(data_dir / "data")])
+    if code == 0:
+        assert out == intact and err == ""
+    else:
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert str(ckpt) in err
 
 
 class TestAblation:

@@ -313,7 +313,7 @@ class TestBatch:
             image_loss(forward(det, image)[1], c).backward()
         want = {name: t.grad for name, t in det.named_params()}
         for _, t in det.named_params():
-            t.zero_grad()
+            t.grad = None
         _, batch = forward(det, images)
         root = add([image_loss(batch.image(i), c) for i, c in enumerate(coeffs)])
         interior, stack = {}, [root]

@@ -1,17 +1,16 @@
 import os
-import struct
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mrfdet
-from mrfdet import trainer
 from mrfdet.cli import main
 from mrfdet.dataset import DatasetSpec, synth_dataset
-from mrfdet.detector_net import Toggles
+from mrfdet.detector_net import BackboneSpec, Toggles, build_network
 from mrfdet.tensor_core import ShapeError, Tensor
 from mrfdet.trainer import (SGD, TrainConfig, load_checkpoint, lr_at,
                             prepare_sample, save_checkpoint, train)
@@ -160,7 +159,6 @@ class TestTraining:
 class TestPrepareSample:
     def test_masks_follow_toggle(self, tiny_dir):
         from mrfdet.dataset import load_dataset
-        from mrfdet.detector_net import BackboneSpec, build_network
         _, img, boxes = load_dataset(tiny_dir)[0]
         cfg_off = TrainConfig(epochs=3, warmup_epochs=1, lr_drop_epochs=(2,),
                               image_size=32, stage_channels=(8, 8, 8, 8),
@@ -176,17 +174,40 @@ class TestPrepareSample:
         assert mask2 is not None and mask2.shape == (32, 32)
 
 
-def record_spans(raw):
-    """(header start, data start, end) of every record after magic and version."""
-    spans, pos = [], 8
-    while pos < len(raw):
-        (nlen,) = struct.unpack_from("<I", raw, pos)
-        (rank,) = struct.unpack_from("<I", raw, pos + 4 + nlen)
-        dims = struct.unpack_from(f"<{rank}I", raw, pos + 8 + nlen)
-        data = pos + 8 + nlen + 4 * rank
-        spans.append((pos, data, data + 4 * int(np.prod(dims))))
-        pos = spans[-1][2]
-    return spans
+def member_spans(path):
+    """(local header start, data start, data end) of every zip member, in file
+    order, and the offset of the central directory."""
+    raw = Path(path).read_bytes()
+    with zipfile.ZipFile(path) as z:
+        spans = []
+        for info in z.infolist():
+            start = info.header_offset
+            name_len = int.from_bytes(raw[start + 26:start + 28], "little")
+            extra_len = int.from_bytes(raw[start + 28:start + 30], "little")
+            data = start + 30 + name_len + extra_len
+            spans.append((info.filename, start, data, data + info.compress_size))
+        return spans, z.start_dir
+
+
+def rewrite(path, out, **edits):
+    """Load the members of checkpoint `path`, apply `edits` (None drops a
+    member) and write them to `out` with np.savez."""
+    with np.load(path) as z:
+        members = {key: z[key] for key in z.files}
+    members.update(edits)
+    with open(out, "wb") as f:
+        np.savez(f, **{k: v for k, v in members.items() if v is not None})
+    return out
+
+
+def eval_error(ckpt, data, capsys):
+    """Run `mrfdet eval` on `ckpt`; assert exit 1 with exactly one error line."""
+    capsys.readouterr()
+    rc = main(["eval", "--ckpt", str(ckpt), "--data", str(data)])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == "" and len(err.splitlines()) == 1, (rc, err)
+    assert err.startswith("error: ") and "Traceback" not in err
+    return err.strip()
 
 
 class TestCheckpoint:
@@ -199,17 +220,32 @@ class TestCheckpoint:
             assert np.array_equal(t.data, loaded.data), name
             assert loaded.data.dtype == np.float32
 
+    def test_members_are_typed(self, tiny_result, tmp_path):
+        path = tmp_path / "model.ckpt"
+        det = tiny_result.detector
+        save_checkpoint(path, det, TINY_CFG, SGD(det.named_params(), 0.9, 0.0))
+        with np.load(path, allow_pickle=False) as z:
+            kinds = {key: (z[key].dtype.str, z[key].shape) for key in z.files}
+        size = sum(t.data.size for t in det.params.values())
+        names = list(det.params)
+        assert kinds == {"meta": ("<i8", (7,)), "meta.stages": ("<i8", (4,)),
+                         "rng.pcg64": ("|u1", (32,)),
+                         "names": (f"<U{max(map(len, names))}", (len(names),)),
+                         "params": ("<f4", (size,)), "momentum": ("<f4", (size,))}
+        with zipfile.ZipFile(path) as z:
+            assert all(i.compress_type == zipfile.ZIP_STORED for i in z.infolist())
+
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ShapeError, match="checkpoint"):
+        with pytest.raises(ShapeError, match="not a detector checkpoint"):
             load_checkpoint(path)
 
     def test_version_checked(self, tmp_path):
-        import struct
-        path = tmp_path / "v9.ckpt"
-        path.write_bytes(b"MRFD" + struct.pack("<I", 9))
-        with pytest.raises(ShapeError, match="version"):
+        # A version-1 file (magic "MRFD", u32 version, float32 records).
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(b"MRFD" + (1).to_bytes(4, "little") + b"\x00" * 16)
+        with pytest.raises(ShapeError, match="version-1"):
             load_checkpoint(path)
 
     def test_config_restored_via_meta(self, tiny_result, tmp_path):
@@ -220,6 +256,24 @@ class TestCheckpoint:
         assert det.backbone.stage_channels == (8, 8, 8, 8)
         assert det.toggles == tiny_result.detector.toggles
         assert int(records["meta"][6]) == 12
+
+    def test_meta_comes_from_the_detector(self, tiny_result, tmp_path):
+        # A config that disagrees with the network does not change what is saved.
+        path = tmp_path / "model.ckpt"
+        other = TrainConfig(image_size=64, stage_channels=(16, 32, 64, 64, 64))
+        save_checkpoint(path, tiny_result.detector, other)
+        det, _ = load_checkpoint(path)
+        assert det.backbone == tiny_result.detector.backbone
+
+    def test_integers_past_float32_round_trip(self, tmp_path):
+        big = 2 ** 24 + 1
+        det = build_network(BackboneSpec(32, (8, 8, 8, 8)), 3, TINY_CFG.toggles,
+                            seed=big, dtype=np.float32)
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(path, det, TINY_CFG, step=big)
+        loaded, records = load_checkpoint(path)
+        assert loaded.seed == big and records["meta"][0] == big
+        assert records["meta"][6] == big
 
     def test_rng_state_preserved(self, tiny_result, tmp_path):
         rng = np.random.default_rng(99)
@@ -233,10 +287,11 @@ class TestCheckpoint:
 
     def test_optimizer_velocity_stored(self, tiny_dir, tmp_path):
         path = tmp_path / "train.ckpt"
-        result = train(TINY_CFG, tiny_dir, ckpt_path=path)
+        train(TINY_CFG, tiny_dir, ckpt_path=path)
         _, records = load_checkpoint(path)
-        vel = [n for n in records if n.startswith("momentum.")]
-        assert len(vel) == len(result.detector.named_params())
+        # One velocity per parameter value, and training moved them.
+        assert records["momentum"].shape == records["params"].shape
+        assert np.any(records["momentum"])
 
     def test_training_writes_checkpoint_each_epoch(self, tiny_dir, tmp_path):
         path = tmp_path / "epoch.ckpt"
@@ -247,16 +302,28 @@ class TestCheckpoint:
         assert det.num_anchors > 0
 
     def test_layout_mismatch_rejected(self, tiny_result, tmp_path):
-        import struct
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, tiny_result.detector, TINY_CFG)
-        data = bytearray(path.read_bytes())
-        # Rename one stored parameter record so the names no longer line up.
-        name = b"param.backbone.s0.c0.w"
-        idx = data.find(name)
-        data[idx:idx + len(name)] = b"param.backbone.s0.c9.w"
-        path.write_bytes(bytes(data))
+        # Rename one stored parameter so the names no longer line up.
+        names = np.array([n.replace("backbone.s0.c0.w", "backbone.s0.c9.w")
+                          for n in tiny_result.detector.params])
+        rewrite(path, path, names=names)
         with pytest.raises(ShapeError, match="layout"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("params", np.zeros(5, dtype="<f4")), ("params", "float64"),
+        ("momentum", np.zeros(5, dtype="<f4")), ("rng.pcg64", np.zeros(31, dtype="u1")),
+        ("rng.pcg64", "int64")])
+    def test_member_dtype_and_shape_checked(self, tiny_result, tmp_path, key, value):
+        path = tmp_path / "model.ckpt"
+        det = tiny_result.detector
+        save_checkpoint(path, det, TINY_CFG, SGD(det.named_params(), 0.9, 0.0))
+        if isinstance(value, str):
+            with np.load(path) as z:
+                value = z[key].astype(value)
+        rewrite(path, path, **{key: value})
+        with pytest.raises(ShapeError, match=f"has a {key} member of {value.dtype.str}"):
             load_checkpoint(path)
 
     def test_truncated_checkpoint_fails_with_one_line(self, tiny_result, tiny_dir,
@@ -265,28 +332,75 @@ class TestCheckpoint:
         det = tiny_result.detector
         save_checkpoint(path, det, TINY_CFG, SGD(det.named_params(), 0.9, 0.0))
         raw = path.read_bytes()
-        spans = record_spans(raw)
-        assert spans[-1][2] == len(raw)
-        assert any(name.startswith("momentum.") for name in load_checkpoint(path)[1])
-        # Inside the version word and the first record's header, then one
-        # offset inside every record's header and one inside its data.
-        cuts = [4, 10, 13] + [c for h, d, e in spans for c in ((h + d) // 2, (d + e) // 2)]
+        spans, central = member_spans(path)
+        assert [name for name, *_ in spans] == [
+            "meta.npy", "meta.stages.npy", "rng.pcg64.npy", "names.npy", "params.npy",
+            "momentum.npy"]
+        assert spans[-1][3] == central
+        assert "momentum" in load_checkpoint(path)[1]
+        # Inside the zip magic and the first local header, then one offset
+        # inside every member's local header and one inside its data, then
+        # every member boundary, then inside the central directory.
+        cuts = ([2, 4, 10, 13]
+                + [c for _, h, d, e in spans for c in ((h + d) // 2, (d + e) // 2, e)]
+                + [(central + len(raw)) // 2, len(raw) - 1])
         cut = tmp_path / "cut.ckpt"
         for n in cuts:
             cut.write_bytes(raw[:n])
-            rc = main(["eval", "--ckpt", str(cut), "--data", str(tiny_dir)])
-            err = capsys.readouterr().err.splitlines()
-            assert rc == 1 and len(err) == 1, (n, err)
-            assert err[0].startswith("error:") and "truncated" in err[0], (n, err)
+            err = eval_error(cut, tiny_dir, capsys)
+            assert "truncated" in err and str(cut) in err, (n, err)
+
+    def test_cut_dropping_only_momentum_fails(self, tiny_result, tiny_dir, tmp_path,
+                                              capsys):
+        path = tmp_path / "model.ckpt"
+        det = tiny_result.detector
+        save_checkpoint(path, det, TINY_CFG, SGD(det.named_params(), 0.9, 0.0))
+        spans, _ = member_spans(path)
+        momentum = [h for name, h, _, _ in spans if name == "momentum.npy"]
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(path.read_bytes()[:momentum[0]])
+        err = eval_error(cut, tiny_dir, capsys)
+        assert err.startswith(f"error: checkpoint {cut} is truncated")
+
+    # The middle of the params data, and the low byte of the params .npy
+    # header length, which np.load alone would not catch: the header still
+    # parses and the data is read from inside the header's padding.
+    @pytest.mark.parametrize("where,xor", [("data", 0x01), ("npy-header-length", 0x10)])
+    def test_flipped_params_byte_fails_crc(self, tiny_result, tiny_dir, tmp_path, capsys,
+                                           where, xor):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, tiny_result.detector, TINY_CFG)
+        spans, _ = member_spans(path)
+        (_, _, data, end), = [s for s in spans if s[0] == "params.npy"]
+        raw = bytearray(path.read_bytes())
+        raw[{"data": (data + end) // 2, "npy-header-length": data + 8}[where]] ^= xor
+        path.write_bytes(bytes(raw))
+        err = eval_error(path, tiny_dir, capsys)
+        assert err.startswith(f"error: checkpoint {path} is truncated or corrupt")
+        assert "CRC" in err
+
+    def test_comment_hiding_a_member_rejected(self, tiny_result, tmp_path):
+        # A comment length flipped into the params entry of the central
+        # directory would swallow the momentum entry after it.
+        path = tmp_path / "model.ckpt"
+        det = tiny_result.detector
+        save_checkpoint(path, det, TINY_CFG, SGD(det.named_params(), 0.9, 0.0))
+        raw = bytearray(path.read_bytes())
+        _, pos = member_spans(path)
+        while raw[pos + 46:pos + 56] != b"params.npy":
+            pos += 46 + sum(int.from_bytes(raw[pos + i:pos + i + 2], "little")
+                            for i in (28, 30, 32))
+        raw[pos + 32] ^= 0x40
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ShapeError, match="truncated or corrupt"):
+            load_checkpoint(path)
 
     def test_missing_meta_records_reported(self, tiny_result, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, tiny_result.detector, TINY_CFG)
-        raw = path.read_bytes()
-        cut = tmp_path / "cut.ckpt"
-        for n, key in ((8, "meta"), (record_spans(raw)[0][2], "meta.stages")):
-            cut.write_bytes(raw[:n])
-            with pytest.raises(ShapeError, match=f"no {key} record"):
+        for key in ("meta", "meta.stages", "rng.pcg64", "names", "params"):
+            cut = rewrite(path, tmp_path / "cut.ckpt", **{key: None})
+            with pytest.raises(ShapeError, match=f"truncated: it has no {key} member"):
                 load_checkpoint(cut)
 
     def test_failed_write_keeps_previous_checkpoint(self, tiny_result, tmp_path,
@@ -294,16 +408,17 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, tiny_result.detector, TINY_CFG)
         before = path.read_bytes()
-        write_record = trainer._write_record
+        write_array = np.lib.format.write_array
 
-        def failing(f, name, arr):
-            if name.startswith("param.head"):
+        def failing(fp, array, *args, **kwargs):
+            if array.dtype == np.float32:  # the params member
                 raise OSError("disk full")
-            write_record(f, name, arr)
+            write_array(fp, array, *args, **kwargs)
 
-        monkeypatch.setattr(trainer, "_write_record", failing)
+        monkeypatch.setattr(np.lib.format, "write_array", failing)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, tiny_result.detector, TINY_CFG, step=5)
+        monkeypatch.undo()
         assert path.read_bytes() == before
         assert int(load_checkpoint(path)[1]["meta"][6]) == 0
 
