@@ -2,8 +2,9 @@
 
 Boxes live in input-image pixel units. Geometry works on (N, 4) arrays in
 corner form (xmin, ymin, xmax, ymax) or center form (cx, cy, w, h); the two
-conversions are exact inverses. Box is the annotation record.
-All tie-breaking is by lowest index so results are deterministic.
+conversions are exact inverses. Ground truth is one (M, 5) array per image:
+the corners, then the class id. All tie-breaking is by lowest index so
+results are deterministic.
 """
 
 from __future__ import annotations
@@ -13,23 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor_core import ShapeError
-
-
-@dataclass
-class Box:
-    xmin: float
-    ymin: float
-    xmax: float
-    ymax: float
-    class_id: int = 0
-
-    def __post_init__(self):
-        if not (self.xmax > self.xmin and self.ymax > self.ymin):
-            raise ShapeError(f"degenerate box {(self.xmin, self.ymin, self.xmax, self.ymax)}")
-
-    @property
-    def area(self):
-        return (self.xmax - self.xmin) * (self.ymax - self.ymin)
 
 
 @dataclass
@@ -49,12 +33,6 @@ class MatchAssignment:
     @property
     def n_pos(self):
         return int((self.anchor_gt >= 0).sum())
-
-
-def boxes_to_corner_array(boxes) -> np.ndarray:
-    if len(boxes) == 0:
-        return np.zeros((0, 4))
-    return np.array([[b.xmin, b.ymin, b.xmax, b.ymax] for b in boxes], dtype=np.float64)
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

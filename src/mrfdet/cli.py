@@ -207,8 +207,8 @@ def cmd_mask_gen(args):
             raise ValueError(f"{os.path.join(args.data, rel)}: image is {image.shape[2]}x"
                              f"{image.shape[1]} pixels; masks need a square image")
     os.makedirs(args.out, exist_ok=True)
-    for rel, image, boxes in samples:
-        mask = rasterize_sws_mask(boxes, image.shape[1], thresholds)
+    for rel, image, gts in samples:
+        mask = rasterize_sws_mask(gts, image.shape[1], thresholds)
         name = os.path.splitext(os.path.basename(rel))[0] + ".pgm"
         with open(os.path.join(args.out, name), "wb") as f:
             f.write(mask_to_pgm_bytes(mask))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anchors import Box, boxes_to_corner_array, iou_matrix
+from .anchors import iou_matrix
 from .tensor_core import ShapeError
 
 CLASS_NAMES = {1: "rectangle", 2: "ellipse", 3: "triangle"}
@@ -43,6 +43,8 @@ class DatasetSpec:
             raise ShapeError("bad objects-per-image range")
         if self.large_side[1] >= self.image_size:
             raise ShapeError("objects must fit within image bounds")
+        if self.seed < 0:
+            raise ShapeError(f"seed must be >= 0, got {self.seed}")
 
 
 def _shape_support(class_id, x0, y0, x1, y1, size):
@@ -63,11 +65,11 @@ def _shape_support(class_id, x0, y0, x1, y1, size):
 
 
 def render_image(spec: DatasetSpec, rng):
-    """One (3, S, S) float image in [0, 1] plus its ground-truth boxes."""
+    """One (3, S, S) float image in [0, 1] plus its (M, 5) ground truth."""
     s = spec.image_size
     img = np.clip(0.45 + rng.normal(0.0, spec.noise, (3, s, s)), 0.0, 1.0)
     n_obj = int(rng.integers(spec.min_objects, spec.max_objects + 1))
-    boxes = []
+    gts = np.zeros((0, 5))
     for _ in range(n_obj):
         for _attempt in range(40):
             small = rng.random() < spec.small_ratio
@@ -79,7 +81,7 @@ def render_image(spec: DatasetSpec, rng):
             x0 = int(rng.integers(0, s - w + 1))
             y0 = int(rng.integers(0, s - h + 1))
             box = np.array([[x0, y0, x0 + w, y0 + h]], dtype=np.float64)
-            if (iou_matrix(box, boxes_to_corner_array(boxes)) < 0.25).all():
+            if (iou_matrix(box, gts[:, :4]) < 0.25).all():
                 break
         else:
             continue
@@ -88,8 +90,8 @@ def render_image(spec: DatasetSpec, rng):
         color = np.array(CLASS_COLORS[cls]) + rng.normal(0.0, 0.03, 3)
         region = img[:, y0:y0 + h, x0:x0 + w]
         region[:, support] = np.clip(color, 0, 1)[:, None]
-        boxes.append(Box(x0, y0, x0 + w, y0 + h, class_id=cls))
-    return img, boxes
+        gts = np.vstack([gts, [x0, y0, x0 + w, y0 + h, cls]])
+    return img, gts
 
 
 def write_ppm(path, img):
@@ -127,11 +129,11 @@ def synth_dataset(spec: DatasetSpec, out_dir):
     os.makedirs(img_dir, exist_ok=True)
     lines = []
     for i in range(spec.num_images):
-        img, boxes = render_image(spec, rng)
+        img, gts = render_image(spec, rng)
         rel = os.path.join("images", f"{i:04d}.ppm")
         write_ppm(os.path.join(out_dir, rel), img)
-        for b in boxes:
-            lines.append(f"{rel} {b.class_id} {b.xmin:g} {b.ymin:g} {b.xmax:g} {b.ymax:g}")
+        for x0, y0, x1, y1, cls in gts.tolist():
+            lines.append(f"{rel} {int(cls)} {x0:g} {y0:g} {x1:g} {y1:g}")
     with open(os.path.join(out_dir, "annotations.txt"), "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + ("\n" if lines else ""))
     with open(os.path.join(out_dir, "dataset.txt"), "w", encoding="utf-8") as f:
@@ -142,7 +144,7 @@ def synth_dataset(spec: DatasetSpec, out_dir):
 
 
 def load_annotations(data_dir):
-    """image path -> list of Box, in file order."""
+    """image path -> (M, 5) ground truth (corners, class id), rows in file order."""
     by_image = {}
     path = os.path.join(data_dir, "annotations.txt")
     with open(path, encoding="utf-8") as f:
@@ -159,28 +161,29 @@ def load_annotations(data_dir):
                     and coords[3] > coords[1]):
                 raise ShapeError(f"{path}:{lineno}: box {x0} {y0} {x1} {y1} needs finite "
                                  "coordinates with xmax > xmin and ymax > ymin")
-            by_image.setdefault(rel, []).append(Box(*coords, class_id=cls))
+            by_image.setdefault(rel, []).append([*coords, cls])
     # Include images that have no objects at all.
     img_dir = os.path.join(data_dir, "images")
     if os.path.isdir(img_dir):
         for name in sorted(os.listdir(img_dir)):
             by_image.setdefault(os.path.join("images", name), [])
-    return by_image
+    return {rel: np.array(rows, dtype=np.float64).reshape(-1, 5)
+            for rel, rows in by_image.items()}
 
 
 def load_dataset(data_dir, image_size=None, size_from=None):
-    """Ordered list of (image key, (3, S, S) image, [Box]).
+    """Ordered list of (image key, (3, S, S) image, (M, 5) ground truth).
 
     With image_size, an image of any other size is rejected; the message
     names size_from, the source of the expected size.
     """
     samples = []
-    for rel, boxes in sorted(load_annotations(data_dir).items()):
+    for rel, gts in sorted(load_annotations(data_dir).items()):
         path = os.path.join(data_dir, rel)
         image = read_ppm(path)
         if image_size is not None and image.shape[1:] != (image_size, image_size):
             raise ShapeError(f"{path}: image is {image.shape[2]}x{image.shape[1]} pixels; "
                              f"{size_from} needs {image_size}x{image_size}")
-        samples.append((rel, image, boxes))
+        samples.append((rel, image, gts))
     return samples
 

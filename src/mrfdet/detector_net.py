@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import generate_anchors
-from .mrf_block import (DEFAULT_BRANCHES, default_mrf_spec, init_conv,
-                        init_mrf_params, mrf_forward, msra_init, named_conv)
+from .mrf_block import (default_mrf_spec, init_conv, init_mrf_params, mrf_forward,
+                        msra_init, named_conv)
 from .tensor_core import (ConvSpec, ShapeError, Tensor, _node, add, as_tensor,
                           concat, conv2d, relu, take_row, transposed_conv2d,
                           upsample_nearest_2x)
@@ -34,6 +34,9 @@ SEG_MODES = ("off", "aws", "sws")
 # takes 134 / 94 / 87 ms at 1 / 4 / 8 images per forward. Past 4 images the
 # memory grows faster than the time falls.
 FORWARD_BATCH = 4
+
+# 3x3 convs per backbone stage; the first of each has stride 2.
+CONVS_PER_STAGE = 2
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,6 @@ class Toggles:
 class BackboneSpec:
     image_size: int = 64
     stage_channels: tuple = (16, 32, 64, 64, 64)
-    convs_per_stage: int = 2
 
     def __post_init__(self):
         if len(self.stage_channels) < 3:
@@ -135,8 +137,7 @@ def aspect_ratios_for(a: int):
 
 
 def build_network(backbone: BackboneSpec, num_classes: int, toggles: Toggles,
-                  branch_kds=DEFAULT_BRANCHES, seed: int = 0,
-                  dtype=np.float64) -> DetectorParams:
+                  seed: int = 0, dtype=np.float64) -> DetectorParams:
     """Construct and initialize all parameters; fully determined by the seed."""
     rng = np.random.default_rng(seed)
     params = {}
@@ -144,7 +145,7 @@ def build_network(backbone: BackboneSpec, num_classes: int, toggles: Toggles,
     # Backbone stages: first conv of each stage downsamples by 2.
     in_c = 3
     for s, out_c in enumerate(backbone.stage_channels):
-        for c in range(backbone.convs_per_stage):
+        for c in range(CONVS_PER_STAGE):
             init_conv(params, f"backbone.s{s}.c{c}", out_c, in_c, 3, rng, dtype)
             in_c = out_c
 
@@ -175,7 +176,7 @@ def build_network(backbone: BackboneSpec, num_classes: int, toggles: Toggles,
                          channels=level_channels[s], use_mrf=use_mrf,
                          anchors_per_loc=per_level_a[rank])
         if use_mrf:
-            mspec = default_mrf_spec(spec.channels, spec.channels, branch_kds)
+            mspec = default_mrf_spec(spec.channels, spec.channels)
             if spec.extent < mspec.max_effective_kernel:
                 raise ShapeError(
                     f"{name} extent {spec.extent} is smaller than the largest MRF "
@@ -283,7 +284,7 @@ def forward(det: DetectorParams, images, with_seg=None):
     p = det.params
     stages = []
     for s in range(len(det.backbone.stage_channels)):
-        for c in range(det.backbone.convs_per_stage):
+        for c in range(CONVS_PER_STAGE):
             x = relu(named_conv(p, f"backbone.s{s}.c{c}", x, stride=2 if c == 0 else 1))
         stages.append(x)
 
@@ -327,7 +328,7 @@ def describe(det: DetectorParams) -> str:
     """Human-readable architecture summary for the CLI."""
     lines = [f"input: 3 x {det.backbone.image_size} x {det.backbone.image_size}",
              f"backbone stages: {det.backbone.stage_channels} "
-             f"({det.backbone.convs_per_stage} convs each, stride 2 per stage)",
+             f"({CONVS_PER_STAGE} convs each, stride 2 per stage)",
              f"toggles: mrf={det.toggles.mrf} extra_level={det.toggles.extra_level} "
              f"seg_mode={det.toggles.seg_mode}",
              "level      stride  extent  channels  mrf  A  loc_ch  conf_ch"]

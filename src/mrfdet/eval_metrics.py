@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anchors import boxes_to_corner_array, iou_matrix
+from .anchors import iou_matrix
 from .tensor_core import ShapeError
 
 DEFAULT_AREA_RANGES = (("S", 0.0, 32.0 ** 2), ("M", 32.0 ** 2, 96.0 ** 2),
@@ -116,23 +116,26 @@ def average_precision(tp_fp_sequence, n_gt, interpolation="eleven_point"):
 def _match_inputs(dets_by_image, gts_by_image):
     """Per class, per image: (image, detection rows and scores in descending
     score order, their IoU rows against the class's gts, gt areas). One
-    iou_matrix per image serves every class and area band. Class ids are
-    taken from the detections and boxes (background id 0 never appears)."""
-    classes = sorted({g.class_id for gts in gts_by_image.values() for g in gts} |
-                     {int(c) for ds in dets_by_image.values() for c in set(ds[:, 5].tolist())})
+    iou_matrix per image serves every class and area band. Class ids come
+    from the last column of the detections and the ground truth."""
+    columns = ([g[:, 4] for g in gts_by_image.values()]
+               + [d[:, 5] for d in dets_by_image.values()])
+    classes = sorted({int(c) for column in columns for c in set(column.tolist())})
     inputs = {cls: [] for cls in classes}
     for img in sorted(set(dets_by_image) | set(gts_by_image)):
-        dets, gts = dets_by_image.get(img, np.zeros((0, 6))), gts_by_image.get(img, [])
+        dets = dets_by_image.get(img, np.zeros((0, 6)))
+        gts = gts_by_image.get(img, np.zeros((0, 5)))
         # Plain lists: per-element access on these few-gt rows is cheaper
         # than numpy calls.
-        rows = iou_matrix(dets[:, :4], boxes_to_corner_array(gts)).tolist()
+        rows = iou_matrix(dets[:, :4], gts[:, :4]).tolist()
+        areas = ((gts[:, 2] - gts[:, 0]) * (gts[:, 3] - gts[:, 1])).tolist()
         for cls in classes:
             di = np.flatnonzero(dets[:, 5] == cls)
             di = di[np.argsort(-dets[di, 4], kind="stable")].tolist()
-            gi = [j for j, g in enumerate(gts) if g.class_id == cls]
+            gi = np.flatnonzero(gts[:, 4] == cls).tolist()
             inputs[cls].append((img, di, dets[di, 4].tolist(),
                                 [[rows[i][j] for j in gi] for i in di],
-                                [gts[j].area for j in gi]))
+                                [areas[j] for j in gi]))
     return inputs
 
 
@@ -157,7 +160,8 @@ def evaluate_detections(dets_by_image, gts_by_image, config: EvalConfig,
     """Per-class AP, mAP and per-area-band AP over a whole dataset.
 
     dets_by_image maps an image key to a (K, 6) array of detections (xmin,
-    ymin, xmax, ymax, score, class id), gts_by_image to a list of Box.
+    ymin, xmax, ymax, score, class id), gts_by_image to an (M, 5) array of
+    ground truth (xmin, ymin, xmax, ymax, class id).
     inputs, if given, is their _match_inputs, shared between passes.
     """
     inputs = inputs or _match_inputs(dets_by_image, gts_by_image)
@@ -184,8 +188,7 @@ def evaluate_detections(dets_by_image, gts_by_image, config: EvalConfig,
                       per_area_ap=per_area, tp=int(tp), fp=int(fp), missed=int(missed))
 
 
-def coco_style_summary(dets_by_image, gts_by_image,
-                       area_ranges=DEFAULT_AREA_RANGES) -> str:
+def coco_style_summary(dets_by_image, gts_by_image) -> str:
     """AP@0.5, AP@0.75, AP@[0.5:0.95] and AP by area with all-point AP."""
     inputs = _match_inputs(dets_by_image, gts_by_image)
 
@@ -194,7 +197,7 @@ def coco_style_summary(dets_by_image, gts_by_image,
         cfg = EvalConfig(iou_threshold=thr, interpolation="all_point", area_ranges=bands)
         return evaluate_detections(dets_by_image, gts_by_image, cfg, inputs)
 
-    r50, r75 = map_at(0.5, area_ranges), map_at(0.75)
+    r50, r75 = map_at(0.5, DEFAULT_AREA_RANGES), map_at(0.75)
     sweep = [map_at(t).map for t in np.arange(0.5, 0.955, 0.05)]
     lines = [f"AP@0.5        {r50.map:.4f}",
              f"AP@0.75       {r75.map:.4f}",

@@ -100,25 +100,24 @@ def micro_scene(rng, n_anchors=10, n_classes=2):
         np.linspace(10, 38, n_anchors),
         np.linspace(10, 38, n_anchors),
     ], axis=1)
-    gt_boxes = anchors[[1, 7]].copy()
-    gt_labels = np.array([1, n_classes])
+    gts = np.column_stack([anchors[[1, 7]], [1, n_classes]])
     assign = np.full(n_anchors, -1, dtype=np.int64)
     assign[1], assign[7] = 0, 1
-    return anchors, gt_boxes, gt_labels, MatchAssignment(assign)
+    return anchors, gts, MatchAssignment(assign)
 
 
 def loss_checks(rng):
     checks = []
-    anchors, gt_boxes, gt_labels, assignment = micro_scene(rng)
+    anchors, gts, assignment = micro_scene(rng)
     n_classes = 2
     conf = rng.standard_normal((10, n_classes + 1))
     loc = rng.standard_normal((10, 4)) * 0.3
     mined = assignment.negative_indices  # ratio 3 with N=2 covers all 8 negatives
 
     checks.append(("conf_loss (micro-scene)", finite_diff_check(
-        lambda t: conf_loss(t, assignment, gt_labels, mined), conf)))
+        lambda t: conf_loss(t, assignment, gts[:, 4], mined), conf)))
     checks.append(("loc_loss (micro-scene)", finite_diff_check(
-        lambda t: loc_loss(t, assignment, gt_boxes, anchors), loc)))
+        lambda t: loc_loss(t, assignment, gts[:, :4], anchors), loc)))
 
     mask = np.array(rng.integers(0, 3, (4, 4)), dtype=np.uint8)
     mask[0, 0] = int(SegLabel.FOREGROUND)  # keep at least one valid pixel
@@ -135,7 +134,7 @@ def loss_checks(rng):
         def total(t):
             head = SimpleNamespace(anchors=anchors, **{k: t if k == field else Tensor(v)
                                                        for k, v in point.items()})
-            return total_loss(head, assignment, (gt_boxes, gt_labels), mask, cfg)[1]
+            return total_loss(head, assignment, gts, mask, cfg)[1]
         return total
 
     for path, field in (("conf", "conf"), ("loc", "loc"), ("seg", "seg_logits")):

@@ -44,7 +44,7 @@ def detect_image(det: DetectorParams, image, score_threshold=0.01,
 
 
 def collect_detections(det: DetectorParams, data_dir, size_from="the detector"):
-    """(K, 6) detections and ground-truth Boxes per image, from one no-grad
+    """(K, 6) detections and (M, 5) ground truth per image, from one no-grad
     forward per FORWARD_BATCH images; size_from names the source of the
     detector's image size in the error for an image of another size."""
     dets_by_image, gts_by_image = {}, {}
@@ -54,8 +54,8 @@ def collect_detections(det: DetectorParams, data_dir, size_from="the detector"):
         with no_grad():
             _, outputs = forward(det, np.stack([image for _, image, _ in chunk])
                                  .astype(np.float32), with_seg=False)
-        for i, (rel, image, boxes) in enumerate(chunk):
-            gts_by_image[rel] = boxes
+        for i, (rel, image, gts) in enumerate(chunk):
+            gts_by_image[rel] = gts
             dets_by_image[rel] = detect_image(det, image, head=outputs.image(i))
     return dets_by_image, gts_by_image
 

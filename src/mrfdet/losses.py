@@ -128,18 +128,17 @@ def total_loss(head_outputs, assignment: MatchAssignment, gts, seg_mask,
     """Combine the detection and segmentation terms.
 
     head_outputs carries flat conf logits (N, classes), flat loc offsets
-    (N, 4) and optional seg logits (2, H, W); gts is (boxes, labels) as a
-    corner-form array and an int label array. Returns (LossBreakdown,
-    scalar Tensor) where the Tensor backpropagates into all head outputs.
+    (N, 4) and optional seg logits (2, H, W); gts is the (M, 5) ground truth
+    (corners, class id). Returns (LossBreakdown, scalar Tensor) where the
+    Tensor backpropagates into all head outputs.
     """
-    gt_boxes, gt_labels = gts
     n = assignment.n_pos
     terms = []
     if n > 0:
         mined = hard_negative_mine(background_ce(head_outputs.conf.data),
                                    assignment, config.neg_pos_ratio)
-        lc = conf_loss(head_outputs.conf, assignment, gt_labels, mined)
-        ll = loc_loss(head_outputs.loc, assignment, gt_boxes, head_outputs.anchors)
+        lc = conf_loss(head_outputs.conf, assignment, gts[:, 4], mined)
+        ll = loc_loss(head_outputs.loc, assignment, gts[:, :4], head_outputs.anchors)
         det = (lc + config.beta * ll) * (1.0 / n)
         terms.append(det)
         lc_v, ll_v, det_v = lc.item(), ll.item(), det.item()

@@ -36,7 +36,6 @@ class MRFBlockSpec:
     bottleneck_channels: int
     branches: tuple
     out_channels: int
-    shortcut: bool = True
 
     def __post_init__(self):
         if not self.branches:
@@ -49,7 +48,7 @@ class MRFBlockSpec:
 
     @property
     def needs_projection(self) -> bool:
-        return self.shortcut and self.in_channels != self.out_channels
+        return self.in_channels != self.out_channels
 
     @property
     def max_effective_kernel(self) -> int:
@@ -79,7 +78,6 @@ def default_mrf_spec(in_channels, out_channels, branch_kds=DEFAULT_BRANCHES) -> 
         bottleneck_channels=-(-in_channels // 4),
         branches=branches,
         out_channels=out_channels,
-        shortcut=True,
     )
 
 
@@ -139,10 +137,8 @@ def mrf_forward(params: dict, name, spec: MRFBlockSpec, input) -> Tensor:
     outs = [named_conv(params, f"{name}.branch{i}", neck, dilation=b.dilation)
             for i, b in enumerate(spec.branches)]
     fused = named_conv(params, f"{name}.fuse", concat(outs))
-    if spec.shortcut:
-        short = named_conv(params, f"{name}.proj", x) if spec.needs_projection else x
-        fused = add([fused, short])
-    return relu(fused)
+    short = named_conv(params, f"{name}.proj", x) if spec.needs_projection else x
+    return relu(add([fused, short]))
 
 
 def effective_receptive_field(kernel: int, dilation: int) -> int:

@@ -48,30 +48,22 @@ def classify_box(area: float, thresholds: AreaThresholds) -> SegLabel:
     return SegLabel.FOREGROUND
 
 
-def rasterize_sws_mask(gt_boxes, image_size: int, thresholds: AreaThresholds) -> np.ndarray:
-    """Paint boxes into an (image_size, image_size) grid of SegLabel values.
+def rasterize_sws_mask(gts, image_size: int, thresholds: AreaThresholds) -> np.ndarray:
+    """Paint (M, 5) ground truth into an (image_size, image_size) SegLabel grid.
 
     Pixel (px, py) is inside a box iff xmin <= px < xmax and
     ymin <= py < ymax (half-open, integer pixel centers). Priority on
     overlap: Foreground > Ignore > Background.
     """
     mask = np.full((image_size, image_size), int(SegLabel.BACKGROUND), dtype=np.uint8)
-    # Paint in increasing priority so later paints win exactly when allowed.
-    priority = {SegLabel.BACKGROUND: 0, SegLabel.IGNORE: 1, SegLabel.FOREGROUND: 2}
-    painted = np.zeros_like(mask)  # current priority per pixel
-    order = sorted(gt_boxes, key=lambda b: priority[classify_box(b.area, thresholds)])
-    for box in order:
-        label = classify_box(box.area, thresholds)
-        x0 = max(int(np.ceil(box.xmin)), 0)
-        y0 = max(int(np.ceil(box.ymin)), 0)
-        x1 = min(int(np.ceil(box.xmax)), image_size)
-        y1 = min(int(np.ceil(box.ymax)), image_size)
-        if x1 <= x0 or y1 <= y0:
-            continue
-        region = painted[y0:y1, x0:x1]
-        win = priority[label] >= region
-        mask[y0:y1, x0:x1][win] = int(label)
-        region[win] = priority[label]
+    labels = [classify_box(w * h, thresholds) for w, h in (gts[:, 2:4] - gts[:, :2]).tolist()]
+    corners = np.clip(np.ceil(gts[:, :4]), 0, image_size).astype(np.int64).tolist()
+    # Background is the fill, so painting ignore boxes and then foreground
+    # boxes leaves each pixel with its highest-priority label.
+    for label in (SegLabel.IGNORE, SegLabel.FOREGROUND):
+        for (x0, y0, x1, y1), box_label in zip(corners, labels):
+            if box_label == label:
+                mask[y0:y1, x0:x1] = int(label)
     return mask
 
 

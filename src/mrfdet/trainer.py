@@ -9,14 +9,15 @@ bit-identical checkpoints.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anchors import boxes_to_corner_array, match_anchors
-from .dataset import load_annotations, load_dataset
+from .anchors import match_anchors
+from .dataset import load_dataset
 from .detector_net import (FORWARD_BATCH, SEG_MODES, BackboneSpec, DetectorParams,
                            Toggles, build_network, forward)
 from .losses import LossBreakdown, LossConfig, total_loss
@@ -40,13 +41,15 @@ class TrainConfig:
     num_classes: int = 3
     image_size: int = 64
     stage_channels: tuple = (16, 32, 64, 64, 64)
-    match_threshold: float = 0.5
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
         for key in ("epochs", "batch_size"):
             if getattr(self, key) < 1:
                 raise ShapeError(f"{key} must be >= 1, got {getattr(self, key)}")
+        # The checkpoint stores the seed as int64.
+        if not 0 <= self.seed < 2 ** 63:
+            raise ShapeError(f"seed must lie in 0..{2 ** 63 - 1}, got {self.seed}")
         drops = tuple(self.lr_drop_epochs)
         object.__setattr__(self, "lr_drop_epochs", drops)
         if self.base_lr <= 0 or self.warmup_start_lr <= 0:
@@ -104,15 +107,14 @@ class TrainResult:
     steps: int
 
 
-def prepare_sample(det: DetectorParams, config: TrainConfig, image, boxes):
-    """Precompute the match assignment and (optionally) the SWS/AWS mask."""
-    gt_boxes = boxes_to_corner_array(boxes)
-    gt_labels = np.array([b.class_id for b in boxes], dtype=np.int64)
-    assignment = match_anchors(det.anchors, gt_boxes, config.match_threshold)
+def prepare_sample(det: DetectorParams, config: TrainConfig, image, gts):
+    """Precompute the match assignment and (optionally) the SWS/AWS mask of
+    an image's (M, 5) ground truth."""
+    assignment = match_anchors(det.anchors, gts[:, :4])
     mask = None
     if det.toggles.seg_mode != "off":
-        mask = rasterize_sws_mask(boxes, config.image_size, config.thresholds)
-    return image.astype(np.float32), (gt_boxes, gt_labels), assignment, mask
+        mask = rasterize_sws_mask(gts, config.image_size, config.thresholds)
+    return image.astype(np.float32), gts, assignment, mask
 
 
 def train(config: TrainConfig, data_dir, log_fn=None, ckpt_path=None) -> TrainResult:
@@ -122,17 +124,17 @@ def train(config: TrainConfig, data_dir, log_fn=None, ckpt_path=None) -> TrainRe
     one loss per image, and one backward seeding every loss with
     1/len(batch), so the step follows the mean loss of the mini-batch.
     """
-    bad = [b.class_id for boxes in load_annotations(data_dir).values() for b in boxes
-           if not 1 <= b.class_id <= config.num_classes]
-    if bad:
-        raise ShapeError(f"{os.path.join(data_dir, 'annotations.txt')}: class id "
-                         f"{bad[0]} outside 1..{config.num_classes}")
     det = build_network(BackboneSpec(config.image_size, config.stage_channels),
                         config.num_classes, config.toggles,
                         seed=config.seed, dtype=np.float32)
-    samples = [prepare_sample(det, config, img, boxes)
-               for _, img, boxes in load_dataset(data_dir, config.image_size,
-                                                 "train config image_size")]
+    data = load_dataset(data_dir, config.image_size, "train config image_size")
+    bad = [int(c) for _, _, gts in data for c in gts[:, 4].tolist()
+           if not 1 <= c <= config.num_classes]
+    if bad:
+        raise ShapeError(f"{os.path.join(data_dir, 'annotations.txt')}: class id "
+                         f"{bad[0]} outside 1..{config.num_classes}")
+    samples = [prepare_sample(det, config, img, gts) for _, img, gts in data]
+    del data  # training reads the float32 copies; free the float64 images
     if not samples:
         raise ShapeError(f"no images found under {data_dir}")
     opt = SGD(det.named_params(), config.momentum, config.weight_decay)
@@ -211,9 +213,14 @@ def save_checkpoint(path, det: DetectorParams, config: TrainConfig,
     # Write a sibling file and rename it over the target, so a failed write
     # never leaves a cut checkpoint at `path`.
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:
-        np.savez(f, **members)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            np.savez(f, **members)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

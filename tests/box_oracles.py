@@ -1,17 +1,51 @@
 """Per-box reference geometry, for tests only.
 
 The package computes IoU, NMS and box encoding on (N, 4) corner arrays
-(mrfdet.anchors). These versions follow the textbook definitions one box
-or one pair at a time, and the tests check the array functions against
-them.
+(mrfdet.anchors) and keeps ground truth as (M, 5) arrays. These versions
+follow the textbook definitions one box or one pair at a time, and the
+tests check the array functions against them.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from mrfdet.anchors import Box, boxes_to_corner_array, nms_array
+from mrfdet.anchors import nms_array
 from mrfdet.tensor_core import ShapeError
+
+
+@dataclass
+class Box:
+    """One box at a time; the package keeps ground truth as rows of an
+    (M, 5) array instead (see gt_array)."""
+
+    xmin: float
+    ymin: float
+    xmax: float
+    ymax: float
+    class_id: int = 0
+
+    @property
+    def area(self):
+        return (self.xmax - self.xmin) * (self.ymax - self.ymin)
+
+
+def boxes_of(gts) -> list:
+    """(M, 5) ground-truth rows as Boxes."""
+    return [Box(*row) for row in np.asarray(gts).tolist()]
+
+
+def corners(boxes) -> np.ndarray:
+    """Boxes as a corner-form (N, 4) array."""
+    return np.array([[b.xmin, b.ymin, b.xmax, b.ymax] for b in boxes],
+                    dtype=np.float64).reshape(-1, 4)
+
+
+def gt_array(boxes) -> np.ndarray:
+    """Boxes as the package's (M, 5) ground-truth rows: xmin, ymin, xmax,
+    ymax, class id."""
+    return np.array([[b.xmin, b.ymin, b.xmax, b.ymax, b.class_id] for b in boxes],
+                    dtype=np.float64).reshape(-1, 5)
 
 
 @dataclass
@@ -85,7 +119,7 @@ def nms_array_by_class(detections, iou_threshold=0.45, max_keep=200):
     kept = []
     for cls in sorted({d.class_id for d in detections}):
         idx = [i for i, d in enumerate(detections) if d.class_id == cls]
-        keep = nms_array(boxes_to_corner_array([detections[i] for i in idx]),
+        keep = nms_array(corners([detections[i] for i in idx]),
                          np.array([detections[i].score for i in idx]),
                          iou_threshold, max_keep)
         kept.extend(idx[k] for k in keep)

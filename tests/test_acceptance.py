@@ -12,9 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from box_oracles import ScoredBox, box_from_center, iou, nms_array_by_class
-from mrfdet.anchors import (Box, boxes_to_corner_array, encode_array,
-                            iou_matrix, match_anchors)
+from box_oracles import (Box, ScoredBox, box_from_center, corners, gt_array, iou,
+                         nms_array_by_class)
+from mrfdet.anchors import encode_array, iou_matrix, match_anchors
 from mrfdet.cli import ablate, format_ablation_table
 from mrfdet.dataset import DatasetSpec, synth_dataset
 from mrfdet.detector_net import (BackboneSpec, Toggles, build_network,
@@ -74,8 +74,8 @@ def test_criterion_2_equation_fixtures():
 
     # Box encoding fixture (0.5, 0, ln 2, 0).
     t_cx, t_cy, t_w, t_h = encode_array(
-        boxes_to_corner_array([box_from_center(12, 10, 8, 6)]),
-        boxes_to_corner_array([box_from_center(10, 10, 4, 6)]))[0]
+        corners([box_from_center(12, 10, 8, 6)]),
+        corners([box_from_center(10, 10, 4, 6)]))[0]
     enc_err = max(abs(t_cx - 0.5), abs(t_cy), abs(t_w - np.log(2.0)), abs(t_h))
 
     # Segmentation: uniform logits over all-valid pixels give ln 2.
@@ -86,7 +86,7 @@ def test_criterion_2_equation_fixtures():
     rng = np.random.default_rng(0)
     anchors = np.array([[0, 0, 10, 10], [20, 20, 30, 30], [40, 40, 50, 50.0]])
     assign = MatchAssignment(np.array([0, -1, -1]))
-    gt = (np.array([[1, 1, 11, 11.0]]), np.array([1]))
+    gt = np.array([[1, 1, 11, 11, 1.0]])
     conf = rng.standard_normal((3, 2))
     loc = rng.standard_normal((3, 4))
     seg = rng.standard_normal((2, 4, 4))
@@ -123,7 +123,7 @@ def test_criterion_3_oracle_equivalence():
             grid[int(box.ymin):int(box.ymax), int(box.xmin):int(box.xmax), k] = True
         inter = (grid[..., 0] & grid[..., 1]).sum()
         union = (grid[..., 0] | grid[..., 1]).sum()
-        got = iou_matrix(boxes_to_corner_array([a]), boxes_to_corner_array([b]))[0, 0]
+        got = iou_matrix(corners([a]), corners([b]))[0, 0]
         iou_worst = max(iou_worst, abs(got - inter / union))
 
     # Matching vs brute force, 1000 instances.
@@ -134,8 +134,8 @@ def test_criterion_3_oracle_equivalence():
                                   anchors[:, :1] + rng.uniform(2, 20, (12, 1)),
                                   anchors[:, :1] + rng.uniform(2, 20, (12, 1))], axis=1)
         gts = [int_box(rng) for _ in range(int(rng.integers(1, 4)))]
-        ious = iou_matrix(anchors, boxes_to_corner_array(gts))
-        got = match_anchors(anchors, boxes_to_corner_array(gts)).anchor_gt
+        ious = iou_matrix(anchors, corners(gts))
+        got = match_anchors(anchors, corners(gts)).anchor_gt
         want = np.full(12, -1, dtype=np.int64)
         best_gt = ious.argmax(axis=1)
         thr = ious[np.arange(12), best_gt] >= 0.5
@@ -180,7 +180,7 @@ def test_criterion_3_oracle_equivalence():
             boxes = boundary
         else:
             boxes = [int_box(rng) for _ in range(int(rng.integers(1, 4)))]
-        got = rasterize_sws_mask(boxes, 24, thresholds)
+        got = rasterize_sws_mask(gt_array(boxes), 24, thresholds)
         want = np.zeros((24, 24), dtype=np.uint8)
         for py in range(24):
             for px in range(24):
@@ -195,7 +195,7 @@ def test_criterion_3_oracle_equivalence():
         if not np.array_equal(got, want):
             sws_exact = False
             break
-    bmask = rasterize_sws_mask(boundary[:2], 100, thresholds)
+    bmask = rasterize_sws_mask(gt_array(boundary[:2]), 100, thresholds)
     sws_exact = sws_exact and bmask[10, 10] == int(SegLabel.FOREGROUND)
 
     # AP vs hand-constructed PR curves.
@@ -256,8 +256,8 @@ def test_criterion_5_structural_assertions():
 
     # AWS equals SWS with thresholds (0, inf): same masks on any scene.
     boxes = [Box(2, 2, 12, 12, 1), Box(20, 20, 60, 60, 2), Box(5, 40, 9, 44, 3)]
-    aws = rasterize_sws_mask(boxes, 64, AWS_THRESHOLDS)
-    open_sws = rasterize_sws_mask(boxes, 64,
+    aws = rasterize_sws_mask(gt_array(boxes), 64, AWS_THRESHOLDS)
+    open_sws = rasterize_sws_mask(gt_array(boxes), 64,
                                   AreaThresholds(np.finfo(np.float64).tiny, np.inf))
     aws_ok = np.array_equal(aws, open_sws)
 

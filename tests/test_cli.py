@@ -1,5 +1,6 @@
 import contextlib
 import io
+import re
 import shutil
 import zipfile
 from pathlib import Path
@@ -207,6 +208,25 @@ class TestDiagnostics:
                               str(data_dir / "data"), "--out", str(ckpt)], capsys)
         assert err == message
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("command,seed,message", [
+        ("train", "99999999999999999999",
+         f"seed must lie in 0..{2 ** 63 - 1}, got 99999999999999999999"),
+        ("train", "-1", f"seed must lie in 0..{2 ** 63 - 1}, got -1"),
+        ("synth", "-1", "seed must be >= 0, got -1")],
+        ids=["train-huge", "train-negative", "synth-negative"])
+    def test_out_of_range_seed_named(self, data_dir, tmp_path, capsys, command, seed,
+                                     message):
+        cfg = tmp_path / "c.txt"
+        train_keys = ("epochs = 1\nwarmup_epochs = 0\nlr_drop_epochs =\n"
+                      "image_size = 32\nstage_channels = 8 8 8 8\n")
+        cfg.write_text(f"seed = {seed}\n" + (train_keys if command == "train" else ""))
+        out = tmp_path / "out"
+        argv = (["train", "--config", str(cfg), "--data", str(data_dir / "data"),
+                 "--out", str(out)] if command == "train"
+                else ["synth", "--spec", str(cfg), "--out", str(out)])
+        assert self.run_error(argv, capsys) == f"error: {message}"
+        assert not out.exists()
 
     @pytest.mark.parametrize("class_id", [9, 0])
     def test_class_id_outside_network_rejected(self, data_dir, tmp_path, capsys,
@@ -462,6 +482,82 @@ def test_damaged_checkpoint_gives_one_error_line_or_the_intact_report(
         assert code == 1 and out == "" and "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert str(ckpt) in err
+
+
+@pytest.fixture(scope="module")
+def dataset_case(data_dir, tmp_path_factory):
+    """A small untrained checkpoint, the bytes of two 32-pixel images and a
+    directory for the datasets made from them."""
+    root = tmp_path_factory.mktemp("datasets")
+    config = TrainConfig(image_size=32, stage_channels=(8, 8, 8, 8))
+    det = build_network(BackboneSpec(32, config.stage_channels), 3, config.toggles, seed=0)
+    save_checkpoint(root / "small.ckpt", det, config)
+    images = [(data_dir / "data" / "images" / f"000{i}.ppm").read_bytes() for i in (0, 1)]
+    return root / "small.ckpt", images, root / "data"
+
+
+IMAGE_KEYS = ("images/0000.ppm", "images/0001.ppm")
+coord = st.floats(-40, 80, allow_nan=False).map(repr)
+extent = st.floats(0.5, 60).map(repr)
+# Tokens that are not numbers, not finite, not an int class id or an empty
+# field, and the key of an image that does not exist.
+odd_token = st.sampled_from(["nan", "-inf", "inf", "1e400", "one", "1.5", "0x10", "",
+                             "images/0002.ppm"])
+
+
+@st.composite
+def annotation_line(draw):
+    key = draw(st.sampled_from(IMAGE_KEYS))
+    cls = draw(st.integers(-2, 5) | st.just(2 ** 70))
+    x0, y0 = draw(coord), draw(coord)
+    x1, y1 = repr(float(x0) + float(draw(extent))), repr(float(y0) + float(draw(extent)))
+    kind = draw(st.sampled_from(["valid"] * 3 + ["fields", "token", "inverted"]))
+    fields = [key, str(cls), x0, y0, x1, y1]
+    if kind == "fields":
+        fields = draw(st.lists(st.sampled_from(fields), max_size=9).filter(
+            lambda f: len(f) not in (0, 6)))
+    elif kind == "token":
+        fields[draw(st.integers(0, 5))] = draw(odd_token)
+    elif kind == "inverted":
+        # Zero width, zero height, then xmax < xmin and ymax < ymin.
+        fields[4:] = draw(st.sampled_from([[x0, y1], [x1, y0], [repr(float(x0) - 1), y1],
+                                           [x1, repr(float(y0) - 1)]]))
+    return " ".join(fields)
+
+
+PPM_HEADERS = [b"P6\n32 32\n255\n", b"P6\n32 32\n65535\n", b"P5\n32 32\n255\n",
+               b"P6\n# c\n32 32\n255\n", b"P6 32 32 255\n", b"P6\n16 16\n255\n",
+               b"P6\n0 32\n255\n", b"P6\n-32 32\n255\n", b"P6\n32\n255\n",
+               b"P6\n99999999999999999999 1\n255\n", b""]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_damaged_dataset_gives_one_error_line_or_a_full_count(dataset_case, data):
+    """Random annotation lines (valid rows, wrong field counts, odd tokens,
+    inverted or empty boxes) and damaged images (other PPM headers, cuts)
+    under `mrfdet eval`: exit 0 with every annotation row counted as TP or
+    missed, or exit 1 with exactly one `error:` line. Never a traceback."""
+    ckpt, images, root = dataset_case
+    shutil.rmtree(root, ignore_errors=True)
+    (root / "images").mkdir(parents=True)
+    lines = data.draw(st.lists(annotation_line(), max_size=6), label="lines")
+    for key, raw in zip(IMAGE_KEYS, images):
+        damage = data.draw(st.sampled_from(["none"] * 3 + ["header", "cut"]), label=key)
+        if damage == "header":
+            raw = data.draw(st.sampled_from(PPM_HEADERS)) + raw[len(PPM_HEADERS[0]):]
+        elif damage == "cut":
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        (root / key).write_bytes(raw)
+    (root / "annotations.txt").write_text("".join(f"{line}\n" for line in lines))
+    code, out, err = run_cli(["eval", "--ckpt", str(ckpt), "--data", str(root)])
+    assert "Traceback" not in err
+    if code == 0:
+        tp, missed = (int(v) for v in re.search(r"TP=(\d+) FP=\d+ missed=(\d+)", out).groups())
+        assert tp + missed == len(lines)
+    else:
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestAblation:

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from box_oracles import iou
+from box_oracles import boxes_of, iou
 from mrfdet.dataset import (CLASS_COLORS, DatasetSpec, load_annotations,
                             load_dataset, read_ppm, render_image,
                             synth_dataset, write_ppm)
@@ -27,15 +27,15 @@ class TestSpec:
 class TestRender:
     def test_image_range_and_shape(self):
         rng = np.random.default_rng(0)
-        img, boxes = render_image(SMALL, rng)
+        img, gts = render_image(SMALL, rng)
         assert img.shape == (3, 48, 48)
         assert img.min() >= 0.0 and img.max() <= 1.0
-        assert 1 <= len(boxes) <= 3
+        assert 1 <= len(gts) <= 3
 
     def test_boxes_in_bounds_with_valid_classes(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
-            _, boxes = render_image(SMALL, rng)
+            boxes = boxes_of(render_image(SMALL, rng)[1])
             for b in boxes:
                 assert 0 <= b.xmin < b.xmax <= 48
                 assert 0 <= b.ymin < b.ymax <= 48
@@ -44,15 +44,15 @@ class TestRender:
     def test_low_overlap_invariant(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            _, boxes = render_image(SMALL, rng)
+            boxes = boxes_of(render_image(SMALL, rng)[1])
             for i, a in enumerate(boxes):
                 for b in boxes[i + 1:]:
                     assert iou(a, b) < 0.25
 
     def test_object_pixels_carry_class_color(self):
         rng = np.random.default_rng(3)
-        img, boxes = render_image(SMALL, rng)
-        for b in boxes:
+        img, gts = render_image(SMALL, rng)
+        for b in boxes_of(gts):
             cx = int((b.xmin + b.xmax) / 2)
             cy = int((b.ymin + b.ymax) / 2)
             # Every shape covers its box center; the pixel there should be
@@ -64,14 +64,15 @@ class TestRender:
         a = render_image(SMALL, np.random.default_rng(7))
         b = render_image(SMALL, np.random.default_rng(7))
         assert np.array_equal(a[0], b[0])
-        assert [(x.xmin, x.class_id) for x in a[1]] == [(x.xmin, x.class_id) for x in b[1]]
+        assert [(x.xmin, x.class_id) for x in boxes_of(a[1])] == \
+            [(x.xmin, x.class_id) for x in boxes_of(b[1])]
 
     def test_small_objects_dominate(self):
         rng = np.random.default_rng(4)
         areas = []
         for _ in range(80):
-            _, boxes = render_image(DatasetSpec(num_images=1, seed=0), rng)
-            areas.extend(b.area for b in boxes)
+            _, gts = render_image(DatasetSpec(num_images=1, seed=0), rng)
+            areas.extend(b.area for b in boxes_of(gts))
         small = sum(a <= 32 ** 2 for a in areas)
         assert small / len(areas) > 0.55
 
@@ -128,9 +129,9 @@ class TestSynth:
         synth_dataset(SMALL, tmp_path)
         data = load_dataset(tmp_path)
         assert len(data) == 6
-        for rel, img, boxes in data:
+        for rel, img, gts in data:
             assert img.shape == (3, 48, 48)
-            for b in boxes:
+            for b in boxes_of(gts):
                 assert b.class_id in (1, 2, 3)
 
     def test_annotations_parse(self, tmp_path):

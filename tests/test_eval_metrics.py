@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from box_oracles import ScoredBox, detection_array
-from mrfdet.anchors import Box, boxes_to_corner_array, iou_matrix
+from box_oracles import Box, ScoredBox, corners, detection_array, gt_array
+from mrfdet.anchors import iou_matrix
 from mrfdet.eval_metrics import (DEFAULT_AREA_RANGES, EvalConfig, EvalReport,
                                  average_precision, coco_style_summary,
                                  evaluate_detections, greedy_match)
@@ -14,6 +14,11 @@ from mrfdet.tensor_core import ShapeError
 def as_arrays(dets_by_image):
     """ScoredBox lists as the (K, 6) detection arrays evaluation reads."""
     return {img: detection_array(dets) for img, dets in dets_by_image.items()}
+
+
+def gt_arrays(gts_by_image):
+    """Box lists as the (M, 5) ground-truth arrays evaluation reads."""
+    return {img: gt_array(gts) for img, gts in gts_by_image.items()}
 
 
 def loop_average_precision(tp_fp_sequence, n_gt, interpolation="eleven_point"):
@@ -47,7 +52,7 @@ def match(dets, gts, iou_threshold, ignore_gts=()):
     IoU matrix against gts followed by ignore_gts, the latter out of band."""
     dets = sorted(dets, key=lambda d: -d.score)
     all_gts = list(gts) + list(ignore_gts)
-    ious = iou_matrix(boxes_to_corner_array(dets), boxes_to_corner_array(all_gts))
+    ious = iou_matrix(corners(dets), corners(all_gts))
     in_band = np.arange(len(all_gts)) < len(gts)
     flags, matched = greedy_match(ious, iou_threshold, in_band)
     return flags, matched[:len(gts)]
@@ -164,12 +169,13 @@ def two_image_fixture():
 class TestEvaluateDetections:
     def test_counts(self):
         dets, gts = two_image_fixture()
-        rep = evaluate_detections(as_arrays(dets), gts, EvalConfig())
+        rep = evaluate_detections(as_arrays(dets), gt_arrays(gts), EvalConfig())
         assert rep.tp == 3 and rep.fp == 1 and rep.missed == 0
 
     def test_per_class_ap(self):
         dets, gts = two_image_fixture()
-        rep = evaluate_detections(as_arrays(dets), gts, EvalConfig(interpolation="all_point"))
+        rep = evaluate_detections(as_arrays(dets), gt_arrays(gts),
+                                  EvalConfig(interpolation="all_point"))
         # Class 1: [TP at 0.9, FP at 0.7, TP at 0.6] against 2 gts -> 5/6.
         assert rep.per_class_ap[1] == pytest.approx(5 / 6)
         assert rep.per_class_ap[2] == pytest.approx(1.0)
@@ -178,7 +184,7 @@ class TestEvaluateDetections:
     def test_detection_only_class_scores_zero(self):
         dets = {"a": [ScoredBox(0, 0, 10, 10, 3, 0.9)]}
         gts = {"a": [Box(0, 0, 10, 10, 1)]}
-        rep = evaluate_detections(as_arrays(dets), gts, EvalConfig())
+        rep = evaluate_detections(as_arrays(dets), gt_arrays(gts), EvalConfig())
         assert rep.per_class_ap[3] == 0.0
         assert rep.per_class_ap[1] == 0.0
 
@@ -186,7 +192,7 @@ class TestEvaluateDetections:
         # A gt of area 400 (small band) and one of 1600 (medium band).
         gts = {"a": [Box(0, 0, 20, 20, 1), Box(30, 0, 70, 40, 1)]}
         dets = {"a": [ScoredBox(0, 0, 20, 20, 1, 0.9), ScoredBox(30, 0, 70, 40, 1, 0.8)]}
-        bands = evaluate_detections(as_arrays(dets), gts,
+        bands = evaluate_detections(as_arrays(dets), gt_arrays(gts),
                                     EvalConfig(interpolation="all_point")).per_area_ap
         # In the S band the medium gt is ignored, so its matching detection
         # is dropped rather than counted as an FP.
@@ -197,7 +203,7 @@ class TestEvaluateDetections:
     def test_out_of_band_fp_still_counts(self):
         gts = {"a": [Box(0, 0, 20, 20, 1)]}
         dets = {"a": [ScoredBox(0, 0, 20, 20, 1, 0.9), ScoredBox(40, 40, 60, 60, 1, 0.8)]}
-        bands = evaluate_detections(as_arrays(dets), gts,
+        bands = evaluate_detections(as_arrays(dets), gt_arrays(gts),
                                     EvalConfig(interpolation="all_point")).per_area_ap
         # The stray detection overlaps no gt at all: an FP even in band S.
         assert bands["S"] == pytest.approx(1.0)  # FP ranks after the TP
@@ -208,7 +214,8 @@ class TestEvaluateDetections:
         # the COCO evaluation, the band has no AP rather than 0.
         gts = {"a": [Box(0, 0, 20, 20, 1)]}
         dets = {"a": [ScoredBox(0, 0, 20, 20, 1, 0.9), ScoredBox(20, 20, 60, 60, 1, 0.8)]}
-        rep = evaluate_detections(as_arrays(dets), gts, EvalConfig(interpolation="all_point"))
+        rep = evaluate_detections(as_arrays(dets), gt_arrays(gts),
+                                  EvalConfig(interpolation="all_point"))
         assert rep.per_area_ap["S"] == pytest.approx(1.0)
         assert rep.per_area_ap["M"] is None and rep.per_area_ap["L"] is None
         assert "AP_M=n/a" in rep.format_table()
@@ -217,7 +224,8 @@ class TestEvaluateDetections:
         # Class 1 has an M-band gt; class 2 has only a stray M-sized detection.
         gts = {"a": [Box(0, 0, 40, 40, 1)]}
         dets = {"a": [ScoredBox(0, 0, 40, 40, 1, 0.9), ScoredBox(0, 0, 40, 40, 2, 0.8)]}
-        rep = evaluate_detections(as_arrays(dets), gts, EvalConfig(interpolation="all_point"))
+        rep = evaluate_detections(as_arrays(dets), gt_arrays(gts),
+                                  EvalConfig(interpolation="all_point"))
         assert rep.per_class_ap[2] == 0.0
         assert rep.per_area_ap["M"] == pytest.approx(1.0)
 
@@ -225,13 +233,14 @@ class TestEvaluateDetections:
         gts = {"a": [Box(0, 0, 10, 10, 1)], "b": [Box(0, 0, 10, 10, 1)]}
         dets = {"a": [ScoredBox(50, 50, 60, 60, 1, 0.9)],  # highest-scoring is an FP
                 "b": [ScoredBox(0, 0, 10, 10, 1, 0.5)]}
-        rep = evaluate_detections(as_arrays(dets), gts, EvalConfig(interpolation="all_point"))
+        rep = evaluate_detections(as_arrays(dets), gt_arrays(gts),
+                                  EvalConfig(interpolation="all_point"))
         # Sequence is [FP, TP] against 2 gts: AP = 0.5 * 0.5 = 0.25.
         assert rep.per_class_ap[1] == pytest.approx(0.25)
 
     def test_format_table(self):
         dets, gts = two_image_fixture()
-        rep = evaluate_detections(as_arrays(dets), gts, EvalConfig())
+        rep = evaluate_detections(as_arrays(dets), gt_arrays(gts), EvalConfig())
         text = rep.format_table()
         assert text.splitlines()[0] == "class  AP"
         assert "mAP" in text and "TP=3" in text
@@ -256,7 +265,7 @@ class TestCocoSummary:
     def test_perfect_detector_all_ones(self):
         gts = {"a": [Box(0, 0, 20, 20, 1)]}
         dets = {"a": [ScoredBox(0, 0, 20, 20, 1, 0.99)]}
-        text = coco_style_summary(as_arrays(dets), gts)
+        text = coco_style_summary(as_arrays(dets), gt_arrays(gts))
         assert "AP@0.5        1.0000" in text
         assert "AP@0.75       1.0000" in text
         assert "AP@[0.5:0.95] 1.0000" in text
@@ -264,6 +273,6 @@ class TestCocoSummary:
     def test_loose_detection_fails_high_thresholds(self):
         gts = {"a": [Box(0, 0, 20, 20, 1)]}
         dets = {"a": [ScoredBox(3, 3, 23, 23, 1, 0.99)]}  # IoU ~ 0.57
-        text = coco_style_summary(as_arrays(dets), gts)
+        text = coco_style_summary(as_arrays(dets), gt_arrays(gts))
         assert "AP@0.5        1.0000" in text
         assert "AP@0.75       0.0000" in text

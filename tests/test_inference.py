@@ -124,7 +124,7 @@ class TestEvaluateDetector:
         for rel, image, boxes in samples:
             want = detect_image(small_det, image)
             assert dets[rel].dtype == want.dtype and np.array_equal(dets[rel], want)
-            assert gts[rel] == boxes
+            assert np.array_equal(gts[rel], boxes)
 
     def test_collect_keys_match_dataset(self, small_det, small_data):
         dets, gts = collect_detections(small_det, small_data)

@@ -40,11 +40,10 @@ def micro_scene(n_anchors=10, n_classes=3, seed=0):
     assign = np.full(n_anchors, -1, dtype=np.int64)
     assign[1] = 0
     assign[7] = 1
-    gt_boxes = np.array([[4, 4, 15, 15], [30, 30, 42, 41.0]])
-    gt_labels = np.array([1, n_classes])
+    gts = np.array([[4, 4, 15, 15, 1], [30, 30, 42, 41, n_classes]], dtype=np.float64)
     conf = rng.standard_normal((n_anchors, n_classes + 1))
     loc = rng.standard_normal((n_anchors, 4))
-    return anchors, MatchAssignment(assign), gt_boxes, gt_labels, conf, loc
+    return anchors, MatchAssignment(assign), gts, conf, loc
 
 
 class TestConfLoss:
@@ -87,19 +86,19 @@ class TestConfLoss:
             conf_loss(np.zeros((2, 2)), assign, np.array([1]), np.array([0]))
 
     def test_gradient(self):
-        anchors, assign, gt_boxes, gt_labels, conf, _ = micro_scene()
+        anchors, assign, gts, conf, _ = micro_scene()
         mined = assign.negative_indices  # all negatives, keeps mining constant
         assert finite_diff_check(
-            lambda t: conf_loss(t, assign, gt_labels, mined), conf) < 1e-5
+            lambda t: conf_loss(t, assign, gts[:, 4], mined), conf) < 1e-5
 
 
 class TestLocLoss:
     def test_perfect_prediction_zero(self):
-        anchors, assign, gt_boxes, gt_labels, _, loc = micro_scene()
+        anchors, assign, gts, _, loc = micro_scene()
         pos = assign.positive_indices
         loc = np.zeros_like(loc)
-        loc[pos] = encode_array(gt_boxes[assign.anchor_gt[pos]], anchors[pos])
-        loss = loc_loss(loc, assign, gt_boxes, anchors)
+        loc[pos] = encode_array(gts[:, :4][assign.anchor_gt[pos]], anchors[pos])
+        loss = loc_loss(loc, assign, gts[:, :4], anchors)
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_value(self):
@@ -112,11 +111,11 @@ class TestLocLoss:
         assert loss.item() == pytest.approx(0.5)
 
     def test_negatives_ignored(self):
-        anchors, assign, gt_boxes, gt_labels, _, loc = micro_scene()
+        anchors, assign, gts, _, loc = micro_scene()
         loc2 = loc.copy()
         loc2[assign.negative_indices] += 100.0
-        a = loc_loss(loc, assign, gt_boxes, anchors)
-        b = loc_loss(loc2, assign, gt_boxes, anchors)
+        a = loc_loss(loc, assign, gts[:, :4], anchors)
+        b = loc_loss(loc2, assign, gts[:, :4], anchors)
         assert a.item() == pytest.approx(b.item())
 
     def test_no_positives_zero(self):
@@ -128,9 +127,9 @@ class TestLocLoss:
         assert preds.grad is None
 
     def test_gradient(self):
-        anchors, assign, gt_boxes, _, _, loc = micro_scene()
+        anchors, assign, gts, _, loc = micro_scene()
         assert finite_diff_check(
-            lambda t: loc_loss(t, assign, gt_boxes, anchors), loc) < 1e-5
+            lambda t: loc_loss(t, assign, gts[:, :4], anchors), loc) < 1e-5
 
 
 class TestMining:
@@ -179,51 +178,51 @@ class TestTotalLoss:
                                Tensor(np.asarray(seg, dtype=float), requires_grad=True))
 
     def test_normalization_by_n_pos(self):
-        anchors, assign, gt_boxes, gt_labels, conf, loc = micro_scene()
+        anchors, assign, gts, conf, loc = micro_scene()
         heads = self.heads(conf, loc, anchors)
-        bd, total = total_loss(heads, assign, (gt_boxes, gt_labels), None,
+        bd, total = total_loss(heads, assign, gts, None,
                                LossConfig())
         assert bd.n_pos == 2
         assert bd.total == pytest.approx((bd.l_conf + bd.l_loc) / 2)
         assert total.item() == pytest.approx(bd.total)
 
     def test_beta_weighting(self):
-        anchors, assign, gt_boxes, gt_labels, conf, loc = micro_scene()
+        anchors, assign, gts, conf, loc = micro_scene()
         cfg = LossConfig(beta=2.0)
         bd, _ = total_loss(self.heads(conf, loc, anchors), assign,
-                           (gt_boxes, gt_labels), None, cfg)
+                           gts, None, cfg)
         assert bd.total == pytest.approx((bd.l_conf + 2.0 * bd.l_loc) / 2)
 
     def test_no_positives_detection_term_dropped(self):
-        anchors, _, gt_boxes, gt_labels, conf, loc = micro_scene()
+        anchors, _, gts, conf, loc = micro_scene()
         assign = MatchAssignment(np.full(len(anchors), -1, dtype=np.int64))
         seg = np.zeros((2, 4, 4))
         mask = np.zeros((4, 4), dtype=np.uint8)
         bd, total = total_loss(self.heads(conf, loc, anchors, seg), assign,
-                               (np.zeros((0, 4)), np.zeros(0, dtype=int)), mask,
+                               np.zeros((0, 5)), mask,
                                LossConfig())
         assert bd.l_det == 0.0 and bd.l_conf == 0.0 and bd.l_loc == 0.0
         assert bd.total == pytest.approx(np.log(2.0))  # alpha * seg only
 
     def test_alpha_weighting(self):
-        anchors, assign, gt_boxes, gt_labels, conf, loc = micro_scene()
+        anchors, assign, gts, conf, loc = micro_scene()
         seg = np.zeros((2, 4, 4))
         mask = np.zeros((4, 4), dtype=np.uint8)
         mask[0, 0] = int(SegLabel.FOREGROUND)
         a1, _ = total_loss(self.heads(conf, loc, anchors, seg), assign,
-                           (gt_boxes, gt_labels), mask, LossConfig(alpha=1.0))
+                           gts, mask, LossConfig(alpha=1.0))
         a3, _ = total_loss(self.heads(conf, loc, anchors, seg), assign,
-                           (gt_boxes, gt_labels), mask, LossConfig(alpha=3.0))
+                           gts, mask, LossConfig(alpha=3.0))
         assert a3.total - a3.l_det == pytest.approx(3 * (a1.total - a1.l_det))
 
     def test_seg_off_when_mask_none(self):
-        anchors, assign, gt_boxes, gt_labels, conf, loc = micro_scene()
+        anchors, assign, gts, conf, loc = micro_scene()
         bd, _ = total_loss(self.heads(conf, loc, anchors), assign,
-                           (gt_boxes, gt_labels), None, LossConfig())
+                           gts, None, LossConfig())
         assert bd.l_seg == 0.0
 
     def test_gradient_through_everything(self):
-        anchors, assign, gt_boxes, gt_labels, conf, loc = micro_scene(seed=3)
+        anchors, assign, gts, conf, loc = micro_scene(seed=3)
         seg = np.random.default_rng(4).standard_normal((2, 4, 4))
         mask = np.zeros((4, 4), dtype=np.uint8)
         mask[1:3, 1:3] = int(SegLabel.FOREGROUND)
@@ -232,26 +231,26 @@ class TestTotalLoss:
         def wrt_conf(t):
             heads = self.heads(conf, loc, anchors, seg)
             heads.conf = t
-            return total_loss(heads, assign, (gt_boxes, gt_labels), mask, cfg)[1]
+            return total_loss(heads, assign, gts, mask, cfg)[1]
 
         def wrt_loc(t):
             heads = self.heads(conf, loc, anchors, seg)
             heads.loc = t
-            return total_loss(heads, assign, (gt_boxes, gt_labels), mask, cfg)[1]
+            return total_loss(heads, assign, gts, mask, cfg)[1]
 
         def wrt_seg(t):
             heads = self.heads(conf, loc, anchors, seg)
             heads.seg_logits = t
-            return total_loss(heads, assign, (gt_boxes, gt_labels), mask, cfg)[1]
+            return total_loss(heads, assign, gts, mask, cfg)[1]
 
         assert finite_diff_check(wrt_conf, conf) < 1e-4
         assert finite_diff_check(wrt_loc, loc) < 1e-4
         assert finite_diff_check(wrt_seg, seg) < 1e-4
 
     def test_breakdown_record_format(self):
-        anchors, assign, gt_boxes, gt_labels, conf, loc = micro_scene()
+        anchors, assign, gts, conf, loc = micro_scene()
         bd, _ = total_loss(self.heads(conf, loc, anchors), assign,
-                           (gt_boxes, gt_labels), None, LossConfig())
+                           gts, None, LossConfig())
         line = bd.record(7)
         assert line.startswith("step=7 ")
         assert "total=" in line and "n_pos=2" in line

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrfdet.anchors import Box
+from box_oracles import Box, gt_array
 from mrfdet.sws_masks import (AWS_THRESHOLDS, AreaThresholds, SegLabel,
                               classify_box, mask_to_pgm_bytes,
                               rasterize_sws_mask, seg_loss)
@@ -57,7 +57,7 @@ class TestClassifyBox:
 
 class TestRasterize:
     def test_single_foreground_box(self):
-        mask = rasterize_sws_mask([Box(4, 6, 14, 16)], 32, T)
+        mask = rasterize_sws_mask(gt_array([Box(4, 6, 14, 16)]), 32, T)
         want = np.zeros((32, 32), dtype=np.uint8)
         want[6:16, 4:14] = int(SegLabel.FOREGROUND)
         np.testing.assert_array_equal(mask, want)
@@ -65,7 +65,7 @@ class TestRasterize:
     def test_half_open_fractional_edges(self):
         # Pixel px is inside iff xmin <= px < xmax; a box (1.5, 1.5, 4.5, 4.5)
         # covers integer coordinates {2, 3, 4}.
-        mask = rasterize_sws_mask([Box(1.5, 1.5, 4.5, 4.5, 0)], 8,
+        mask = rasterize_sws_mask(gt_array([Box(1.5, 1.5, 4.5, 4.5, 0)]), 8,
                                   AreaThresholds(1.0, 100.0))
         ys, xs = np.nonzero(mask == int(SegLabel.FOREGROUND))
         assert set(xs) == {2, 3, 4} and set(ys) == {2, 3, 4}
@@ -74,38 +74,46 @@ class TestRasterize:
         # Tiny (ignore) box overlapping a foreground box: overlap stays FG.
         fg = Box(4, 4, 20, 20)
         tiny = Box(10, 10, 14, 14)
-        mask = rasterize_sws_mask([tiny, fg], 32, T)
+        mask = rasterize_sws_mask(gt_array([tiny, fg]), 32, T)
         assert (mask[12, 12] == int(SegLabel.FOREGROUND))
-        mask2 = rasterize_sws_mask([fg, tiny], 32, T)
+        mask2 = rasterize_sws_mask(gt_array([fg, tiny]), 32, T)
         np.testing.assert_array_equal(mask, mask2)
 
     def test_priority_ignore_beats_background(self):
         huge = Box(0, 0, 40, 40)  # area 1600 > t2 -> background paint
         tiny = Box(10, 10, 14, 14)
-        mask = rasterize_sws_mask([huge, tiny], 32, T)
+        mask = rasterize_sws_mask(gt_array([huge, tiny]), 32, T)
         assert mask[12, 12] == int(SegLabel.IGNORE)
         assert mask[30, 30] == int(SegLabel.BACKGROUND)
 
     def test_matches_per_pixel_oracle(self):
         rng = np.random.default_rng(0)
+        outside_rng = np.random.default_rng(1)
         for trial in range(15):
             boxes = []
             for _ in range(rng.integers(1, 5)):
                 x, y = rng.uniform(-4, 28, 2)
                 w, h = rng.uniform(2, 30, 2)
                 boxes.append(Box(x, y, x + w, y + h))
-            got = rasterize_sws_mask(boxes, 32, T)
+            # Plus one box wholly outside the frame, past a random edge
+            # (touching it when the gap is 0).
+            x, y = outside_rng.uniform(-4, 28, 2)
+            w, h = outside_rng.uniform(2, 30, 2)
+            gap = outside_rng.choice([0.0, outside_rng.uniform(0, 40)])
+            x, y = [(-w - gap, y), (32 + gap, y), (x, -h - gap), (x, 32 + gap)][trial % 4]
+            boxes.append(Box(x, y, x + w, y + h))
+            got = rasterize_sws_mask(gt_array(boxes), 32, T)
             np.testing.assert_array_equal(got, oracle_mask(boxes, 32, T))
 
     def test_out_of_frame_clipped(self):
-        mask = rasterize_sws_mask([Box(-10, -10, 5, 5)], 16, AreaThresholds(1, 1e6))
+        mask = rasterize_sws_mask(gt_array([Box(-10, -10, 5, 5)]), 16, AreaThresholds(1, 1e6))
         assert mask[0, 0] == int(SegLabel.FOREGROUND)
         assert mask[:5, :5].all()
 
     def test_aws_equals_sws_with_open_thresholds(self):
         rng = np.random.default_rng(1)
         boxes = [Box(2, 2, 10, 10), Box(5, 20, 30, 31), Box(0, 0, 31, 31)]
-        a = rasterize_sws_mask(boxes, 32, AWS_THRESHOLDS)
+        a = rasterize_sws_mask(gt_array(boxes), 32, AWS_THRESHOLDS)
         assert set(np.unique(a)) <= {int(SegLabel.BACKGROUND), int(SegLabel.FOREGROUND)}
         np.testing.assert_array_equal(a, oracle_mask(boxes, 32, AWS_THRESHOLDS))
 

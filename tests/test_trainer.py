@@ -420,6 +420,7 @@ class TestCheckpoint:
             save_checkpoint(path, tiny_result.detector, TINY_CFG, step=5)
         monkeypatch.undo()
         assert path.read_bytes() == before
+        assert not (tmp_path / "model.ckpt.tmp").exists()
         assert int(load_checkpoint(path)[1]["meta"][6]) == 0
 
 
