@@ -148,11 +148,11 @@ def match_anchors(anchors: np.ndarray, gts, pos_threshold=0.5) -> MatchAssignmen
     return MatchAssignment(assign)
 
 
-def nms_array(boxes: np.ndarray, scores: np.ndarray, iou_threshold=0.45,
-              max_keep=200) -> np.ndarray:
-    """Vectorized single-class greedy NMS; returns kept indices in score order.
+def nms_array(boxes: np.ndarray, scores: np.ndarray, classes: np.ndarray,
+              iou_threshold=0.45, max_keep=200) -> np.ndarray:
+    """Vectorized greedy NMS within classes; returns kept indices in score order.
 
-    Descending score, ties by index, suppress IoU >= threshold (or NaN).
+    Descending score, ties by index, suppress same-class IoU >= threshold (or NaN).
     A candidate's fate depends only on higher-ranked ones, so the pass runs
     over the top 2 * max_keep (doubled if that runs out) with IoU in blocks
     of 64 rows against the columns from the block's first row on.
@@ -160,13 +160,14 @@ def nms_array(boxes: np.ndarray, scores: np.ndarray, iou_threshold=0.45,
     order = np.lexsort((np.arange(len(scores)), -np.asarray(scores)))
     size = 2 * max_keep
     while True:
-        cand = boxes[order[:size]]
+        cand, cls = boxes[order[:size]], classes[order[:size]]
         suppressed = np.zeros(len(cand), dtype=bool)
         keep = []
         for r0 in range(0, len(cand), 64):
             if len(keep) >= max_keep:
                 break
             hit = ~(iou_matrix(cand[r0:r0 + 64], cand[r0:]) < iou_threshold)
+            hit &= cls[r0:r0 + 64, None] == cls[None, r0:]
             for i in range(r0, min(r0 + 64, len(cand))):
                 if not suppressed[i] and len(keep) < max_keep:
                     keep.append(i)

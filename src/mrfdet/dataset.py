@@ -153,15 +153,18 @@ def load_annotations(data_dir):
                 continue
             try:
                 rel, cls, x0, y0, x1, y1 = line.split()
-                cls, coords = int(cls), [float(v) for v in (x0, y0, x1, y1)]
+                class_id, coords = int(cls), [float(v) for v in (x0, y0, x1, y1)]
             except ValueError:
                 raise ShapeError(f"{path}:{lineno}: expected "
                                  "'image class xmin ymin xmax ymax'") from None
+            # Ids are stored as float64, which holds every integer up to 2^53.
+            if not 0 <= class_id <= 2 ** 53:
+                raise ShapeError(f"{path}:{lineno}: class id {cls} outside 0..{2 ** 53}")
             if not (np.isfinite(coords).all() and coords[2] > coords[0]
                     and coords[3] > coords[1]):
                 raise ShapeError(f"{path}:{lineno}: box {x0} {y0} {x1} {y1} needs finite "
                                  "coordinates with xmax > xmin and ymax > ymin")
-            by_image.setdefault(rel, []).append([*coords, cls])
+            by_image.setdefault(rel, []).append([*coords, class_id])
     # Include images that have no objects at all.
     img_dir = os.path.join(data_dir, "images")
     if os.path.isdir(img_dir):
@@ -169,6 +172,15 @@ def load_annotations(data_dir):
             by_image.setdefault(os.path.join("images", name), [])
     return {rel: np.array(rows, dtype=np.float64).reshape(-1, 5)
             for rel, rows in by_image.items()}
+
+
+def check_class_ids(samples, data_dir, num_classes):
+    """Reject ground truth whose class id lies outside 1..num_classes."""
+    bad = [int(c) for _, _, gts in samples for c in gts[:, 4].tolist()
+           if not 1 <= c <= num_classes]
+    if bad:
+        raise ShapeError(f"{os.path.join(data_dir, 'annotations.txt')}: class id "
+                         f"{bad[0]} outside 1..{num_classes}")
 
 
 def load_dataset(data_dir, image_size=None, size_from=None):

@@ -1,5 +1,5 @@
 """Detection inference: a no-grad forward over batches of images, then per
-image a per-class score threshold, box decoding and NMS, and
+image box decoding, a score threshold and one NMS pass within classes, and
 dataset-level evaluation."""
 
 from __future__ import annotations
@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .anchors import decode_array, nms_array
-from .dataset import load_dataset
+from .dataset import check_class_ids, load_dataset
 from .detector_net import FORWARD_BATCH, DetectorParams, forward
 from .eval_metrics import EvalConfig, EvalReport, evaluate_detections
 from .tensor_core import no_grad
@@ -33,14 +33,11 @@ def detect_image(det: DetectorParams, image, score_threshold=0.01,
     boxes = np.clip(decode_array(head.loc.data.astype(np.float64), det.anchors),
                     0, det.backbone.image_size)
     valid = (boxes[:, 2] - boxes[:, 0] > 1e-6) & (boxes[:, 3] - boxes[:, 1] > 1e-6)
-    per_class = []
-    for cls in range(1, det.num_classes + 1):
-        keep = np.flatnonzero(valid & (probs[:, cls] > score_threshold))
-        keep = keep[nms_array(boxes[keep], probs[keep, cls], nms_iou, max_keep)]
-        per_class.append(np.column_stack([boxes[keep], probs[keep, cls],
-                                          np.full(len(keep), float(cls))]))
-    detections = np.concatenate(per_class)
-    return detections[np.argsort(-detections[:, 4], kind="stable")[:max_keep]]
+    # Class-major candidates: nms_array's index tie-break orders equal scores by class, then anchor.
+    cls, anchor = np.nonzero((valid[:, None] & (probs[:, 1:] > score_threshold)).T)
+    scores = probs[anchor, cls + 1]
+    keep = nms_array(boxes[anchor], scores, cls, nms_iou, max_keep)
+    return np.column_stack([boxes[anchor[keep]], scores[keep], cls[keep] + 1.0])
 
 
 def collect_detections(det: DetectorParams, data_dir, size_from="the detector"):
@@ -49,6 +46,7 @@ def collect_detections(det: DetectorParams, data_dir, size_from="the detector"):
     detector's image size in the error for an image of another size."""
     dets_by_image, gts_by_image = {}, {}
     samples = load_dataset(data_dir, det.backbone.image_size, size_from)
+    check_class_ids(samples, data_dir, det.num_classes)
     for start in range(0, len(samples), FORWARD_BATCH):
         chunk = samples[start:start + FORWARD_BATCH]
         with no_grad():

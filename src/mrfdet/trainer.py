@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anchors import match_anchors
-from .dataset import load_dataset
+from .dataset import check_class_ids, load_dataset
 from .detector_net import (FORWARD_BATCH, SEG_MODES, BackboneSpec, DetectorParams,
                            Toggles, build_network, forward)
 from .losses import LossBreakdown, LossConfig, total_loss
@@ -128,11 +128,7 @@ def train(config: TrainConfig, data_dir, log_fn=None, ckpt_path=None) -> TrainRe
                         config.num_classes, config.toggles,
                         seed=config.seed, dtype=np.float32)
     data = load_dataset(data_dir, config.image_size, "train config image_size")
-    bad = [int(c) for _, _, gts in data for c in gts[:, 4].tolist()
-           if not 1 <= c <= config.num_classes]
-    if bad:
-        raise ShapeError(f"{os.path.join(data_dir, 'annotations.txt')}: class id "
-                         f"{bad[0]} outside 1..{config.num_classes}")
+    check_class_ids(data, data_dir, config.num_classes)
     samples = [prepare_sample(det, config, img, gts) for _, img, gts in data]
     del data  # training reads the float32 copies; free the float64 images
     if not samples:

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mrfdet.anchors import nms_array
 from mrfdet.tensor_core import ShapeError
 
 
@@ -112,16 +111,3 @@ def nms(detections, iou_threshold=0.45, max_keep=200):
     kept.sort(key=lambda p: (-p[1].score, p[0]))
     return [det for _, det in kept[:max_keep]]
 
-
-def nms_array_by_class(detections, iou_threshold=0.45, max_keep=200):
-    """The package's nms_array run once per class, merged by descending score
-    as inference.detect_image does; the result is comparable with nms()."""
-    kept = []
-    for cls in sorted({d.class_id for d in detections}):
-        idx = [i for i, d in enumerate(detections) if d.class_id == cls]
-        keep = nms_array(corners([detections[i] for i in idx]),
-                         np.array([detections[i].score for i in idx]),
-                         iou_threshold, max_keep)
-        kept.extend(idx[k] for k in keep)
-    kept.sort(key=lambda i: (-detections[i].score, i))
-    return [detections[i] for i in kept[:max_keep]]

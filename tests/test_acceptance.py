@@ -8,13 +8,14 @@ complete; the desk-scale training criteria dominate the runtime.
 import filecmp
 import os
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from box_oracles import (Box, ScoredBox, box_from_center, corners, gt_array, iou,
-                         nms_array_by_class)
-from mrfdet.anchors import encode_array, iou_matrix, match_anchors
+from box_oracles import Box, ScoredBox, box_from_center, corners, gt_array, iou
+from mrfdet.anchors import (MatchAssignment, encode_array, iou_matrix, match_anchors,
+                            nms_array)
 from mrfdet.cli import ablate, format_ablation_table
 from mrfdet.dataset import DatasetSpec, synth_dataset
 from mrfdet.detector_net import (BackboneSpec, Toggles, build_network,
@@ -23,12 +24,10 @@ from mrfdet.eval_metrics import average_precision
 from mrfdet.gradcheck import run_suite
 from mrfdet.inference import evaluate_detector
 from mrfdet.losses import (LossConfig, conf_loss, smooth_l1, total_loss)
-from mrfdet.mrf_block import (DEFAULT_BRANCHES, branch_taps,
-                              default_mrf_spec, effective_receptive_field)
-from mrfdet.anchors import MatchAssignment
+from mrfdet.mrf_block import DEFAULT_BRANCHES, branch_taps, effective_receptive_field
 from mrfdet.sws_masks import (AWS_THRESHOLDS, AreaThresholds, SegLabel,
                               classify_box, rasterize_sws_mask, seg_loss)
-from mrfdet.trainer import TrainConfig, load_checkpoint, save_checkpoint, train
+from mrfdet.trainer import TrainConfig, train
 
 TRAIN_SPEC = DatasetSpec(num_images=200, seed=0)
 TEST_SPEC = DatasetSpec(num_images=50, seed=1)
@@ -91,7 +90,6 @@ def test_criterion_2_equation_fixtures():
     loc = rng.standard_normal((3, 4))
     seg = rng.standard_normal((2, 4, 4))
     mask = np.zeros((4, 4), dtype=np.uint8)
-    from types import SimpleNamespace
     heads = SimpleNamespace(conf=conf, loc=loc, anchors=anchors, seg_logits=seg)
     cfg = LossConfig(alpha=1.0, beta=1.0, neg_pos_ratio=2.0)
     bd, total = total_loss(heads, assign, gt, mask, cfg)
@@ -156,7 +154,9 @@ def test_criterion_3_oracle_equivalence():
         dets = [ScoredBox(b.xmin, b.ymin, b.xmax, b.ymax,
                           class_id=int(rng.integers(0, 2)), score=float(rng.random()))
                 for b in (int_box(rng) for _ in range(10))]
-        got = nms_array_by_class(dets, 0.45, 50)
+        keep = nms_array(corners(dets), np.array([d.score for d in dets]),
+                         np.array([d.class_id for d in dets]), 0.45, 50)
+        got = [dets[i] for i in keep]
         chosen = []
         for i in sorted(range(10), key=lambda i: (-dets[i].score, i)):
             if all(dets[i].class_id != dets[j].class_id

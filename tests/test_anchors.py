@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from box_oracles import (Box, ScoredBox, box_from_center, corners, encode_box, iou,
-                         nms, nms_array_by_class)
+                         nms)
 from mrfdet.anchors import (center_to_corner, corner_to_center, decode_array,
                             encode_array, generate_anchors, iou_matrix,
                             match_anchors, nms_array)
@@ -242,6 +242,7 @@ class TestMatching:
 
 
 def brute_force_nms(dets, thr, max_keep):
+    """Indices kept by greedy NMS within classes, by (-score, index)."""
     chosen = []
     pool = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     for i in pool:
@@ -249,39 +250,82 @@ def brute_force_nms(dets, thr, max_keep):
                  for j in chosen)
         if ok:
             chosen.append(i)
-    chosen.sort(key=lambda i: (-dets[i].score, i))
-    return [dets[i] for i in chosen[:max_keep]]
+    return chosen[:max_keep]
+
+
+def nms_array_of(dets, thr=0.45, max_keep=200):
+    """nms_array on ScoredBoxes, as a list of indices."""
+    return nms_array(corners(dets), np.array([d.score for d in dets]),
+                     np.array([d.class_id for d in dets], dtype=np.int64),
+                     thr, max_keep).tolist()
 
 
 class TestNms:
     def test_suppresses_overlap(self):
         dets = [ScoredBox(0, 0, 10, 10, 0, 0.9), ScoredBox(1, 1, 11, 11, 0, 0.8),
                 ScoredBox(30, 30, 40, 40, 0, 0.7)]
-        kept = nms_array(corners(dets), np.array([0.9, 0.8, 0.7]), 0.45)
+        kept = nms_array(corners(dets), np.array([0.9, 0.8, 0.7]),
+                         np.zeros(3, dtype=np.int64), 0.45)
         assert kept.tolist() == [0, 2]
 
     def test_classes_independent(self):
         dets = [ScoredBox(0, 0, 10, 10, 0, 0.9), ScoredBox(0, 0, 10, 10, 1, 0.8)]
-        assert len(nms_array_by_class(dets)) == 2
+        assert nms_array_of(dets) == [0, 1]
 
     def test_tie_break_by_insertion_order(self):
         dets = [ScoredBox(0, 0, 10, 10, 0, 0.5), ScoredBox(0.1, 0, 10.1, 10, 0, 0.5)]
-        kept = nms_array(corners(dets), np.array([0.5, 0.5]), 0.45)
+        kept = nms_array(corners(dets), np.array([0.5, 0.5]),
+                         np.zeros(2, dtype=np.int64), 0.45)
         assert kept.tolist() == [0]
 
     def test_max_keep(self):
         dets = [ScoredBox(20 * i, 0, 20 * i + 10, 10, 0, 1.0 - i * 0.01) for i in range(10)]
         scores = np.array([d.score for d in dets])
-        assert len(nms_array(corners(dets), scores, max_keep=3)) == 3
+        assert len(nms_array(corners(dets), scores, np.zeros(10, dtype=np.int64),
+                             max_keep=3)) == 3
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(6)
         for trial in range(20):
             dets = [make_box(rng.uniform(0, 30, 4), class_id=int(rng.integers(0, 2)),
                              score=float(rng.uniform(0, 1))) for _ in range(15)]
-            got = nms_array_by_class(dets, iou_threshold=0.4, max_keep=8)
-            want = brute_force_nms(dets, 0.4, 8)
-            assert [(d.score, d.xmin) for d in got] == [(d.score, d.xmin) for d in want]
+            assert nms_array_of(dets, 0.4, 8) == brute_force_nms(dets, 0.4, 8)
+
+    def test_equal_scores_in_two_classes(self):
+        # Ties order by index across classes; only box 2 shares box 0's class.
+        dets = [ScoredBox(0, 0, 10, 10, 1, 0.5), ScoredBox(0, 0, 10, 10, 0, 0.5),
+                ScoredBox(1, 0, 11, 10, 1, 0.5), ScoredBox(30, 30, 40, 40, 0, 0.5)]
+        assert nms_array_of(dets) == brute_force_nms(dets, 0.45, 200) == [0, 1, 3]
+
+    def test_one_class_past_max_keep(self):
+        # Class 0 has 5 disjoint survivors; the pass interleaves the classes
+        # by score and stops at max_keep overall.
+        dets = ([ScoredBox(20 * i, 0, 20 * i + 10, 10, 0, 0.9 - 0.1 * i) for i in range(5)]
+                + [ScoredBox(0, 0, 10, 10, 1, 0.85), ScoredBox(0, 30, 10, 40, 1, 0.45)])
+        assert nms_array_of(dets, max_keep=3) == brute_force_nms(dets, 0.45, 3) == [0, 5, 1]
+        assert nms_array_of(dets, max_keep=7) == [0, 5, 1, 2, 3, 4, 6]
+
+    def test_survivor_past_the_prefix(self):
+        # Ten equal class-0 boxes leave one survivor in the 2 * max_keep = 4
+        # prefix; the same box in class 1 ranks 11th and must still be kept.
+        boxes = [ScoredBox(0, 0, 10, 10, 0, 1.0) for _ in range(10)]
+        dets = boxes + [ScoredBox(0, 0, 10, 10, 1, 0.5)]
+        assert nms_array_of(dets, max_keep=2) == brute_force_nms(dets, 0.45, 2) == [0, 10]
+
+    @given(n=st.integers(0, 300), n_classes=st.integers(1, 4),
+           max_keep=st.sampled_from([1, 3, 50, 200]), crowded=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_classes_match_brute_force(self, n, n_classes, max_keep, crowded, seed):
+        # Scores rounded to 0.1 tie across classes; rounded corners repeat boxes.
+        rng = np.random.default_rng(seed)
+        xy = np.round(rng.uniform(0, 8 if crowded else 64, (n, 2)))
+        wh = np.round(rng.uniform(10 if crowded else 1, 30, (n, 2)))
+        scores = np.round(rng.uniform(0, 1, n), 1)
+        classes = rng.integers(0, n_classes, n)
+        dets = [ScoredBox(*b, class_id=int(c), score=float(s))
+                for b, c, s in zip(np.concatenate([xy, xy + wh], axis=1), classes, scores)]
+        assert nms_array_of(dets, 0.45, max_keep) == brute_force_nms(dets, 0.45, max_keep)
 
     def test_array_variant_matches_box_variant(self):
         rng = np.random.default_rng(7)
@@ -290,7 +334,8 @@ class TestNms:
                              score=float(rng.uniform(0, 1))) for _ in range(15)]
             boxes = corners(dets)
             scores = np.array([d.score for d in dets])
-            keep = nms_array(boxes, scores, iou_threshold=0.4, max_keep=8)
+            keep = nms_array(boxes, scores, np.zeros(15, dtype=np.int64),
+                             iou_threshold=0.4, max_keep=8)
             want = nms(dets, iou_threshold=0.4, max_keep=8)
             assert [dets[i].score for i in keep] == [d.score for d in want]
 
@@ -312,7 +357,7 @@ class TestNms:
             boxes = np.concatenate([xy, xy + wh], axis=1)
             dets = [ScoredBox(*b, class_id=0, score=float(s)) for b, s in zip(boxes, scores)]
             position = {id(d): i for i, d in enumerate(dets)}
-            keep = nms_array(boxes, scores, thr, max_keep)
+            keep = nms_array(boxes, scores, np.zeros(n, dtype=np.int64), thr, max_keep)
             want = [position[id(d)] for d in nms(dets, thr, max_keep)]
             assert keep.tolist() == want
 
@@ -323,6 +368,6 @@ class TestNms:
                          [[20.0 * i, 20.0, 20.0 * i + 10, 30.0] for i in range(5)])
         scores = np.array([1.0] * 500 + [0.5 - 0.01 * i for i in range(5)])
         dets = [ScoredBox(*b, class_id=0, score=float(s)) for b, s in zip(boxes, scores)]
-        keep = nms_array(boxes, scores, 0.45, max_keep=3)
+        keep = nms_array(boxes, scores, np.zeros(505, dtype=np.int64), 0.45, max_keep=3)
         assert keep.tolist() == [0, 500, 501]
         assert [dets[i] for i in keep] == nms(dets, 0.45, 3)

@@ -228,22 +228,31 @@ class TestDiagnostics:
         assert self.run_error(argv, capsys) == f"error: {message}"
         assert not out.exists()
 
-    @pytest.mark.parametrize("class_id", [9, 0])
+    @pytest.mark.parametrize("command,class_id", [("train", 9), ("train", 0),
+                                                  ("eval", 9), ("eval", 0)],
+                             ids=["9", "0", "eval-9", "eval-0"])
     def test_class_id_outside_network_rejected(self, data_dir, tmp_path, capsys,
-                                               class_id):
+                                               small_ckpt, command, class_id):
         data = tmp_path / "data"
         shutil.copytree(data_dir / "data", data)
         with open(data / "annotations.txt", "a", encoding="utf-8") as f:
             f.write(f"images/0000.ppm {class_id} 1 1 5 5\n")
-        cfg = tmp_path / "c.txt"
-        cfg.write_text("epochs = 1\nwarmup_epochs = 0\nlr_drop_epochs =\n"
-                       "image_size = 32\nstage_channels = 8 8 8 8\n")
-        ckpt = tmp_path / "m.ckpt"
-        err = self.run_error(["train", "--config", str(cfg), "--data", str(data),
-                              "--out", str(ckpt)], capsys)
+        err = self.run_on_data(command, data, tmp_path, small_ckpt, capsys)
         assert err == (f"error: {data / 'annotations.txt'}: class id {class_id} "
                        "outside 1..3")
-        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("class_id", ["99999999999999999999", "-1"])
+    def test_class_id_beyond_float64_integers_rejected(self, data_dir, tmp_path, capsys,
+                                                       small_ckpt, command, class_id):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir / "data", data)
+        with open(data / "annotations.txt", "a", encoding="utf-8") as f:
+            f.write(f"images/0000.ppm {class_id} 1 1 5 5\n")
+        line = len((data / "annotations.txt").read_text().splitlines())
+        err = self.run_on_data(command, data, tmp_path, small_ckpt, capsys)
+        assert err == (f"error: {data / 'annotations.txt'}:{line}: class id {class_id} "
+                       f"outside 0..{2 ** 53}")
 
     def test_bad_annotation_line_located(self, data_dir, tmp_path, capsys):
         bad = tmp_path / "bad"

@@ -153,3 +153,15 @@ class TestSynth:
             load_annotations(tmp_path)
         assert str(info.value) == (f"{ann}:{n_lines + 1}: expected "
                                    "'image class xmin ymin xmax ymax'")
+
+    def test_class_ids_load_exactly_up_to_2_pow_53(self, tmp_path):
+        # float64 holds every integer up to 2^53; one more would round.
+        (tmp_path / "annotations.txt").write_text(
+            f"images/0000.ppm {2 ** 53} 1 1 5 5\nimages/0000.ppm 0 1 1 5 5\n")
+        gts = load_annotations(tmp_path)["images/0000.ppm"]
+        assert [int(c) for c in gts[:, 4]] == [2 ** 53, 0]
+        ann = tmp_path / "annotations.txt"
+        ann.write_text(f"images/0000.ppm 0 1 1 5 5\nimages/0000.ppm {2 ** 53 + 1} 1 1 5 5\n")
+        with pytest.raises(ShapeError) as info:
+            load_annotations(tmp_path)
+        assert str(info.value) == f"{ann}:2: class id {2 ** 53 + 1} outside 0..{2 ** 53}"

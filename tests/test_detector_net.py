@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrfdet.detector_net import (BackboneSpec, HeadOutputs, Toggles,
-                                 anchor_counts, anchor_scales,
+from mrfdet.detector_net import (BackboneSpec, Toggles, anchor_counts, anchor_scales,
                                  aspect_ratios_for, build_network, describe,
                                  flatten_level_maps, forward, fpn_merge,
                                  seg_head_forward)
 from mrfdet.tensor_core import (ShapeError, Tensor, add, finite_diff_check,
-                                inner, no_grad, relu)
+                                inner, no_grad)
 
 SMALL = BackboneSpec(image_size=32, stage_channels=(8, 8, 8, 8))
 

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from box_oracles import Box, ScoredBox, corners, detection_array, gt_array
 from mrfdet.anchors import iou_matrix
-from mrfdet.eval_metrics import (DEFAULT_AREA_RANGES, EvalConfig, EvalReport,
-                                 average_precision, coco_style_summary,
+from mrfdet.eval_metrics import (EvalConfig, average_precision, coco_style_summary,
                                  evaluate_detections, greedy_match)
 from mrfdet.tensor_core import ShapeError
 

@@ -3,13 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrfdet.mrf_block import (DEFAULT_BRANCHES, BranchSpec, MRFBlockSpec,
-                              branch_taps, default_mrf_spec,
+from mrfdet.mrf_block import (DEFAULT_BRANCHES, BranchSpec, branch_taps, default_mrf_spec,
                               effective_receptive_field, format_rf_report,
                               init_conv, init_mrf_params, mrf_forward,
                               msra_init, named_conv, rf_report)
-from mrfdet.tensor_core import (ShapeError, Tensor, finite_diff_check, inner,
-                                relu)
+from mrfdet.tensor_core import ShapeError, finite_diff_check, inner, relu
 
 
 class TestEffectiveReceptiveField:

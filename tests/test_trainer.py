@@ -9,7 +9,7 @@ import pytest
 
 import mrfdet
 from mrfdet.cli import main
-from mrfdet.dataset import DatasetSpec, synth_dataset
+from mrfdet.dataset import DatasetSpec, load_dataset, synth_dataset
 from mrfdet.detector_net import BackboneSpec, Toggles, build_network
 from mrfdet.tensor_core import ShapeError, Tensor
 from mrfdet.trainer import (SGD, TrainConfig, load_checkpoint, lr_at,
@@ -158,7 +158,6 @@ class TestTraining:
 
 class TestPrepareSample:
     def test_masks_follow_toggle(self, tiny_dir):
-        from mrfdet.dataset import load_dataset
         _, img, boxes = load_dataset(tiny_dir)[0]
         cfg_off = TrainConfig(epochs=3, warmup_epochs=1, lr_drop_epochs=(2,),
                               image_size=32, stage_channels=(8, 8, 8, 8),

@@ -1,13 +1,15 @@
-"""Every name a package module imports is used in that module, and every
-import sits at module level."""
+"""Every name a package or test module imports is used in that module, and
+every import sits at module level."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "mrfdet"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "mrfdet"
+MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+           + sorted(TESTS.glob("*.py")))
 
 
 def unused_imports(source):
