@@ -2,7 +2,8 @@
 
 A detection is a true positive when it claims a previously unmatched
 ground truth with IoU strictly above the threshold, greedily in descending
-score order. For area-banded AP, ground truths outside the band are
+score order; each image is matched once for every threshold and band a
+report needs. For area-banded AP, ground truths outside the band are
 ignored: detections matching them are dropped rather than counted as
 false positives. As in the COCO evaluation, a class with no ground truth
 in a band is left out of that band's mean.
@@ -62,31 +63,27 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def greedy_match(ious, iou_threshold, in_band):
-    """Match the detections of one class/image to its ground truths.
-
-    ious[i][j] is the IoU of the i-th detection in descending score order
-    (equal scores keep insertion order) with gt j; in_band[j] says whether
-    gt j counts, the rest are ignored. Returns (flags, matched): flags[i]
-    is True/False/None for TP/FP/ignored (matched only an ignored gt),
-    matched[j] marks claimed gts. Ties between equal-IoU gts go to the
-    lowest gt index.
-    """
-    matched = [False] * len(in_band)
-    flags = []
-    for row in ious:
-        best, best_iou = -1, iou_threshold
-        for j, v in enumerate(row):
-            if v > best_iou and in_band[j] and not matched[j]:
-                best, best_iou = j, v
-        if best >= 0:
-            matched[best] = True
-            flags.append(True)
-        elif any(v > iou_threshold and not b for v, b in zip(row, in_band)):
-            flags.append(None)
-        else:
-            flags.append(False)
-    return flags, matched
+def match_detections(ious, thresholds, in_band):
+    """Greedily match one image's detections to its ground truths at P
+    settings in one walk. ious is their (D, G) IoU block, detections in
+    descending score order (ties in insertion order), 0 for pairs of other
+    classes; setting p has IoU threshold thresholds[p] and counts the gts in
+    in_band[p], a (P, G) mask, ignoring the rest. A detection claims the
+    unclaimed in-band gt of highest IoU strictly above the threshold, the
+    lowest gt index winning a tie. Returns (flags, matched): flags[p, i] is
+    1 (TP), 0 (FP) or -1 (ignored: nothing to claim, but an ignored gt lies
+    above the threshold); matched[p, j] marks the claimed gts."""
+    above = ious[:, None, :] > np.asarray(thresholds, dtype=np.float64)[:, None]
+    unclaimed = in_band.copy()
+    tp = np.zeros(above.shape[:2], dtype=bool)
+    # Only a detection above the threshold of some in-band gt can claim one.
+    for i in np.flatnonzero((above & in_band).any(axis=(1, 2))):
+        free = above[i] & unclaimed
+        hit = tp[i] = free.any(axis=1)
+        best = np.where(free, ious[i], -np.inf).argmax(axis=1)
+        unclaimed[hit, best[hit]] = False
+    ignored = (above & ~in_band).any(axis=2)
+    return np.where(tp, 1, np.where(ignored, -1, 0)).astype(np.int8).T, in_band & ~unclaimed
 
 
 def average_precision(tp_fp_sequence, n_gt, interpolation="eleven_point"):
@@ -113,95 +110,93 @@ def average_precision(tp_fp_sequence, n_gt, interpolation="eleven_point"):
     return float(np.sum((r[rise + 1] - r[rise]) * envelope[rise]))
 
 
-def _match_inputs(dets_by_image, gts_by_image):
-    """Per class, per image: (image, detection rows and scores in descending
-    score order, their IoU rows against the class's gts, gt areas). One
-    iou_matrix per image serves every class and area band. Class ids come
-    from the last column of the detections and the ground truth."""
-    columns = ([g[:, 4] for g in gts_by_image.values()]
-               + [d[:, 5] for d in dets_by_image.values()])
-    classes = sorted({int(c) for column in columns for c in set(column.tolist())})
-    inputs = {cls: [] for cls in classes}
-    for img in sorted(set(dets_by_image) | set(gts_by_image)):
+def _match_all(dets_by_image, gts_by_image, settings):
+    """Match each image once for all settings, (IoU threshold, area band or
+    None) pairs. Returns, per class id (from the last column of detections
+    and ground truth), the (P, N) flags of its N detections in global order
+    (score descending, then image key, then detection index) and its (P,)
+    in-band and matched gt counts."""
+    thresholds = [t for t, _ in settings]
+    lo, hi = np.array([b or (-np.inf, np.inf) for _, b in settings]).T[:, :, None]
+    images = sorted(set(dets_by_image) | set(gts_by_image))
+    if not images:
+        return {}
+    rows = []
+    for img in images:
         dets = dets_by_image.get(img, np.zeros((0, 6)))
+        dets = dets[np.argsort(-dets[:, 4], kind="stable")]
         gts = gts_by_image.get(img, np.zeros((0, 5)))
-        # Plain lists: per-element access on these few-gt rows is cheaper
-        # than numpy calls.
-        rows = iou_matrix(dets[:, :4], gts[:, :4]).tolist()
-        areas = ((gts[:, 2] - gts[:, 0]) * (gts[:, 3] - gts[:, 1])).tolist()
-        for cls in classes:
-            di = np.flatnonzero(dets[:, 5] == cls)
-            di = di[np.argsort(-dets[di, 4], kind="stable")].tolist()
-            gi = np.flatnonzero(gts[:, 4] == cls).tolist()
-            inputs[cls].append((img, di, dets[di, 4].tolist(),
-                                [[rows[i][j] for j in gi] for i in di],
-                                [areas[j] for j in gi]))
-    return inputs
+        ious = iou_matrix(dets[:, :4], gts[:, :4])
+        ious[dets[:, 5, None] != gts[:, 4]] = 0.0  # other classes never match
+        areas = (gts[:, 2] - gts[:, 0]) * (gts[:, 3] - gts[:, 1])
+        in_band = (lo < areas) & (areas <= hi)
+        flags, matched = match_detections(ious, thresholds, in_band)
+        rows.append((flags, dets[:, 4], dets[:, 5], in_band, matched, gts[:, 4]))
+    flags, scores, det_cls, in_band, matched, gt_cls = (
+        np.concatenate(column, axis=-1) for column in zip(*rows))
+    out = {}
+    for cls in sorted({int(c) for c in set(det_cls.tolist()) | set(gt_cls.tolist())}):
+        # Images come in key order and each image's detections by score, so
+        # a stable sort on score alone gives the global order.
+        di = np.flatnonzero(det_cls == cls)
+        di = di[np.argsort(-scores[di], kind="stable")]
+        gi = gt_cls == cls
+        out[cls] = flags[:, di], in_band[:, gi].sum(axis=1), matched[:, gi].sum(axis=1)
+    return out
 
 
-def _collect(inputs, iou_threshold, band=None):
-    """Global score-ordered TP/FP sequence and gt count for one class."""
-    scored = []
-    n_gt, matched_total = 0, 0
-    lo, hi = band or (-np.inf, np.inf)
-    for img, di, scores, ious, areas in inputs:
-        in_band = [lo < a <= hi for a in areas]
-        n_gt += sum(in_band)
-        flags, matched = greedy_match(ious, iou_threshold, in_band)
-        matched_total += sum(matched)
-        scored.extend((-score, img, i, flag)
-                      for i, score, flag in zip(di, scores, flags) if flag is not None)
-    scored.sort()
-    return [f for *_, f in scored], n_gt, matched_total
+def _ap(match, p, interpolation):
+    """AP at setting p of one class's _match_all entry."""
+    flags, n_gt, _ = match
+    return average_precision(flags[p][flags[p] >= 0], n_gt[p], interpolation)
 
 
-def evaluate_detections(dets_by_image, gts_by_image, config: EvalConfig,
-                        inputs=None) -> EvalReport:
+def _mean(aps, empty):
+    valid = [ap for ap in aps if ap is not None]
+    return float(np.mean(valid)) if valid else empty
+
+
+def _band_map(matches, p, interpolation):
+    """Mean AP at setting p over the classes with a gt in its band."""
+    return _mean([_ap(m, p, interpolation) for m in matches.values() if m[1][p]], None)
+
+
+def evaluate_detections(dets_by_image, gts_by_image, config: EvalConfig) -> EvalReport:
     """Per-class AP, mAP and per-area-band AP over a whole dataset.
 
     dets_by_image maps an image key to a (K, 6) array of detections (xmin,
     ymin, xmax, ymax, score, class id), gts_by_image to an (M, 5) array of
     ground truth (xmin, ymin, xmax, ymax, class id).
-    inputs, if given, is their _match_inputs, shared between passes.
     """
-    inputs = inputs or _match_inputs(dets_by_image, gts_by_image)
-    per_class, tp = {}, 0
-    fp = 0
-    missed = 0
-    for cls in inputs:
-        seq, n_gt, matched = _collect(inputs[cls], config.iou_threshold)
-        per_class[cls] = average_precision(seq, n_gt, config.interpolation)
-        tp += sum(seq)
-        fp += len(seq) - sum(seq)
-        missed += n_gt - matched
-    valid = [ap for ap in per_class.values() if ap is not None]
-    per_area = {}
-    for name, lo, hi in config.area_ranges:
-        aps = []
-        for cls in inputs:
-            seq, n_gt, _ = _collect(inputs[cls], config.iou_threshold, band=(lo, hi))
-            if n_gt:
-                aps.append(average_precision(seq, n_gt, config.interpolation))
-        per_area[name] = float(np.mean(aps)) if aps else None
-    return EvalReport(per_class_ap=per_class,
-                      map=float(np.mean(valid)) if valid else 0.0,
+    thr = config.iou_threshold
+    matches = _match_all(dets_by_image, gts_by_image, [(thr, None)] + [
+        (thr, (lo, hi)) for _, lo, hi in config.area_ranges])
+    per_class = {cls: _ap(m, 0, config.interpolation) for cls, m in matches.items()}
+    per_area = {name: _band_map(matches, p, config.interpolation)
+                for p, (name, _, _) in enumerate(config.area_ranges, 1)}
+    tp = fp = missed = 0
+    for flags, n_gt, n_matched in matches.values():
+        tp += np.count_nonzero(flags[0] == 1)
+        fp += np.count_nonzero(flags[0] == 0)
+        missed += n_gt[0] - n_matched[0]
+    return EvalReport(per_class_ap=per_class, map=_mean(per_class.values(), 0.0),
                       per_area_ap=per_area, tp=int(tp), fp=int(fp), missed=int(missed))
 
 
 def coco_style_summary(dets_by_image, gts_by_image) -> str:
     """AP@0.5, AP@0.75, AP@[0.5:0.95] and AP by area with all-point AP."""
-    inputs = _match_inputs(dets_by_image, gts_by_image)
-
-    def map_at(thr, bands=()):
-        # Area bands are printed at IoU 0.5 only, so only that pass matches them.
-        cfg = EvalConfig(iou_threshold=thr, interpolation="all_point", area_ranges=bands)
-        return evaluate_detections(dets_by_image, gts_by_image, cfg, inputs)
-
-    r50, r75 = map_at(0.5, DEFAULT_AREA_RANGES), map_at(0.75)
-    sweep = [map_at(t).map for t in np.arange(0.5, 0.955, 0.05)]
-    lines = [f"AP@0.5        {r50.map:.4f}",
-             f"AP@0.75       {r75.map:.4f}",
-             f"AP@[0.5:0.95] {float(np.mean(sweep)):.4f}"]
-    for name, v in r50.per_area_ap.items():
+    # The sweep's sixth threshold is 0.7500000000000002, not 0.75, so AP@0.75
+    # has a setting of its own; area bands are printed at IoU 0.5 only.
+    sweep = np.arange(0.5, 0.955, 0.05)
+    bands = [(0.5, (lo, hi)) for _, lo, hi in DEFAULT_AREA_RANGES]
+    matches = _match_all(dets_by_image, gts_by_image,
+                         [(t, None) for t in sweep] + [(0.75, None)] + bands)
+    maps = [_mean([_ap(m, p, "all_point") for m in matches.values()], 0.0)
+            for p in range(len(sweep) + 1)]
+    lines = [f"AP@0.5        {maps[0]:.4f}",
+             f"AP@0.75       {maps[-1]:.4f}",
+             f"AP@[0.5:0.95] {float(np.mean(maps[:-1])):.4f}"]
+    for p, (name, _, _) in enumerate(DEFAULT_AREA_RANGES, len(sweep) + 1):
+        v = _band_map(matches, p, "all_point")
         lines.append(f"AP_{name} @0.5     " + ("n/a" if v is None else f"{v:.4f}"))
     return "\n".join(lines)

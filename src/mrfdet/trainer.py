@@ -185,8 +185,12 @@ def train(config: TrainConfig, data_dir, log_fn=None, ckpt_path=None) -> TrainRe
 REQUIRED_MEMBERS = ("meta", "meta.stages", "rng.pcg64", "names", "params")
 
 
-def _flat(arrays):
-    return np.concatenate([np.ravel(a) for a in arrays]).astype("<f4", copy=False)
+class _Flat(list):
+    """Arrays that np.savez flattens into one <f4 member only as it writes
+    that member, so a save holds one flat member at a time."""
+
+    def __array__(self, dtype=None, copy=None):
+        return np.concatenate([np.ravel(a) for a in self]).astype("<f4", copy=False)
 
 
 def save_checkpoint(path, det: DetectorParams, config: TrainConfig,
@@ -203,9 +207,9 @@ def save_checkpoint(path, det: DetectorParams, config: TrainConfig,
                "meta.stages": np.array(det.backbone.stage_channels, dtype="<i8"),
                "rng.pcg64": np.frombuffer(raw, dtype="u1"),
                "names": np.array(names),
-               "params": _flat(t.data for t in det.params.values())}
+               "params": _Flat(t.data for t in det.params.values())}
     if optimizer is not None:
-        members["momentum"] = _flat(optimizer.velocity[name] for name in names)
+        members["momentum"] = _Flat(optimizer.velocity[name] for name in names)
     # Write a sibling file and rename it over the target, so a failed write
     # never leaves a cut checkpoint at `path`.
     tmp = f"{path}.tmp"

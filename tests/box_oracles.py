@@ -1,15 +1,23 @@
-"""Per-box reference geometry, for tests only.
+"""Per-box reference geometry and evaluation, for tests only.
 
 The package computes IoU, NMS and box encoding on (N, 4) corner arrays
 (mrfdet.anchors) and keeps ground truth as (M, 5) arrays. These versions
 follow the textbook definitions one box or one pair at a time, and the
 tests check the array functions against them.
+
+The package's evaluation matches each image once for every IoU threshold
+and area band of a report. greedy_match and the reference_* functions
+below match one setting at a time, one (class, image) at a time, and sort
+each class's detections as Python tuples per setting.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from mrfdet.anchors import iou_matrix
+from mrfdet.eval_metrics import (DEFAULT_AREA_RANGES, EvalConfig, EvalReport,
+                                 average_precision)
 from mrfdet.tensor_core import ShapeError
 
 
@@ -111,3 +119,109 @@ def nms(detections, iou_threshold=0.45, max_keep=200):
     kept.sort(key=lambda p: (-p[1].score, p[0]))
     return [det for _, det in kept[:max_keep]]
 
+
+
+def greedy_match(ious, iou_threshold, in_band):
+    """Match the detections of one class/image to its ground truths.
+
+    ious[i][j] is the IoU of the i-th detection in descending score order
+    (equal scores keep insertion order) with gt j; in_band[j] says whether
+    gt j counts, the rest are ignored. Returns (flags, matched): flags[i]
+    is True/False/None for TP/FP/ignored (matched only an ignored gt),
+    matched[j] marks claimed gts. Ties between equal-IoU gts go to the
+    lowest gt index.
+    """
+    matched = [False] * len(in_band)
+    flags = []
+    for row in ious:
+        best, best_iou = -1, iou_threshold
+        for j, v in enumerate(row):
+            if v > best_iou and in_band[j] and not matched[j]:
+                best, best_iou = j, v
+        if best >= 0:
+            matched[best] = True
+            flags.append(True)
+        elif any(v > iou_threshold and not b for v, b in zip(row, in_band)):
+            flags.append(None)
+        else:
+            flags.append(False)
+    return flags, matched
+
+
+def _match_inputs(dets_by_image, gts_by_image):
+    """Per class, per image: (image, detection indices and scores in
+    descending score order, their IoU rows against the class's gts, gt
+    areas)."""
+    columns = ([g[:, 4] for g in gts_by_image.values()]
+               + [d[:, 5] for d in dets_by_image.values()])
+    classes = sorted({int(c) for column in columns for c in set(column.tolist())})
+    inputs = {cls: [] for cls in classes}
+    for img in sorted(set(dets_by_image) | set(gts_by_image)):
+        dets = dets_by_image.get(img, np.zeros((0, 6)))
+        gts = gts_by_image.get(img, np.zeros((0, 5)))
+        rows = iou_matrix(dets[:, :4], gts[:, :4]).tolist()
+        areas = ((gts[:, 2] - gts[:, 0]) * (gts[:, 3] - gts[:, 1])).tolist()
+        for cls in classes:
+            di = np.flatnonzero(dets[:, 5] == cls)
+            di = di[np.argsort(-dets[di, 4], kind="stable")].tolist()
+            gi = np.flatnonzero(gts[:, 4] == cls).tolist()
+            inputs[cls].append((img, di, dets[di, 4].tolist(),
+                                [[rows[i][j] for j in gi] for i in di],
+                                [areas[j] for j in gi]))
+    return inputs
+
+
+def _collect(inputs, iou_threshold, band=None):
+    """Global score-ordered TP/FP sequence and gt count for one class."""
+    scored = []
+    n_gt, matched_total = 0, 0
+    lo, hi = band or (-np.inf, np.inf)
+    for img, di, scores, ious, areas in inputs:
+        in_band = [lo < a <= hi for a in areas]
+        n_gt += sum(in_band)
+        flags, matched = greedy_match(ious, iou_threshold, in_band)
+        matched_total += sum(matched)
+        scored.extend((-score, img, i, flag)
+                      for i, score, flag in zip(di, scores, flags) if flag is not None)
+    scored.sort()
+    return [f for *_, f in scored], n_gt, matched_total
+
+
+def reference_evaluate(dets_by_image, gts_by_image, config: EvalConfig) -> EvalReport:
+    """evaluate_detections, one greedy_match pass per setting."""
+    inputs = _match_inputs(dets_by_image, gts_by_image)
+    per_class, tp, fp, missed = {}, 0, 0, 0
+    for cls in inputs:
+        seq, n_gt, matched = _collect(inputs[cls], config.iou_threshold)
+        per_class[cls] = average_precision(seq, n_gt, config.interpolation)
+        tp += sum(seq)
+        fp += len(seq) - sum(seq)
+        missed += n_gt - matched
+    valid = [ap for ap in per_class.values() if ap is not None]
+    per_area = {}
+    for name, lo, hi in config.area_ranges:
+        aps = []
+        for cls in inputs:
+            seq, n_gt, _ = _collect(inputs[cls], config.iou_threshold, band=(lo, hi))
+            if n_gt:
+                aps.append(average_precision(seq, n_gt, config.interpolation))
+        per_area[name] = float(np.mean(aps)) if aps else None
+    return EvalReport(per_class_ap=per_class,
+                      map=float(np.mean(valid)) if valid else 0.0,
+                      per_area_ap=per_area, tp=int(tp), fp=int(fp), missed=int(missed))
+
+
+def reference_coco_summary(dets_by_image, gts_by_image) -> str:
+    """coco_style_summary from 12 reference_evaluate passes."""
+    def map_at(thr, bands=()):
+        cfg = EvalConfig(iou_threshold=thr, interpolation="all_point", area_ranges=bands)
+        return reference_evaluate(dets_by_image, gts_by_image, cfg)
+
+    r50, r75 = map_at(0.5, DEFAULT_AREA_RANGES), map_at(0.75)
+    sweep = [map_at(t).map for t in np.arange(0.5, 0.955, 0.05)]
+    lines = [f"AP@0.5        {r50.map:.4f}",
+             f"AP@0.75       {r75.map:.4f}",
+             f"AP@[0.5:0.95] {float(np.mean(sweep)):.4f}"]
+    for name, v in r50.per_area_ap.items():
+        lines.append(f"AP_{name} @0.5     " + ("n/a" if v is None else f"{v:.4f}"))
+    return "\n".join(lines)

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from box_oracles import Box, ScoredBox, corners, detection_array, gt_array
+from box_oracles import (Box, ScoredBox, corners, detection_array, greedy_match, gt_array,
+                         reference_coco_summary, reference_evaluate)
 from mrfdet.anchors import iou_matrix
 from mrfdet.eval_metrics import (EvalConfig, average_precision, coco_style_summary,
-                                 evaluate_detections, greedy_match)
+                                 evaluate_detections, match_detections)
 from mrfdet.tensor_core import ShapeError
 
 
@@ -46,15 +47,26 @@ def loop_average_precision(tp_fp_sequence, n_gt, interpolation="eleven_point"):
     return float(np.sum((r[idx] - r[idx - 1]) * p[idx]))
 
 
+FLAG_CODES = {True: 1, False: 0, None: -1}
+
+# The COCO thresholds (the sixth is 0.7500000000000002), AP@0.75's own
+# 0.75, and IoUs that land exactly on them or repeat, so that ties and
+# strict-versus-inclusive comparisons both occur.
+THRESHOLDS = np.arange(0.5, 0.955, 0.05).tolist() + [0.75]
+IOU_VALUES = sorted(set(THRESHOLDS + [0.0, 0.25, 0.5, 0.75, 1.0]))
+
+
 def match(dets, gts, iou_threshold, ignore_gts=()):
-    """greedy_match on Box lists: dets in descending score order (stable), the
-    IoU matrix against gts followed by ignore_gts, the latter out of band."""
+    """match_detections at one setting on Box lists: dets in descending score
+    order (stable), the IoU matrix against gts followed by ignore_gts, the
+    latter out of band. Flags come back as True/False/None for TP/FP/ignored."""
     dets = sorted(dets, key=lambda d: -d.score)
     all_gts = list(gts) + list(ignore_gts)
     ious = iou_matrix(corners(dets), corners(all_gts))
     in_band = np.arange(len(all_gts)) < len(gts)
-    flags, matched = greedy_match(ious, iou_threshold, in_band)
-    return flags, matched[:len(gts)]
+    flags, matched = match_detections(ious, [iou_threshold], in_band[None])
+    codes = {code: flag for flag, code in FLAG_CODES.items()}
+    return [codes[f] for f in flags[0].tolist()], matched[0, :len(gts)].tolist()
 
 
 class TestGreedyMatch:
@@ -96,6 +108,26 @@ class TestGreedyMatch:
         ignore = [Box(0, 0, 10, 10)]
         flags, matched = match([ScoredBox(0, 0, 10, 10, 0, 0.9)], gts, 0.5, ignore)
         assert flags == [True] and matched == [True]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n_dets=st.integers(0, 8), n_gts=st.integers(0, 5),
+           n_settings=st.integers(1, 13))
+    def test_every_setting_equals_the_oracle_run_alone(self, data, n_dets, n_gts,
+                                                       n_settings):
+        ious = np.array(data.draw(st.lists(
+            st.lists(st.sampled_from(IOU_VALUES), min_size=n_gts, max_size=n_gts),
+            min_size=n_dets, max_size=n_dets)), dtype=np.float64).reshape(n_dets, n_gts)
+        thresholds = data.draw(st.lists(st.sampled_from(THRESHOLDS),
+                                        min_size=n_settings, max_size=n_settings))
+        in_band = np.array(data.draw(st.lists(
+            st.lists(st.booleans(), min_size=n_gts, max_size=n_gts),
+            min_size=n_settings, max_size=n_settings)), dtype=bool).reshape(n_settings, n_gts)
+        flags, matched = match_detections(ious, thresholds, in_band)
+        assert flags.shape == (n_settings, n_dets) and matched.shape == (n_settings, n_gts)
+        for p, thr in enumerate(thresholds):
+            ref_flags, ref_matched = greedy_match(ious.tolist(), thr, in_band[p].tolist())
+            assert flags[p].tolist() == [FLAG_CODES[f] for f in ref_flags]
+            assert matched[p].tolist() == ref_matched
 
 
 class TestAveragePrecision:
@@ -275,3 +307,63 @@ class TestCocoSummary:
         text = coco_style_summary(as_arrays(dets), gt_arrays(gts))
         assert "AP@0.5        1.0000" in text
         assert "AP@0.75       0.0000" in text
+
+    def test_ap75_is_taken_at_075_itself(self):
+        # IoU 0.7500000000000002 lies above 0.75 but not above the sweep's
+        # sixth threshold, which is that same value.
+        gts = {"a": [Box(0, 0, 20, 20, 1)]}
+        dets = {"a": [ScoredBox(0, 0, 20, 15.000000000000002, 1, 0.9)]}
+        text = coco_style_summary(as_arrays(dets), gt_arrays(gts))
+        assert "AP@0.75       1.0000" in text
+        assert "AP@[0.5:0.95] 0.5000" in text
+        assert text == reference_coco_summary(as_arrays(dets), gt_arrays(gts))
+
+
+# Coordinates on an 8-pixel grid, so IoUs are ratios of small integers and
+# land exactly on thresholds, and sides up to 104 pixels, so the S, M and
+# L bands all occur.
+grid = st.integers(0, 4).map(lambda v: 8.0 * v)
+side = st.integers(1, 13).map(lambda v: 8.0 * v)
+step = st.sampled_from([-8.0, 0.0, 8.0])
+
+
+@st.composite
+def datasets(draw):
+    """(detections, ground truth) over 1-4 images and 1-3 classes; an image
+    may be missing from either dict. Scores have one decimal, so equal
+    scores occur across images, and most detections are a gt moved by a
+    grid step, so TPs, ignored detections and IoUs on a threshold are common."""
+    label = st.integers(1, draw(st.integers(1, 3))).map(float)
+    dets, gts = {}, {}
+    for img in "dbca"[:draw(st.integers(1, 4))]:
+        g = [[x, y, x + w, y + h, c] for x, y, w, h, c in
+             draw(st.lists(st.tuples(grid, grid, side, side, label), max_size=5))]
+        d = []
+        for _ in range(draw(st.integers(0, 8))):
+            if g and draw(st.booleans()):
+                x0, y0, x1, y1, c = draw(st.sampled_from(g))
+                x0, y0 = x0 + draw(step), y0 + draw(step)
+                x1, y1 = max(x1 + draw(step), x0 + 8), max(y1 + draw(step), y0 + 8)
+                c = draw(st.sampled_from([c, draw(label)]))
+            else:
+                x0, y0, w, h, c = draw(st.tuples(grid, grid, side, side, label))
+                x1, y1 = x0 + w, y0 + h
+            d.append([x0, y0, x1, y1, draw(st.integers(0, 10)) / 10, c])
+        present = draw(st.sampled_from(["both", "dets", "gts"]))
+        if present != "gts":
+            dets[img] = np.array(d, dtype=np.float64).reshape(-1, 6)
+        if present != "dets":
+            gts[img] = np.array(g, dtype=np.float64).reshape(-1, 5)
+    return dets, gts
+
+
+class TestReportOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(data=datasets())
+    def test_reports_equal_the_per_setting_composition(self, data):
+        dets, gts = data
+        for interpolation in ("eleven_point", "all_point"):
+            config = EvalConfig(interpolation=interpolation)
+            assert evaluate_detections(dets, gts, config) == \
+                reference_evaluate(dets, gts, config)
+        assert coco_style_summary(dets, gts) == reference_coco_summary(dets, gts)
