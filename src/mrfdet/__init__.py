@@ -1,8 +1,8 @@
 """Desk-scale multi-receptive-field detector with a small-object-focusing
 weakly-supervised segmentation auxiliary task."""
 
-from .anchors import (MatchAssignment, decode_array, encode_array, generate_anchors,
-                      iou_matrix, match_anchors, nms_array)
+from .anchors import (decode_array, encode_array, generate_anchors, iou_matrix,
+                      match_anchors, nms_array)
 from .detector_net import (BackboneSpec, DetectorParams, HeadOutputs, Toggles,
                            build_network, describe, forward, fpn_merge,
                            seg_head_forward)

@@ -9,30 +9,9 @@ results are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor_core import ShapeError
-
-
-@dataclass
-class MatchAssignment:
-    """Per-anchor assignment: gt index for positives, -1 for negatives."""
-
-    anchor_gt: np.ndarray  # int array, len == num anchors
-
-    @property
-    def positive_indices(self):
-        return np.flatnonzero(self.anchor_gt >= 0)
-
-    @property
-    def negative_indices(self):
-        return np.flatnonzero(self.anchor_gt < 0)
-
-    @property
-    def n_pos(self):
-        return int((self.anchor_gt >= 0).sum())
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -61,29 +40,30 @@ def encode_array(gt: np.ndarray, anchors: np.ndarray) -> np.ndarray:
 
 
 def decode_array(t: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """Corner-form boxes of (..., A, 4) offsets against (A, 4) anchors."""
     dc = corner_to_center(anchors)
     cen = np.empty_like(t)
-    cen[:, 0] = t[:, 0] * dc[:, 2] + dc[:, 0]
-    cen[:, 1] = t[:, 1] * dc[:, 3] + dc[:, 1]
-    cen[:, 2:] = dc[:, 2:] * np.exp(t[:, 2:])
+    cen[..., 0] = t[..., 0] * dc[..., 2] + dc[..., 0]
+    cen[..., 1] = t[..., 1] * dc[..., 3] + dc[..., 1]
+    cen[..., 2:] = dc[..., 2:] * np.exp(t[..., 2:])
     return center_to_corner(cen)
 
 
 def corner_to_center(a: np.ndarray) -> np.ndarray:
     out = np.empty_like(a)
-    out[:, 0] = (a[:, 0] + a[:, 2]) / 2
-    out[:, 1] = (a[:, 1] + a[:, 3]) / 2
-    out[:, 2] = a[:, 2] - a[:, 0]
-    out[:, 3] = a[:, 3] - a[:, 1]
+    out[..., 0] = (a[..., 0] + a[..., 2]) / 2
+    out[..., 1] = (a[..., 1] + a[..., 3]) / 2
+    out[..., 2] = a[..., 2] - a[..., 0]
+    out[..., 3] = a[..., 3] - a[..., 1]
     return out
 
 
 def center_to_corner(a: np.ndarray) -> np.ndarray:
     out = np.empty_like(a)
-    out[:, 0] = a[:, 0] - a[:, 2] / 2
-    out[:, 1] = a[:, 1] - a[:, 3] / 2
-    out[:, 2] = a[:, 0] + a[:, 2] / 2
-    out[:, 3] = a[:, 1] + a[:, 3] / 2
+    out[..., 0] = a[..., 0] - a[..., 2] / 2
+    out[..., 1] = a[..., 1] - a[..., 3] / 2
+    out[..., 2] = a[..., 0] + a[..., 2] / 2
+    out[..., 3] = a[..., 1] + a[..., 3] / 2
     return out
 
 
@@ -116,13 +96,14 @@ def generate_anchors(pyramid_shapes, scales, aspect_ratios, image_size) -> np.nd
     return np.clip(arr, 0, image_size)
 
 
-def match_anchors(anchors: np.ndarray, gts, pos_threshold=0.5) -> MatchAssignment:
+def match_anchors(anchors: np.ndarray, gts, pos_threshold=0.5) -> np.ndarray:
     """SSD matching: bipartite best-anchor-per-gt, then IoU thresholding.
 
     Every ground truth claims its highest-IoU anchor (ties to the lowest
     anchor index); any other anchor with IoU >= pos_threshold to some gt
     becomes positive for its best gt. Remaining anchors are negative.
-    gts is a corner-form (M, 4) array.
+    gts is a corner-form (M, 4) array. Returns the (A,) int64 gt index of
+    every anchor, -1 for a negative.
     """
     if len(anchors) == 0:
         raise ShapeError("match_anchors needs at least one anchor")
@@ -130,7 +111,7 @@ def match_anchors(anchors: np.ndarray, gts, pos_threshold=0.5) -> MatchAssignmen
         raise ShapeError("pos_threshold must lie in (0, 1)")
     assign = np.full(len(anchors), -1, dtype=np.int64)
     if len(gts) == 0:
-        return MatchAssignment(assign)
+        return assign
     ious = iou_matrix(np.asarray(anchors, dtype=np.float64), gts)
     # Threshold step first; the bipartite step below overrides it.
     best_gt = ious.argmax(axis=1)
@@ -145,7 +126,7 @@ def match_anchors(anchors: np.ndarray, gts, pos_threshold=0.5) -> MatchAssignmen
         best = int(col.argmax())
         assign[best] = j
         claimed[best] = True
-    return MatchAssignment(assign)
+    return assign
 
 
 def nms_array(boxes: np.ndarray, scores: np.ndarray, classes: np.ndarray,

@@ -41,8 +41,14 @@ class DatasetSpec:
             raise ShapeError("num_classes must be 1..3 (rectangle/ellipse/triangle)")
         if self.max_objects < self.min_objects or self.min_objects < 0:
             raise ShapeError("bad objects-per-image range")
-        if self.large_side[1] >= self.image_size:
-            raise ShapeError("objects must fit within image bounds")
+        if self.num_images < 0:
+            raise ShapeError(f"num_images must be >= 0, got {self.num_images}")
+        for key in ("small_side", "large_side"):
+            side = tuple(getattr(self, key))
+            if len(side) != 2 or not 1 <= side[0] <= side[1] < self.image_size:
+                raise ShapeError(f"{key} must be two sizes lo hi with 1 <= lo <= hi < "
+                                 f"image_size {self.image_size}, got "
+                                 f"{' '.join(map(str, side))}")
         if self.seed < 0:
             raise ShapeError(f"seed must be >= 0, got {self.seed}")
 

@@ -21,8 +21,7 @@ from .anchors import generate_anchors
 from .mrf_block import (default_mrf_spec, init_conv, init_mrf_params, mrf_forward,
                         msra_init, named_conv)
 from .tensor_core import (ConvSpec, ShapeError, Tensor, _node, add, as_tensor,
-                          concat, conv2d, relu, take_row, transposed_conv2d,
-                          upsample_nearest_2x)
+                          concat, conv2d, relu, transposed_conv2d, upsample_nearest_2x)
 
 SEG_MODES = ("off", "aws", "sws")
 
@@ -60,9 +59,13 @@ class BackboneSpec:
     def __post_init__(self):
         if len(self.stage_channels) < 3:
             raise ShapeError("backbone needs at least 3 stages")
-        if self.image_size % (2 ** len(self.stage_channels)) != 0:
-            raise ShapeError(f"image size {self.image_size} must be divisible by "
-                             f"the coarsest stride {2 ** len(self.stage_channels)}")
+        if min(self.stage_channels) < 1:
+            raise ShapeError(f"stage_channels {' '.join(map(str, self.stage_channels))} "
+                             "must all be at least 1")
+        stride = 2 ** len(self.stage_channels)
+        if self.image_size < 1 or self.image_size % stride != 0:
+            raise ShapeError(f"image_size {self.image_size} must be a positive multiple "
+                             f"of the coarsest stride {stride}")
 
 
 @dataclass(frozen=True)
@@ -77,19 +80,13 @@ class LevelSpec:
 
 @dataclass
 class HeadOutputs:
-    """Flattened anchor-major predictions of every level, for a batch of N
-    images or, without the leading N, for one image."""
+    """Flattened anchor-major predictions of every level for a batch of N
+    images; the loss and the decoder take the whole batch."""
 
     loc: Tensor                 # (N, num_anchors, 4)
     conf: Tensor                # (N, num_anchors, num_classes + 1)
     anchors: np.ndarray         # (num_anchors, 4) corner form
     seg_logits: Tensor = None   # (N, 2, image, image) when segmentation ran
-
-    def image(self, i: int) -> "HeadOutputs":
-        """Image i's rows of batch outputs, still on the tape."""
-        return HeadOutputs(take_row(self.loc, i), take_row(self.conf, i), self.anchors,
-                           None if self.seg_logits is None
-                           else take_row(self.seg_logits, i))
 
 
 @dataclass
@@ -270,17 +267,12 @@ def forward(det: DetectorParams, images, with_seg=None):
 
     FeaturePyramid is the list of (level name, stride, feature Tensor),
     finest first. with_seg overrides whether the segmentation head runs;
-    by default it runs iff the seg_mode toggle is not "off". One (3, H, W)
-    image runs as a batch of one, and both results are that image's rows.
+    by default it runs iff the seg_mode toggle is not "off".
     """
     x = as_tensor(images)
     size = det.backbone.image_size
-    single = x.data.ndim == 3
-    if single:
-        x = _node(x.data[None], (x,), lambda g: g[0])
     if x.data.ndim != 4 or x.shape[1:] != (3, size, size):
-        raise ShapeError(f"image must be (3, {size}, {size}) or a batch "
-                         f"(N, 3, {size}, {size}), got {as_tensor(images).shape}")
+        raise ShapeError(f"images must be a batch (N, 3, {size}, {size}), got {x.shape}")
     p = det.params
     stages = []
     for s in range(len(det.backbone.stage_channels)):
@@ -318,10 +310,8 @@ def forward(det: DetectorParams, images, with_seg=None):
             raise ShapeError("segmentation head requires the extra level")
         seg_logits = seg_head_forward(det, pyramid[0][2])
 
-    outputs = HeadOutputs(loc=loc, conf=conf, anchors=det.anchors, seg_logits=seg_logits)
-    if single:
-        return [(name, st, take_row(f, 0)) for name, st, f in pyramid], outputs.image(0)
-    return pyramid, outputs
+    return pyramid, HeadOutputs(loc=loc, conf=conf, anchors=det.anchors,
+                                seg_logits=seg_logits)
 
 
 def describe(det: DetectorParams) -> str:

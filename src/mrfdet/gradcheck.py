@@ -9,7 +9,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .anchors import MatchAssignment
 from .detector_net import BackboneSpec, Toggles, build_network, forward
 from .losses import LossConfig, conf_loss, loc_loss, total_loss
 from .mrf_block import default_mrf_spec, init_mrf_params, mrf_forward
@@ -93,7 +92,8 @@ def primitive_checks(rng):
 
 
 def micro_scene(rng, n_anchors=10, n_classes=2):
-    """A tiny detection scene: fixed anchors, 2 positives, all negatives mined."""
+    """A tiny one-image detection scene: fixed anchors, 2 positives, all
+    negatives mined."""
     anchors = np.stack([
         np.linspace(2, 30, n_anchors),
         np.linspace(2, 30, n_anchors),
@@ -103,29 +103,29 @@ def micro_scene(rng, n_anchors=10, n_classes=2):
     gts = np.column_stack([anchors[[1, 7]], [1, n_classes]])
     assign = np.full(n_anchors, -1, dtype=np.int64)
     assign[1], assign[7] = 0, 1
-    return anchors, gts, MatchAssignment(assign)
+    return anchors, gts, assign[None]
 
 
 def loss_checks(rng):
     checks = []
     anchors, gts, assignment = micro_scene(rng)
     n_classes = 2
-    conf = rng.standard_normal((10, n_classes + 1))
-    loc = rng.standard_normal((10, 4)) * 0.3
-    mined = assignment.negative_indices  # ratio 3 with N=2 covers all 8 negatives
+    conf = rng.standard_normal((1, 10, n_classes + 1))
+    loc = rng.standard_normal((1, 10, 4)) * 0.3
+    mined = assignment < 0  # ratio 3 with N=2 covers all 8 negatives
 
     checks.append(("conf_loss (micro-scene)", finite_diff_check(
         lambda t: conf_loss(t, assignment, gts[:, 4], mined), conf)))
     checks.append(("loc_loss (micro-scene)", finite_diff_check(
         lambda t: loc_loss(t, assignment, gts[:, :4], anchors), loc)))
 
-    mask = np.array(rng.integers(0, 3, (4, 4)), dtype=np.uint8)
-    mask[0, 0] = int(SegLabel.FOREGROUND)  # keep at least one valid pixel
-    logits = rng.standard_normal((2, 4, 4))
+    mask = np.array(rng.integers(0, 3, (1, 4, 4)), dtype=np.uint8)
+    mask[0, 0, 0] = int(SegLabel.FOREGROUND)  # keep at least one valid pixel
+    logits = rng.standard_normal((1, 2, 4, 4))
     checks.append(("seg_loss", finite_diff_check(
         lambda t: seg_loss(t, mask)[0], logits)))
 
-    seg = rng.standard_normal((2, 4, 4))
+    seg = rng.standard_normal((1, 2, 4, 4))
     cfg = LossConfig(alpha=0.7, beta=1.3, neg_pos_ratio=4.0)
 
     point = {"conf": conf, "loc": loc, "seg_logits": seg}
@@ -161,11 +161,11 @@ def tiny_net():
 
 
 def net_checks(rng):
-    """The tiny net on one (3, H, W) image and on a batch of two."""
+    """The tiny net on a batch of one image and on a batch of two."""
     det = tiny_net()
     wname = "backbone.s0.c0.w"
     checks = []
-    for shape, label in (((3, 16, 16), ""), ((2, 3, 16, 16), " N=2")):
+    for shape, label in (((1, 3, 16, 16), ""), ((2, 3, 16, 16), " N=2")):
         image = rng.standard_normal(shape) * 0.5 + 0.5
         _, probe = forward(det, image, with_seg=True)
         coeffs = [_coeffs(rng, t.shape) for t in (probe.conf, probe.loc, probe.seg_logits)]

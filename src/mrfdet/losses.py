@@ -1,11 +1,16 @@
-"""Multi-task detection objective: softmax confidence loss over matched
-anchors and mined hard negatives, smooth-L1 localization loss over encoded
-box offsets, and the auxiliary segmentation term, combined as
+"""Multi-task detection objective over a batch of N images: softmax
+confidence loss over matched anchors and mined hard negatives, smooth-L1
+localization loss over encoded box offsets, and the auxiliary segmentation
+term. Image i contributes
 
-    total = (l_conf + beta * l_loc) / max(N, 1) + alpha * l_seg
+    total_i = (l_conf_i + beta * l_loc_i) / n_i + alpha * l_seg_i
 
-with N the number of positive anchors; when N == 0 the detection term is
-dropped entirely.
+with n_i the number of its positive anchors; when n_i == 0 its detection
+term is dropped entirely. The batch loss is the sum of the total_i.
+
+The anchor assignment is an (N, A) int array: the index of an anchor's
+ground-truth row for positives, -1 for negatives. Ground-truth rows of all
+N images are joined into one (sum M_i, 5) array that the assignment indexes.
 """
 
 from __future__ import annotations
@@ -14,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anchors import MatchAssignment, encode_array
+from .anchors import encode_array
 from .sws_masks import seg_loss
-from .tensor_core import ShapeError, Tensor, _log_softmax, _node, as_tensor
+from .tensor_core import ShapeError, Tensor, _log_softmax, _node, add, as_tensor, inner
 
 
 @dataclass(frozen=True)
@@ -54,108 +59,100 @@ def smooth_l1_grad(x):
     return np.clip(x, -1.0, 1.0)
 
 
-def conf_loss(conf_logits, assignment: MatchAssignment, gt_labels,
-              mined_negatives) -> Tensor:
-    """Softmax cross-entropy summed over positives (matched class) and mined
-    negatives (background class 0). Not averaged; Eq-level sum."""
+def conf_loss(conf_logits, anchor_gt, gt_labels, mined) -> Tensor:
+    """Per-image softmax cross-entropy sums, an (N,) Tensor, over positives
+    (matched class) and the (N, A) mask of mined negatives (background
+    class 0). Not averaged; Eq-level sums."""
     logits = as_tensor(conf_logits)
-    if logits.data.ndim != 2:
-        raise ShapeError(f"conf logits must be (anchors, classes), got {logits.shape}")
-    pos = assignment.positive_indices
-    labels = np.asarray(gt_labels, dtype=np.int64)[assignment.anchor_gt[pos]]
-    if np.any(labels == 0):
+    if logits.data.ndim != 3:
+        raise ShapeError(f"conf logits must be (images, anchors, classes), got {logits.shape}")
+    pos = anchor_gt >= 0
+    targets = np.zeros(anchor_gt.shape, dtype=np.int64)
+    targets[pos] = np.asarray(gt_labels, dtype=np.int64)[anchor_gt[pos]]
+    if np.any(targets[pos] == 0):
         raise ShapeError("positive anchor assigned to background class; corrupt assignment")
-    neg = np.asarray(mined_negatives, dtype=np.int64)
-    if neg.size and assignment.anchor_gt[neg].max() >= 0:
+    if np.any(mined & pos):
         raise ShapeError("mined negatives must be Negative anchors")
-    rows = np.concatenate([pos, neg])
-    if rows.size == 0:
-        return Tensor(np.array(0.0))
-    targets = np.concatenate([labels, np.zeros(neg.size, dtype=np.int64)])
-    logp = _log_softmax(logits.data, axis=1)
+    img, anchor = np.nonzero(pos | mined)
+    targets = targets[img, anchor]
+    if img.size == 0:
+        return Tensor(np.zeros(len(anchor_gt)))
+    logp = _log_softmax(logits.data, axis=2)
+    losses = np.bincount(img, -logp[img, anchor, targets], minlength=len(anchor_gt))
 
     def grad_logits(g):
-        p = np.exp(logp[rows])
-        p[np.arange(rows.size), targets] -= 1.0
-        grad = np.zeros_like(logits.data)
-        np.add.at(grad, rows, p)
-        return g * grad
-    return _node(np.array(-float(logp[rows, targets].sum())), (logits,), grad_logits)
+        p = np.zeros_like(logp)
+        p[img, anchor] = np.exp(logp[img, anchor])
+        p[img, anchor, targets] -= 1.0
+        return g[:, None, None] * p
+    return _node(losses, (logits,), grad_logits)
 
 
-def loc_loss(loc_preds, assignment: MatchAssignment, gt_boxes,
-             anchors) -> Tensor:
-    """Smooth-L1 between predicted offsets and encoded targets, positives only."""
+def loc_loss(loc_preds, anchor_gt, gt_boxes, anchors) -> Tensor:
+    """Per-image smooth-L1 sums, an (N,) Tensor, between predicted offsets
+    and encoded targets, positives only."""
     preds = as_tensor(loc_preds)
-    if preds.data.ndim != 2 or preds.shape[1] != 4:
-        raise ShapeError(f"loc predictions must be (anchors, 4), got {preds.shape}")
-    pos = assignment.positive_indices
-    if pos.size == 0:
-        return Tensor(np.array(0.0))
-    targets = encode_array(np.asarray(gt_boxes)[assignment.anchor_gt[pos]],
-                           np.asarray(anchors)[pos])
-    diff = preds.data[pos] - targets
-    loss = float(smooth_l1(diff).sum())
+    if preds.data.ndim != 3 or preds.shape[2] != 4:
+        raise ShapeError(f"loc predictions must be (images, anchors, 4), got {preds.shape}")
+    img, anchor = np.nonzero(anchor_gt >= 0)
+    if img.size == 0:
+        return Tensor(np.zeros(len(anchor_gt)))
+    targets = encode_array(np.asarray(gt_boxes)[anchor_gt[img, anchor]],
+                           np.asarray(anchors)[anchor])
+    diff = preds.data[img, anchor] - targets
+    losses = np.bincount(img, smooth_l1(diff).sum(axis=1), minlength=len(anchor_gt))
 
     def grad_preds(g):
         grad = np.zeros_like(preds.data)
-        grad[pos] = smooth_l1_grad(diff)
-        return g * grad
-    return _node(np.array(loss), (preds,), grad_preds)
+        grad[img, anchor] = smooth_l1_grad(diff)
+        return g[:, None, None] * grad
+    return _node(losses, (preds,), grad_preds)
 
 
 def background_ce(conf_logits: np.ndarray) -> np.ndarray:
     """Per-anchor cross-entropy against the background class, for mining."""
-    return -_log_softmax(np.asarray(conf_logits), axis=1)[:, 0]
+    return -_log_softmax(np.asarray(conf_logits), axis=-1)[..., 0]
 
 
-def hard_negative_mine(per_anchor_conf_loss, assignment: MatchAssignment,
-                       ratio) -> np.ndarray:
-    """Top floor(ratio * N) negatives by descending loss; ties by lowest index."""
+def hard_negative_mine(per_anchor_conf_loss, anchor_gt, ratio) -> np.ndarray:
+    """(N, A) mask of each image's top floor(ratio * n_i) negatives by
+    descending loss; ties by lowest index."""
     if ratio <= 0:
         raise ShapeError("mining ratio must be positive")
-    n_keep = int(ratio * assignment.n_pos)
-    neg = assignment.negative_indices
-    if n_keep == 0 or neg.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    losses = np.asarray(per_anchor_conf_loss)[neg]
-    order = np.argsort(-losses, kind="stable")
-    return neg[order[:min(n_keep, neg.size)]]
+    neg = anchor_gt < 0
+    n_keep = np.minimum((ratio * (~neg).sum(axis=1)).astype(np.int64), neg.sum(axis=1))
+    # Negatives first, by descending loss (NaN last), then positives; stable.
+    order = np.lexsort((-np.asarray(per_anchor_conf_loss), ~neg), axis=1)
+    mined = np.zeros_like(neg)
+    np.put_along_axis(mined, order, np.arange(neg.shape[1]) < n_keep[:, None], axis=1)
+    return mined
 
 
-def total_loss(head_outputs, assignment: MatchAssignment, gts, seg_mask,
-               config: LossConfig):
-    """Combine the detection and segmentation terms.
+def total_loss(head_outputs, anchor_gt, gts, seg_mask, config: LossConfig):
+    """Combine the detection and segmentation terms over a batch.
 
-    head_outputs carries flat conf logits (N, classes), flat loc offsets
-    (N, 4) and optional seg logits (2, H, W); gts is the (M, 5) ground truth
-    (corners, class id). Returns (LossBreakdown, scalar Tensor) where the
-    Tensor backpropagates into all head outputs.
+    head_outputs carries conf logits (N, A, classes), loc offsets (N, A, 4)
+    and optional seg logits (N, 2, H, W); anchor_gt is the (N, A) assignment
+    into the joined (sum M_i, 5) ground truth gts (corners, class id), and
+    seg_mask the (N, H, W) SegLabel masks or None. Returns (LossBreakdown
+    summed over the images, scalar Tensor) where the Tensor backpropagates
+    into all head outputs.
     """
-    n = assignment.n_pos
-    terms = []
-    if n > 0:
-        mined = hard_negative_mine(background_ce(head_outputs.conf.data),
-                                   assignment, config.neg_pos_ratio)
-        lc = conf_loss(head_outputs.conf, assignment, gts[:, 4], mined)
-        ll = loc_loss(head_outputs.loc, assignment, gts[:, :4], head_outputs.anchors)
-        det = (lc + config.beta * ll) * (1.0 / n)
-        terms.append(det)
-        lc_v, ll_v, det_v = lc.item(), ll.item(), det.item()
-    else:
-        lc_v = ll_v = det_v = 0.0
+    anchor_gt = np.asarray(anchor_gt)
+    n_pos = (anchor_gt >= 0).sum(axis=1)
+    weights = 1.0 / np.maximum(n_pos, 1)  # an image without positives has no terms
+    mined = hard_negative_mine(background_ce(head_outputs.conf.data), anchor_gt,
+                               config.neg_pos_ratio)
+    lc = conf_loss(head_outputs.conf, anchor_gt, gts[:, 4], mined)
+    ll = loc_loss(head_outputs.loc, anchor_gt, gts[:, :4], head_outputs.anchors)
+    terms = [inner(lc, weights), inner(ll, config.beta * weights)]
+    l_seg = 0.0
     if seg_mask is not None and head_outputs.seg_logits is not None:
         ls, _ = seg_loss(head_outputs.seg_logits, seg_mask)
-        terms.append(config.alpha * ls)
-        ls_v = ls.item()
-    else:
-        ls_v = 0.0
-    if terms:
-        total = terms[0]
-        for t in terms[1:]:
-            total = total + t
-    else:
-        total = Tensor(np.array(0.0))
-    breakdown = LossBreakdown(l_conf=lc_v, l_loc=ll_v, l_det=det_v, l_seg=ls_v,
-                              total=total.item(), n_pos=n)
+        terms.append(inner(ls, np.full(len(n_pos), config.alpha)))
+        l_seg = float(ls.data.sum())
+    total = add(terms)
+    breakdown = LossBreakdown(l_conf=float(lc.data.sum()), l_loc=float(ll.data.sum()),
+                              l_det=float(((lc.data + config.beta * ll.data) * weights).sum()),
+                              l_seg=l_seg, total=total.item(), n_pos=int(n_pos.sum()))
     return breakdown, total

@@ -14,7 +14,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .tensor_core import ShapeError, Tensor, _log_softmax, _node, as_tensor
+from .tensor_core import ShapeError, _log_softmax, _node, as_tensor
 
 
 class SegLabel(IntEnum):
@@ -68,31 +68,33 @@ def rasterize_sws_mask(gts, image_size: int, thresholds: AreaThresholds) -> np.n
 
 
 def seg_loss(seg_logits, mask: np.ndarray):
-    """Per-pixel binary softmax cross-entropy over valid (non-Ignore) pixels.
+    """Per-image binary softmax cross-entropy over valid (non-Ignore) pixels.
 
-    Returns (loss Tensor scalar, valid pixel count); loss is a constant 0,
-    with no gradient, when no valid pixels exist. Gradient is defined
-    w.r.t. the logits.
+    seg_logits is (N, 2, H, W) and mask (N, H, W). Returns (an (N,) loss
+    Tensor of per-image means over the valid pixels, (N,) valid pixel
+    counts); an image without valid pixels has loss 0 and zero gradient.
+    Gradient is defined w.r.t. the logits.
     """
     logits = as_tensor(seg_logits)
-    if logits.data.ndim != 3 or logits.shape[0] != 2:
-        raise ShapeError(f"seg logits must be (2, H, W), got {logits.shape}")
-    if logits.shape[1:] != mask.shape:
-        raise ShapeError(f"logits extent {logits.shape[1:]} != mask extent {mask.shape}")
+    if logits.data.ndim != 4 or logits.shape[1] != 2:
+        raise ShapeError(f"seg logits must be (N, 2, H, W), got {logits.shape}")
+    if logits.shape[:1] + logits.shape[2:] != mask.shape:
+        raise ShapeError(f"logits extent {logits.shape[:1] + logits.shape[2:]} != "
+                         f"mask extent {mask.shape}")
     valid = mask != int(SegLabel.IGNORE)
-    count = int(valid.sum())
-    if count == 0:
-        return Tensor(np.array(0.0)), 0
-    logp = _log_softmax(logits.data, axis=0)
+    count = valid.sum(axis=(1, 2))
+    logp = _log_softmax(logits.data, axis=1)
     truth = (mask == int(SegLabel.FOREGROUND)).astype(np.int64)
-    picked = np.where(truth == 1, logp[1], logp[0])
-    loss = -float(picked[valid].sum()) / count
+    picked = np.where(truth == 1, logp[:, 1], logp[:, 0])
+    denom = np.maximum(count, 1)
+    weight = (valid / denom[:, None, None])[:, None]
+    loss = -np.where(valid, picked, 0.0).sum(axis=(1, 2), dtype=np.float64) / denom
 
     def grad_logits(g):
         p = np.exp(logp)
-        onehot = np.stack([1.0 - truth, truth.astype(np.float64)])
-        return g * ((p - onehot) * (valid / count))
-    return _node(np.array(loss), (logits,), grad_logits), count
+        onehot = np.stack([1.0 - truth, truth.astype(np.float64)], axis=1)
+        return g[:, None, None, None] * ((p - onehot) * weight)
+    return _node(loss, (logits,), grad_logits), count
 
 
 def mask_to_pgm_bytes(mask: np.ndarray) -> bytes:

@@ -106,7 +106,7 @@ class Tensor:
         return self.data.dtype
 
     def item(self) -> float:
-        return float(self.data)
+        return self.data.item()
 
     def _accumulate(self, g):
         if self.grad is None:
@@ -356,18 +356,6 @@ def concat(inputs) -> Tensor:
     ends = np.cumsum([t.shape[1] for t in ts]).tolist()
     return _node(np.concatenate([t.data for t in ts], axis=1), ts,
                  *(lambda g, lo=lo, hi=hi: g[:, lo:hi] for lo, hi in zip([0] + ends, ends)))
-
-
-def take_row(input, index: int) -> Tensor:
-    """Row `index` of the leading (batch) axis; its gradient fills that row
-    of a zero array."""
-    x = as_tensor(input)
-
-    def grad(g):
-        out = np.zeros_like(x.data)
-        out[index] = g
-        return out
-    return _node(x.data[index], (x,), grad)
 
 
 def add(inputs) -> Tensor:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import contextlib
 import os
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .detector_net import (FORWARD_BATCH, SEG_MODES, BackboneSpec, DetectorParam
                            Toggles, build_network, forward)
 from .losses import LossBreakdown, LossConfig, total_loss
 from .sws_masks import AWS_THRESHOLDS, AreaThresholds, rasterize_sws_mask
-from .tensor_core import ShapeError, add
+from .tensor_core import ShapeError
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -108,21 +108,33 @@ class TrainResult:
 
 
 def prepare_sample(det: DetectorParams, config: TrainConfig, image, gts):
-    """Precompute the match assignment and (optionally) the SWS/AWS mask of
-    an image's (M, 5) ground truth."""
-    assignment = match_anchors(det.anchors, gts[:, :4])
+    """One image as a batch of one: the (1, 3, S, S) float32 image, its
+    (M, 5) ground truth, the (1, A) anchor assignment into it and the
+    (1, S, S) SWS/AWS mask (None without segmentation)."""
+    assignment = match_anchors(det.anchors, gts[:, :4])[None]
     mask = None
     if det.toggles.seg_mode != "off":
-        mask = rasterize_sws_mask(gts, config.image_size, config.thresholds)
-    return image.astype(np.float32), gts, assignment, mask
+        mask = rasterize_sws_mask(gts, config.image_size, config.thresholds)[None]
+    return image.astype(np.float32)[None], gts, assignment, mask
+
+
+def join_samples(samples):
+    """Prepared samples joined along the batch axis; each assignment is
+    offset to its rows of the joined ground truth."""
+    images, gts, assignments, masks = zip(*samples)
+    offsets = np.cumsum([0] + [len(g) for g in gts[:-1]])
+    assignment = np.concatenate([np.where(a >= 0, a + off, -1)
+                                 for a, off in zip(assignments, offsets)])
+    mask = None if masks[0] is None else np.concatenate(masks)
+    return np.concatenate(images), np.concatenate(gts), assignment, mask
 
 
 def train(config: TrainConfig, data_dir, log_fn=None, ckpt_path=None) -> TrainResult:
     """Train on a dataset directory; aborts with diagnostics on NaN loss.
 
     Each mini-batch runs as tapes of up to FORWARD_BATCH images: one forward,
-    one loss per image, and one backward seeding every loss with
-    1/len(batch), so the step follows the mean loss of the mini-batch.
+    one loss over the tape and one backward seeded with 1/len(batch), so the
+    step follows the mean loss of the mini-batch.
     """
     det = build_network(BackboneSpec(config.image_size, config.stage_channels),
                         config.num_classes, config.toggles,
@@ -141,26 +153,20 @@ def train(config: TrainConfig, data_dir, log_fn=None, ckpt_path=None) -> TrainRe
         order = rng.permutation(len(samples))
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            sums = np.zeros(5)
-            n_pos = 0
+            sums = np.zeros(6)  # the LossBreakdown fields, n_pos last
             for tape_start in range(0, len(batch), FORWARD_BATCH):
-                tape = [samples[idx] for idx in batch[tape_start:tape_start + FORWARD_BATCH]]
-                _, outputs = forward(det, np.stack([image for image, _, _, _ in tape]))
-                losses = []
-                for i, (_, gts, assignment, mask) in enumerate(tape):
-                    breakdown, loss = total_loss(outputs.image(i), assignment, gts, mask,
-                                                 config.loss)
-                    if not np.isfinite(breakdown.total):
-                        raise FloatingPointError(
-                            f"NaN/Inf loss at step {step}: l_conf={breakdown.l_conf} "
-                            f"l_loc={breakdown.l_loc} l_seg={breakdown.l_seg}")
-                    losses.append(loss)
-                    sums += [breakdown.l_conf, breakdown.l_loc, breakdown.l_det,
-                             breakdown.l_seg, breakdown.total]
-                    n_pos += breakdown.n_pos
-                add(losses).backward(np.array(1.0 / len(batch), dtype=np.float32))
+                images, gts, assignment, mask = join_samples(
+                    [samples[idx] for idx in batch[tape_start:tape_start + FORWARD_BATCH]])
+                _, outputs = forward(det, images)
+                breakdown, loss = total_loss(outputs, assignment, gts, mask, config.loss)
+                if not np.isfinite(breakdown.total):
+                    raise FloatingPointError(
+                        f"NaN/Inf loss at step {step}: l_conf={breakdown.l_conf} "
+                        f"l_loc={breakdown.l_loc} l_seg={breakdown.l_seg}")
+                sums += astuple(breakdown)
+                loss.backward(np.array(1.0 / len(batch), dtype=np.float32))
             opt.step(lr)
-            avg = LossBreakdown(*(sums / len(batch)), n_pos=n_pos)
+            avg = LossBreakdown(*(sums[:5] / len(batch)), n_pos=int(sums[5]))
             log.append(avg)
             if log_fn is not None:
                 log_fn(avg.record(step) + f" lr={lr:g} epoch={epoch}")
@@ -258,16 +264,14 @@ def load_checkpoint(path):
         raise ShapeError(f"checkpoint {path} has a malformed meta member {meta.dtype.str} "
                          f"{meta.tolist()}: expected 7 int64 values with a seg-mode index "
                          f"below {len(SEG_MODES)}")
-    for field, value, low in (("seed", meta[0], 0), ("num_classes", meta[1], 1),
-                              ("image_size", meta[2], 1)):
+    for field, value, low in (("seed", meta[0], 0), ("num_classes", meta[1], 1)):
         if value < low:
             raise ShapeError(f"checkpoint {path} has {field} {value} in its meta "
                              f"member; expected at least {low}")
     stages = members["meta.stages"]
-    if stages.dtype != "<i8" or stages.ndim != 1 or (stages < 1).any():
+    if stages.dtype != "<i8" or stages.ndim != 1:
         raise ShapeError(f"checkpoint {path} has a malformed meta.stages member "
-                         f"{stages.dtype.str} {stages.tolist()}: expected positive int64 "
-                         "stage widths")
+                         f"{stages.dtype.str} {stages.tolist()}: expected int64 stage widths")
     try:
         toggles = Toggles(mrf=bool(meta[3]), extra_level=bool(meta[4]),
                           seg_mode=SEG_MODES[meta[5]])

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from box_oracles import Box, ScoredBox, box_from_center, corners, gt_array, iou
-from mrfdet.anchors import (MatchAssignment, encode_array, iou_matrix, match_anchors,
-                            nms_array)
+from mrfdet.anchors import encode_array, iou_matrix, match_anchors, nms_array
 from mrfdet.cli import ablate, format_ablation_table
 from mrfdet.dataset import DatasetSpec, synth_dataset
 from mrfdet.detector_net import (BackboneSpec, Toggles, build_network,
@@ -64,8 +63,8 @@ def test_criterion_1_gradient_suite():
 
 def test_criterion_2_equation_fixtures():
     # Confidence: one positive with uniform 2-class logits contributes -ln 0.5.
-    assign = MatchAssignment(np.array([0]))
-    lc = conf_loss(np.zeros((1, 2)), assign, np.array([1]), np.zeros(0, dtype=int))
+    lc = conf_loss(np.zeros((1, 1, 2)), np.array([[0]]), np.array([1]),
+                   np.zeros((1, 1), dtype=bool))
     conf_err = abs(lc.item() - (-np.log(0.5)))
 
     # Smooth L1 fixtures are exact.
@@ -78,22 +77,22 @@ def test_criterion_2_equation_fixtures():
     enc_err = max(abs(t_cx - 0.5), abs(t_cy), abs(t_w - np.log(2.0)), abs(t_h))
 
     # Segmentation: uniform logits over all-valid pixels give ln 2.
-    ls, _ = seg_loss(np.zeros((2, 4, 4)), np.zeros((4, 4), dtype=np.uint8))
+    ls, _ = seg_loss(np.zeros((1, 2, 4, 4)), np.zeros((1, 4, 4), dtype=np.uint8))
     seg_err = abs(ls.item() - np.log(2.0))
 
     # Composition: total equals the hand-combined sum on a micro-scene.
     rng = np.random.default_rng(0)
     anchors = np.array([[0, 0, 10, 10], [20, 20, 30, 30], [40, 40, 50, 50.0]])
-    assign = MatchAssignment(np.array([0, -1, -1]))
+    assign = np.array([[0, -1, -1]])
     gt = np.array([[1, 1, 11, 11, 1.0]])
-    conf = rng.standard_normal((3, 2))
-    loc = rng.standard_normal((3, 4))
-    seg = rng.standard_normal((2, 4, 4))
-    mask = np.zeros((4, 4), dtype=np.uint8)
+    conf = rng.standard_normal((1, 3, 2))
+    loc = rng.standard_normal((1, 3, 4))
+    seg = rng.standard_normal((1, 2, 4, 4))
+    mask = np.zeros((1, 4, 4), dtype=np.uint8)
     heads = SimpleNamespace(conf=conf, loc=loc, anchors=anchors, seg_logits=seg)
     cfg = LossConfig(alpha=1.0, beta=1.0, neg_pos_ratio=2.0)
     bd, total = total_loss(heads, assign, gt, mask, cfg)
-    hand = (bd.l_conf + cfg.beta * bd.l_loc) / assign.n_pos + cfg.alpha * bd.l_seg
+    hand = (bd.l_conf + cfg.beta * bd.l_loc) / (assign >= 0).sum() + cfg.alpha * bd.l_seg
     comp_err = abs(total.item() - hand)
 
     ok = (conf_err < 1e-9 and sl1_exact and enc_err < 1e-12
@@ -133,7 +132,7 @@ def test_criterion_3_oracle_equivalence():
                                   anchors[:, :1] + rng.uniform(2, 20, (12, 1))], axis=1)
         gts = [int_box(rng) for _ in range(int(rng.integers(1, 4)))]
         ious = iou_matrix(anchors, corners(gts))
-        got = match_anchors(anchors, corners(gts)).anchor_gt
+        got = match_anchors(anchors, corners(gts))
         want = np.full(12, -1, dtype=np.int64)
         best_gt = ious.argmax(axis=1)
         thr = ious[np.arange(12), best_gt] >= 0.5
@@ -240,9 +239,9 @@ def test_criterion_5_structural_assertions():
     coarsest_clear = not any(lv.use_mrf for lv in det.levels[-2:])
 
     rng = np.random.default_rng(3)
-    img = rng.random((3, 64, 64))
+    img = rng.random((1, 3, 64, 64))
     _, out = forward(det, img)
-    seg_extent_ok = out.seg_logits.shape == (2, 64, 64)
+    seg_extent_ok = out.seg_logits.shape == (1, 2, 64, 64)
 
     # seg off: identical detection outputs and untouched seg parameters.
     det_off = build_network(backbone, 3, Toggles(mrf=True, extra_level=True,

@@ -203,7 +203,7 @@ class TestMatching:
                              rng.uniform(6, 24), rng.uniform(6, 24)))
                    for _ in range(n)]
             a = match_anchors(anchors, corners(gts))
-            assert set(a.anchor_gt[a.anchor_gt >= 0]) == set(range(n))
+            assert set(a[a >= 0]) == set(range(n))
 
     def test_matches_brute_force(self):
         anchors = self.grid_anchors()
@@ -212,7 +212,7 @@ class TestMatching:
             gts = [make_box((rng.uniform(0, 40), rng.uniform(0, 40),
                              rng.uniform(6, 24), rng.uniform(6, 24)))
                    for _ in range(rng.integers(1, 4))]
-            got = match_anchors(anchors, corners(gts)).anchor_gt
+            got = match_anchors(anchors, corners(gts))
             np.testing.assert_array_equal(got, brute_force_match(anchors, gts, 0.5))
 
     def test_shared_best_anchor_still_covers_both_gts(self):
@@ -221,13 +221,13 @@ class TestMatching:
         anchors = np.array([[0, 0, 10, 10], [0, 0, 11, 11], [40, 40, 50, 50.0]])
         gts = np.array([[0, 0, 10, 10], [0.5, 0.5, 10.5, 10.5]])
         a = match_anchors(anchors, gts, pos_threshold=0.9)
-        assert set(a.anchor_gt[:2]) == {0, 1}
-        assert a.anchor_gt[2] == -1
+        assert set(a[:2]) == {0, 1}
+        assert a[2] == -1
 
     def test_no_gts(self):
         a = match_anchors(np.array([[0, 0, 5, 5.0]]), np.zeros((0, 4)))
-        assert a.n_pos == 0
-        np.testing.assert_array_equal(a.negative_indices, [0])
+        assert a.dtype == np.int64
+        np.testing.assert_array_equal(a, [-1])
 
     def test_threshold_validated(self):
         with pytest.raises(ShapeError):
@@ -236,9 +236,8 @@ class TestMatching:
     def test_assignment_views(self):
         a = match_anchors(np.array([[0, 0, 10, 10], [20, 20, 30, 30.0]]),
                           np.array([[0, 0, 10, 10.0]]))
-        assert a.n_pos == 1
-        np.testing.assert_array_equal(a.positive_indices, [0])
-        np.testing.assert_array_equal(a.negative_indices, [1])
+        assert a.dtype == np.int64
+        np.testing.assert_array_equal(a, [0, -1])
 
 
 def brute_force_nms(dets, thr, max_keep):

@@ -361,18 +361,21 @@ class TestDiagnostics:
         assert err.startswith(f"error: checkpoint {small_ckpt} has a malformed meta member "
                               f"{meta.dtype.str} {meta.tolist()}")
 
-    @pytest.mark.parametrize("meta,field", [
-        ([-1, 3, 32, 1, 1, 2, 0], "seed -1"), ([0, 0, 32, 1, 1, 2, 0], "num_classes 0"),
-        ([0, 3, 0, 1, 1, 2, 0], "image_size 0")], ids=["seed", "num-classes", "image-size"])
-    def test_meta_field_out_of_range_named(self, data_dir, small_ckpt, capsys, meta, field):
+    @pytest.mark.parametrize("meta,message", [
+        ([-1, 3, 32, 1, 1, 2, 0], "has seed -1 in its meta member"),
+        ([0, 0, 32, 1, 1, 2, 0], "has num_classes 0 in its meta member"),
+        ([0, 3, 0, 1, 1, 2, 0], "describes no valid network: image_size 0 must be a "
+         "positive multiple of the coarsest stride 16")],
+        ids=["seed", "num-classes", "image-size"])
+    def test_meta_field_out_of_range_named(self, data_dir, small_ckpt, capsys, meta, message):
         self.rewrite(small_ckpt, meta=np.array(meta, dtype="<i8"))
         err = self.run_error(["eval", "--ckpt", str(small_ckpt), "--data",
                               str(data_dir / "data")], capsys)
-        assert err.startswith(f"error: checkpoint {small_ckpt} has {field} in its meta member")
+        assert err.startswith(f"error: checkpoint {small_ckpt} {message}")
 
     @pytest.mark.parametrize("stages,message", [
         (np.array([8, 0, 8, 8], dtype="<i8"),
-         "has a malformed meta.stages member <i8 [8, 0, 8, 8]"),
+         "describes no valid network: stage_channels 8 0 8 8 must all be at least 1"),
         (np.array([8, np.nan, 8, 8], dtype="<f8"),
          "has a malformed meta.stages member <f8 [8.0, nan, 8.0, 8.0]"),
         (np.array([8, 8], dtype="<i8"),
@@ -430,6 +433,41 @@ class TestDiagnostics:
         err = self.run_error(["eval", "--ckpt", str(small_ckpt), "--data",
                               str(data_dir / "data")], capsys)
         assert str(small_ckpt) in err
+
+    @pytest.mark.parametrize("command", ["describe", "train"])
+    @pytest.mark.parametrize("lines,message", [
+        ("image_size = 0\nmrf = false\nextra_level = false\nseg_mode = off\n",
+         "image_size 0 must be a positive multiple of the coarsest stride 32"),
+        ("image_size = -64\n",
+         "image_size -64 must be a positive multiple of the coarsest stride 32"),
+        ("stage_channels = 16 0 64\n", "stage_channels 16 0 64 must all be at least 1")],
+        ids=["zero-size", "negative-size", "zero-width"])
+    def test_bad_backbone_named(self, data_dir, tmp_path, capsys, command, lines, message):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(lines)
+        ckpt = tmp_path / "m.ckpt"
+        extra = (["--data", str(data_dir / "data"), "--out", str(ckpt)]
+                 if command == "train" else [])
+        assert self.run_error([command, "--config", str(cfg)] + extra,
+                              capsys) == f"error: {message}"
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("lines,message", [
+        ("small_side = 30 20\n", "small_side must be two sizes lo hi with "
+         "1 <= lo <= hi < image_size 64, got 30 20"),
+        ("small_side = 10\n", "small_side must be two sizes lo hi with "
+         "1 <= lo <= hi < image_size 64, got 10"),
+        ("image_size = 32\nlarge_side = 10 20\nsmall_side = 10 40\n",
+         "small_side must be two sizes lo hi with 1 <= lo <= hi < image_size 32, got 10 40"),
+        ("num_images = -3\n", "num_images must be >= 0, got -3")],
+        ids=["reversed", "one-value", "beyond-image", "negative-count"])
+    def test_synth_bad_field_named(self, tmp_path, capsys, lines, message):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(lines)
+        out = tmp_path / "d"
+        assert self.run_error(["synth", "--spec", str(spec), "--out", str(out)],
+                              capsys) == f"error: {message}"
+        assert not out.exists()
 
     def test_bad_branch_item_named(self, tmp_path, capsys):
         spec = tmp_path / "mrf.txt"

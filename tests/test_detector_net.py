@@ -166,38 +166,38 @@ class TestForward:
     def test_output_shapes(self):
         det = small_net(num_classes=2)
         rng = np.random.default_rng(2)
-        pyramid, out = forward(det, rng.standard_normal((3, 32, 32)))
-        assert out.loc.shape == (det.num_anchors, 4)
-        assert out.conf.shape == (det.num_anchors, 3)
-        assert out.seg_logits.shape == (2, 32, 32)
+        pyramid, out = forward(det, rng.standard_normal((1, 3, 32, 32)))
+        assert out.loc.shape == (1, det.num_anchors, 4)
+        assert out.conf.shape == (1, det.num_anchors, 3)
+        assert out.seg_logits.shape == (1, 2, 32, 32)
         assert [name for name, _, _ in pyramid] == [lv.name for lv in det.levels]
 
     def test_seg_off_skips_head(self):
         det = small_net(seg="off")
-        _, out = forward(det, np.zeros((3, 32, 32)))
+        _, out = forward(det, np.zeros((1, 3, 32, 32)))
         assert out.seg_logits is None
 
     def test_with_seg_override(self):
         det = small_net(seg="off")
-        _, out = forward(det, np.zeros((3, 32, 32)), with_seg=True)
+        _, out = forward(det, np.zeros((1, 3, 32, 32)), with_seg=True)
         assert out.seg_logits is not None
 
     def test_seg_without_extra_level_rejected(self):
         det = build_network(SMALL, 2, Toggles(mrf=False, extra_level=False,
                                               seg_mode="off"))
         with pytest.raises(ShapeError, match="extra level"):
-            forward(det, np.zeros((3, 32, 32)), with_seg=True)
+            forward(det, np.zeros((1, 3, 32, 32)), with_seg=True)
 
     def test_wrong_image_shape_rejected(self):
         det = small_net()
         with pytest.raises(ShapeError, match="image"):
-            forward(det, np.zeros((3, 16, 16)))
+            forward(det, np.zeros((1, 3, 16, 16)))
 
     def test_seg_logits_cover_full_image(self):
         det = build_network(BackboneSpec(image_size=64, stage_channels=(8, 8, 8, 8, 8)),
                             2, Toggles(mrf=True, extra_level=True, seg_mode="sws"))
-        _, out = forward(det, np.zeros((3, 64, 64)))
-        assert out.seg_logits.shape == (2, 64, 64)
+        _, out = forward(det, np.zeros((1, 3, 64, 64)))
+        assert out.seg_logits.shape == (1, 2, 64, 64)
 
     def test_mrf_toggle_changes_predictions_not_pyramid(self):
         # MRF sits between the pyramid feature and the heads; the shared
@@ -213,7 +213,7 @@ class TestForward:
         # tensor swapped in there is the one the forward pass uses.
         det = build_network(BackboneSpec(image_size=64, stage_channels=(8, 8, 8, 8, 8)),
                             2, Toggles(mrf=True, extra_level=True, seg_mode="off"))
-        img = np.random.default_rng(6).standard_normal((3, 64, 64))
+        img = np.random.default_rng(6).standard_normal((1, 3, 64, 64))
         _, base = forward(det, img)
         name = "mrf.level4.fuse.w"
         saved = det.params[name]
@@ -228,7 +228,7 @@ class TestForward:
 
     def test_forward_deterministic(self):
         det = small_net()
-        img = np.random.default_rng(3).standard_normal((3, 32, 32))
+        img = np.random.default_rng(3).standard_normal((1, 3, 32, 32))
         _, a = forward(det, img)
         _, b = forward(det, img)
         assert np.array_equal(a.conf.data, b.conf.data)
@@ -237,8 +237,8 @@ class TestForward:
     def test_end_to_end_gradient(self):
         det = small_net(num_classes=1, seed=7)
         rng = np.random.default_rng(8)
-        img = rng.standard_normal((3, 32, 32))
-        c_loc = rng.standard_normal((det.num_anchors, 4))
+        img = rng.standard_normal((1, 3, 32, 32))
+        c_loc = rng.standard_normal((1, det.num_anchors, 4))
 
         def f(t):
             _, out = forward(det, t, with_seg=False)
@@ -249,8 +249,8 @@ class TestForward:
     def test_backbone_weight_gradient(self):
         det = small_net(num_classes=1, seed=9)
         rng = np.random.default_rng(10)
-        img = rng.standard_normal((3, 32, 32))
-        c = rng.standard_normal((det.num_anchors, 2))
+        img = rng.standard_normal((1, 3, 32, 32))
+        c = rng.standard_normal((1, det.num_anchors, 2))
         wname = "backbone.s1.c1.w"
 
         def f(t):
@@ -283,19 +283,11 @@ class TestBatch:
             pyramid, batch = forward(MRF_NET, images)
         assert batch.conf._edges == () and batch.loc.shape == (n, MRF_NET.num_anchors, 4)
         for i, image in enumerate(images):
-            one_pyramid, one = forward(MRF_NET, image)
-            for got, want in zip(head_arrays(batch.image(i)), head_arrays(one)):
-                assert got.dtype == want.dtype and np.array_equal(got, want)
+            one_pyramid, one = forward(MRF_NET, image[None])
+            for got, want in zip(head_arrays(batch), head_arrays(one)):
+                assert got.dtype == want.dtype and np.array_equal(got[i], want[0])
             for (_, _, feat), (_, _, one_feat) in zip(pyramid, one_pyramid):
-                assert np.array_equal(feat.data[i], one_feat.data)
-
-    def test_one_image_is_a_batch_of_one(self):
-        image = np.random.default_rng(13).random((3, 32, 32))
-        _, one = forward(MRF_NET, image)
-        _, batch = forward(MRF_NET, image[None])
-        assert one.conf.shape == batch.conf.shape[1:]
-        for got, want in zip(head_arrays(one), head_arrays(batch)):
-            np.testing.assert_array_equal(got, want[0])
+                assert np.array_equal(feat.data[i], one_feat.data[0])
 
     def test_batch_tape_leaf_gradients_match_one_image_tapes(self):
         det = build_network(BackboneSpec(image_size=32, stage_channels=(8, 8, 8, 8)), 2,
@@ -303,18 +295,18 @@ class TestBatch:
         rng = np.random.default_rng(15)
         images = rng.random((3, 3, 32, 32))
         coeffs = [[rng.standard_normal(t.shape) for t in (o.loc, o.conf, o.seg_logits)]
-                  for o in (forward(det, image)[1] for image in images)]
+                  for o in (forward(det, image[None])[1] for image in images)]
 
         def image_loss(out, c):
             return add([inner(t, ci) for t, ci in zip((out.loc, out.conf, out.seg_logits), c)])
 
         for image, c in zip(images, coeffs):
-            image_loss(forward(det, image)[1], c).backward()
+            image_loss(forward(det, image[None])[1], c).backward()
         want = {name: t.grad for name, t in det.named_params()}
         for _, t in det.named_params():
             t.grad = None
         _, batch = forward(det, images)
-        root = add([image_loss(batch.image(i), c) for i, c in enumerate(coeffs)])
+        root = image_loss(batch, [np.concatenate(c) for c in zip(*coeffs)])
         interior, stack = {}, [root]
         while stack:
             node = stack.pop()
@@ -328,6 +320,8 @@ class TestBatch:
                                        err_msg=name)
 
     def test_bad_batch_shape_rejected(self):
+        with pytest.raises(ShapeError, match="image"):
+            forward(MRF_NET, np.zeros((3, 32, 32)))
         with pytest.raises(ShapeError, match="image"):
             forward(MRF_NET, np.zeros((2, 4, 32, 32)))
         with pytest.raises(ShapeError, match="image"):

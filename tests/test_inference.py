@@ -6,7 +6,7 @@ from mrfdet.anchors import decode_array
 from mrfdet.dataset import DatasetSpec, load_dataset, synth_dataset
 from mrfdet.detector_net import BackboneSpec, Toggles, build_network, forward
 from mrfdet.gradcheck import COMPOSED_TOL, PRIMITIVE_TOL, run_suite
-from mrfdet.inference import (collect_detections, detect_image,
+from mrfdet.inference import (collect_detections, detect, detect_image,
                               evaluate_detector)
 from mrfdet.trainer import TrainConfig
 
@@ -52,6 +52,14 @@ class TestDetectImage:
         tight = detect_image(small_det, img, score_threshold=0.9)
         assert len(tight) <= len(loose)
 
+    def test_batch_rows_equal_one_image_calls(self, small_det):
+        images = np.random.default_rng(5).random((3, 3, 32, 32))
+        dets = detect(small_det, images, score_threshold=0.2, max_keep=50)
+        assert len(dets) == 3
+        for got, image in zip(dets, images):
+            want = detect_image(small_det, image, score_threshold=0.2, max_keep=50)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_deterministic(self, small_det):
         img = np.random.default_rng(4).random((3, 32, 32))
         a = detect_image(small_det, img)
@@ -85,15 +93,15 @@ class TestDenseRegime:
                             dtype=np.float32)
         synth_dataset(DatasetSpec(num_images=1, seed=1), tmp_path)
         (_, image, _), = load_dataset(tmp_path)
-        _, outputs = forward(det, image.astype(np.float32), with_seg=False)
-        logits = outputs.conf.data.astype(np.float64)
+        _, outputs = forward(det, image[None].astype(np.float32), with_seg=False)
+        logits = outputs.conf.data[0].astype(np.float64)
         probs = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
         candidates = []
         for cls in range(1, cfg.num_classes + 1):
             idx = np.flatnonzero(probs[:, cls] > 0.01)
             assert idx.size == len(det.anchors) == 1520
-            boxes = np.clip(decode_array(outputs.loc.data[idx].astype(np.float64),
+            boxes = np.clip(decode_array(outputs.loc.data[0, idx].astype(np.float64),
                                          det.anchors[idx]), 0, cfg.image_size)
             candidates += [ScoredBox(*b, class_id=cls, score=float(probs[i, cls]))
                            for b, i in zip(boxes, idx)]

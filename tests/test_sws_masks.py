@@ -120,59 +120,72 @@ class TestRasterize:
 
 class TestSegLoss:
     def test_uniform_logits_give_ln2(self):
-        mask = np.zeros((4, 4), dtype=np.uint8)
-        mask[1, 1] = int(SegLabel.FOREGROUND)
-        loss, count = seg_loss(np.zeros((2, 4, 4)), mask)
-        assert count == 16
-        assert float(loss.data) == pytest.approx(np.log(2.0))
+        mask = np.zeros((1, 4, 4), dtype=np.uint8)
+        mask[0, 1, 1] = int(SegLabel.FOREGROUND)
+        loss, count = seg_loss(np.zeros((1, 2, 4, 4)), mask)
+        assert count.tolist() == [16]
+        assert loss.item() == pytest.approx(np.log(2.0))
 
     def test_confident_correct_is_small(self):
-        mask = np.full((3, 3), int(SegLabel.FOREGROUND), dtype=np.uint8)
-        logits = np.zeros((2, 3, 3))
-        logits[1] = 20.0
+        mask = np.full((1, 3, 3), int(SegLabel.FOREGROUND), dtype=np.uint8)
+        logits = np.zeros((1, 2, 3, 3))
+        logits[0, 1] = 20.0
         loss, _ = seg_loss(logits, mask)
-        assert float(loss.data) < 1e-6
+        assert loss.item() < 1e-6
 
     def test_ignored_pixels_excluded(self):
-        mask = np.full((2, 2), int(SegLabel.IGNORE), dtype=np.uint8)
-        mask[0, 0] = int(SegLabel.BACKGROUND)
-        logits = np.zeros((2, 2, 2))
-        logits[1, 1, 1] = 50.0  # wrong but ignored: must not affect the loss
+        mask = np.full((1, 2, 2), int(SegLabel.IGNORE), dtype=np.uint8)
+        mask[0, 0, 0] = int(SegLabel.BACKGROUND)
+        logits = np.zeros((1, 2, 2, 2))
+        logits[0, 1, 1, 1] = 50.0  # wrong but ignored: must not affect the loss
         loss, count = seg_loss(logits, mask)
-        assert count == 1
-        assert float(loss.data) == pytest.approx(np.log(2.0))
+        assert count.tolist() == [1]
+        assert loss.item() == pytest.approx(np.log(2.0))
 
     def test_all_ignored_zero_loss_zero_grad(self):
-        mask = np.full((3, 3), int(SegLabel.IGNORE), dtype=np.uint8)
-        logits = Tensor(np.random.default_rng(2).standard_normal((2, 3, 3)),
+        mask = np.full((1, 3, 3), int(SegLabel.IGNORE), dtype=np.uint8)
+        logits = Tensor(np.random.default_rng(2).standard_normal((1, 2, 3, 3)),
                         requires_grad=True)
         loss, count = seg_loss(logits, mask)
-        assert count == 0 and float(loss.data) == 0.0
+        assert count.tolist() == [0] and loss.item() == 0.0
         loss.backward()
         assert logits.grad is None or not logits.grad.any()
 
     def test_normalized_by_valid_count(self):
-        mask_full = np.zeros((4, 4), dtype=np.uint8)
+        mask_full = np.zeros((1, 4, 4), dtype=np.uint8)
         mask_half = mask_full.copy()
-        mask_half[:2] = int(SegLabel.IGNORE)
-        logits = np.random.default_rng(3).standard_normal((2, 4, 4))
+        mask_half[0, :2] = int(SegLabel.IGNORE)
+        logits = np.random.default_rng(3).standard_normal((1, 2, 4, 4))
         full, _ = seg_loss(logits, mask_full)
         half, n = seg_loss(logits, mask_half)
-        assert n == 8
+        assert n.tolist() == [8]
         # Both are means over their own valid sets, so both are O(1).
-        assert 0 < float(half.data) < 20 and 0 < float(full.data) < 20
+        assert 0 < half.item() < 20 and 0 < full.item() < 20
+
+    def test_batch_rows_are_one_image_losses(self):
+        rng = np.random.default_rng(5)
+        mask = rng.integers(0, 3, size=(3, 5, 5)).astype(np.uint8)
+        mask[1] = int(SegLabel.IGNORE)
+        logits = rng.standard_normal((3, 2, 5, 5))
+        batch, counts = seg_loss(logits, mask)
+        for i in range(3):
+            one, count = seg_loss(logits[i:i + 1], mask[i:i + 1])
+            assert counts[i] == count[0] and batch.data[i] == one.item()
+        assert counts[1] == 0 and batch.data[1] == 0.0
 
     def test_gradient(self):
         rng = np.random.default_rng(4)
-        mask = rng.integers(0, 3, size=(5, 5)).astype(np.uint8)
-        logits = rng.standard_normal((2, 5, 5))
+        mask = rng.integers(0, 3, size=(1, 5, 5)).astype(np.uint8)
+        logits = rng.standard_normal((1, 2, 5, 5))
         assert finite_diff_check(lambda t: seg_loss(t, mask)[0], logits) < 1e-5
 
     def test_shape_validation(self):
         with pytest.raises(ShapeError, match="2, H, W"):
-            seg_loss(np.zeros((3, 4, 4)), np.zeros((4, 4), dtype=np.uint8))
+            seg_loss(np.zeros((1, 3, 4, 4)), np.zeros((1, 4, 4), dtype=np.uint8))
+        with pytest.raises(ShapeError, match="2, H, W"):
+            seg_loss(np.zeros((2, 4, 4)), np.zeros((4, 4), dtype=np.uint8))
         with pytest.raises(ShapeError, match="extent"):
-            seg_loss(np.zeros((2, 4, 4)), np.zeros((5, 5), dtype=np.uint8))
+            seg_loss(np.zeros((1, 2, 4, 4)), np.zeros((1, 5, 5), dtype=np.uint8))
 
 
 class TestPgm:

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from mrfdet import tensor_core
 from mrfdet.tensor_core import (ConvSpec, ShapeError, Tensor, add, concat,
                                 conv2d, finite_diff_check, inner, no_grad,
-                                relu, take_row, transposed_conv2d,
-                                upsample_nearest_2x)
+                                relu, transposed_conv2d, upsample_nearest_2x)
 
 
 def identity_kernel(channels):
@@ -454,19 +453,6 @@ class TestTensorInvariants:
         out2 = add([relu(x), relu(x), x])
         out2.backward(np.ones_like(out2.data))
         assert np.array_equal(g1, x.grad)
-
-
-class TestTakeRow:
-    def test_row_and_gradient(self):
-        rng = np.random.default_rng(19)
-        x = rng.standard_normal((3, 2, 4))
-        np.testing.assert_array_equal(take_row(x, 1).data, x[1])
-        c = rng.standard_normal((2, 4))
-        assert finite_diff_check(lambda t: inner(take_row(t, 2), c), x) < 1e-9
-        t = Tensor(x, requires_grad=True)
-        take_row(t, 2).backward(c)
-        np.testing.assert_array_equal(t.grad[2], c)
-        assert not t.grad[:2].any()
 
 
 class TestNoGrad:

@@ -165,12 +165,13 @@ class TestPrepareSample:
         det = build_network(BackboneSpec(32, (8, 8, 8, 8)), 3, cfg_off.toggles)
         image, gts, assignment, mask = prepare_sample(det, cfg_off, img, boxes)
         assert mask is None
-        assert image.dtype == np.float32
-        assert assignment.n_pos >= len(boxes)
+        assert image.dtype == np.float32 and image.shape == (1, 3, 32, 32)
+        assert assignment.shape == (1, det.num_anchors)
+        assert (assignment >= 0).sum() >= len(boxes)
 
         det2 = build_network(BackboneSpec(32, (8, 8, 8, 8)), 3, TINY_CFG.toggles)
         _, _, _, mask2 = prepare_sample(det2, TINY_CFG, img, boxes)
-        assert mask2 is not None and mask2.shape == (32, 32)
+        assert mask2 is not None and mask2.shape == (1, 32, 32)
 
 
 def member_spans(path):
