@@ -110,7 +110,7 @@ def write_ppm(path, img):
 
 
 def read_ppm(path):
-    """Read the layout write_ppm writes: `P6\\n<w> <h>\\n255\\n` + RGB bytes."""
+    """(3, H, W) uint8 pixels of the layout write_ppm writes: `P6\\n<w> <h>\\n255\\n` + RGB."""
     with open(path, "rb") as f:
         raw = f.read()
     try:
@@ -124,8 +124,7 @@ def read_ppm(path):
         raise ShapeError(f"{path}: not an 8-bit binary PPM (magic {magic!r}, maxval {maxval})")
     if min(w, h) < 1 or len(body) < w * h * 3:
         raise ShapeError(f"{path}: PPM data has {len(body)} bytes, {w}x{h} needs {w * h * 3}")
-    pixels = np.frombuffer(body, dtype=np.uint8, count=w * h * 3)
-    return pixels.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
+    return np.frombuffer(body, np.uint8, w * h * 3).reshape(h, w, 3).transpose(2, 0, 1)
 
 
 def synth_dataset(spec: DatasetSpec, out_dir):
@@ -190,7 +189,7 @@ def check_class_ids(samples, data_dir, num_classes):
 
 
 def load_dataset(data_dir, image_size=None, size_from=None):
-    """Ordered list of (image key, (3, S, S) image, (M, 5) ground truth).
+    """Ordered list of (image key, (3, S, S) uint8 pixels, (M, 5) ground truth).
 
     With image_size, an image of any other size is rejected; the message
     names size_from, the source of the expected size.

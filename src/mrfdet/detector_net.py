@@ -265,11 +265,13 @@ def seg_head_forward(det: DetectorParams, finest_feature) -> Tensor:
 def forward(det: DetectorParams, images, with_seg=None):
     """Full forward pass over (N, 3, H, W) images: (FeaturePyramid, HeadOutputs).
 
-    FeaturePyramid is the list of (level name, stride, feature Tensor),
-    finest first. with_seg overrides whether the segmentation head runs;
-    by default it runs iff the seg_mode toggle is not "off".
+    Arrays are cast to the parameters' dtype, and uint8 pixels scaled by 1/255: the one
+    place pixels become numbers. FeaturePyramid is the list of (level name, stride, feature
+    Tensor), finest first. with_seg: run the seg head (default: seg_mode is not "off").
     """
-    x = as_tensor(images)
+    dtype = next(iter(det.params.values())).dtype
+    x = images if isinstance(images, Tensor) else Tensor(
+        images.astype(dtype, copy=False) / dtype.type(255 if images.dtype == np.uint8 else 1))
     size = det.backbone.image_size
     if x.data.ndim != 4 or x.shape[1:] != (3, size, size):
         raise ShapeError(f"images must be a batch (N, 3, {size}, {size}), got {x.shape}")

@@ -18,7 +18,7 @@ def detect(det: DetectorParams, images, score_threshold=0.01, nms_iou=0.45, max_
     float64 (K, 6) array of xmin, ymin, xmax, ymax, score and class id, by
     descending score (ties in class order, then NMS order)."""
     with no_grad():
-        _, head = forward(det, images.astype(np.float32), with_seg=False)
+        _, head = forward(det, images, with_seg=False)
     logits = head.conf.data.astype(np.float64)
     z = logits - logits.max(axis=-1, keepdims=True)
     probs = np.exp(z)

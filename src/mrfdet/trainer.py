@@ -52,8 +52,14 @@ class TrainConfig:
             raise ShapeError(f"seed must lie in 0..{2 ** 63 - 1}, got {self.seed}")
         drops = tuple(self.lr_drop_epochs)
         object.__setattr__(self, "lr_drop_epochs", drops)
-        if self.base_lr <= 0 or self.warmup_start_lr <= 0:
-            raise ShapeError("learning rates must be positive")
+        # NaN fails each of these range checks.
+        for key in ("base_lr", "warmup_start_lr"):
+            if not 0 < getattr(self, key) < np.inf:
+                raise ShapeError(f"{key} must be finite and > 0, got {getattr(self, key)}")
+        if not 0 <= self.momentum < 1:
+            raise ShapeError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ShapeError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if drops and not (self.warmup_epochs < drops[0] < self.epochs):
             raise ShapeError("need warmup epochs < first drop epoch < total epochs")
 
@@ -108,14 +114,14 @@ class TrainResult:
 
 
 def prepare_sample(det: DetectorParams, config: TrainConfig, image, gts):
-    """One image as a batch of one: the (1, 3, S, S) float32 image, its
-    (M, 5) ground truth, the (1, A) anchor assignment into it and the
-    (1, S, S) SWS/AWS mask (None without segmentation)."""
+    """One image as a batch of one: a (1, 3, S, S) view of the loaded
+    pixels, their (M, 5) ground truth, the (1, A) anchor assignment into it
+    and the (1, S, S) SWS/AWS mask (None without segmentation)."""
     assignment = match_anchors(det.anchors, gts[:, :4])[None]
     mask = None
     if det.toggles.seg_mode != "off":
         mask = rasterize_sws_mask(gts, config.image_size, config.thresholds)[None]
-    return image.astype(np.float32)[None], gts, assignment, mask
+    return image[None], gts, assignment, mask
 
 
 def join_samples(samples):
@@ -132,9 +138,9 @@ def join_samples(samples):
 def train(config: TrainConfig, data_dir, log_fn=None, ckpt_path=None) -> TrainResult:
     """Train on a dataset directory; aborts with diagnostics on NaN loss.
 
-    Each mini-batch runs as tapes of up to FORWARD_BATCH images: one forward,
-    one loss over the tape and one backward seeded with 1/len(batch), so the
-    step follows the mean loss of the mini-batch.
+    The samples hold the loaded uint8 pixels. Each mini-batch runs as tapes of up to
+    FORWARD_BATCH images: one forward, one loss over the tape and one backward seeded
+    with 1/len(batch), so the step follows the mean loss of the mini-batch.
     """
     det = build_network(BackboneSpec(config.image_size, config.stage_channels),
                         config.num_classes, config.toggles,
@@ -142,7 +148,6 @@ def train(config: TrainConfig, data_dir, log_fn=None, ckpt_path=None) -> TrainRe
     data = load_dataset(data_dir, config.image_size, "train config image_size")
     check_class_ids(data, data_dir, config.num_classes)
     samples = [prepare_sample(det, config, img, gts) for _, img, gts in data]
-    del data  # training reads the float32 copies; free the float64 images
     if not samples:
         raise ShapeError(f"no images found under {data_dir}")
     opt = SGD(det.named_params(), config.momentum, config.weight_decay)
@@ -292,6 +297,9 @@ def load_checkpoint(path):
             raise ShapeError(f"checkpoint {path} has a {key} member of "
                              f"{members[key].dtype.str} {members[key].shape}; "
                              f"expected {dtype} {shape}")
+    for key in ("params", "momentum"):
+        if key in members and not np.isfinite(members[key]).all():
+            raise ShapeError(f"checkpoint {path} has non-finite values in its {key} member")
     offset = 0
     for t in det.params.values():
         t.data = members["params"][offset:offset + t.data.size].reshape(t.data.shape)

@@ -228,6 +228,42 @@ class TestDiagnostics:
         assert self.run_error(argv, capsys) == f"error: {message}"
         assert not out.exists()
 
+    @pytest.mark.parametrize("line,message", [
+        ("base_lr = nan", "base_lr must be finite and > 0, got nan"),
+        ("base_lr = inf", "base_lr must be finite and > 0, got inf"),
+        ("warmup_start_lr = inf", "warmup_start_lr must be finite and > 0, got inf"),
+        ("momentum = nan", "momentum must lie in [0, 1), got nan"),
+        ("momentum = 1.5", "momentum must lie in [0, 1), got 1.5"),
+        ("weight_decay = nan", "weight_decay must be finite and >= 0, got nan"),
+        ("weight_decay = -1", "weight_decay must be finite and >= 0, got -1.0")],
+        ids=["lr-nan", "lr-inf", "warmup-lr-inf", "momentum-nan", "momentum-1.5",
+             "decay-nan", "decay-negative"])
+    def test_optimizer_setting_out_of_range_named(self, data_dir, tmp_path, capsys, line,
+                                                  message):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(f"{line}\nepochs = 1\nwarmup_epochs = 0\nlr_drop_epochs =\n"
+                       "image_size = 32\nstage_channels = 8 8 8 8\n")
+        ckpt = tmp_path / "m.ckpt"
+        err = self.run_error(["train", "--config", str(cfg), "--data",
+                              str(data_dir / "data"), "--out", str(ckpt)], capsys)
+        assert err == f"error: {message}"
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("member,value", [("params", np.nan), ("momentum", np.inf)])
+    def test_non_finite_checkpoint_rejected(self, data_dir, tmp_path, capsys, member,
+                                            value):
+        config = TrainConfig(image_size=32, stage_channels=(8, 8, 8, 8))
+        det = build_network(BackboneSpec(32, config.stage_channels), 3, config.toggles,
+                            seed=0, dtype=np.float32)
+        opt = SGD(det.named_params(), 0.9, 0.0)
+        name = "head.level4.conf.w"
+        (det.params[name].data if member == "params" else opt.velocity[name]).flat[5] = value
+        ckpt = tmp_path / "bad.ckpt"
+        save_checkpoint(str(ckpt), det, config, opt)
+        err = self.run_error(["eval", "--ckpt", str(ckpt), "--data", str(data_dir / "data")],
+                             capsys)
+        assert err == f"error: checkpoint {ckpt} has non-finite values in its {member} member"
+
     @pytest.mark.parametrize("command,class_id", [("train", 9), ("train", 0),
                                                   ("eval", 9), ("eval", 0)],
                              ids=["9", "0", "eval-9", "eval-0"])

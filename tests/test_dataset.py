@@ -84,15 +84,16 @@ class TestPpm:
         path = tmp_path / "x.ppm"
         write_ppm(path, img)
         back = read_ppm(path)
-        assert back.shape == (3, 12, 17)
+        assert back.shape == (3, 12, 17) and back.dtype == np.uint8
         # 8-bit quantization: exact to half a step.
-        assert np.abs(back - img).max() <= 0.5 / 255 + 1e-12
+        assert np.abs(back / 255.0 - img).max() <= 0.5 / 255 + 1e-12
 
     def test_quantized_round_trip_exact(self, tmp_path):
-        img = np.round(np.random.default_rng(6).random((3, 8, 8)) * 255) / 255
+        pixels = np.random.default_rng(6).integers(0, 256, (3, 8, 8), dtype=np.uint8)
         path = tmp_path / "q.ppm"
-        write_ppm(path, img)
-        np.testing.assert_allclose(read_ppm(path), img, atol=1e-12)
+        write_ppm(path, pixels / 255.0)
+        back = read_ppm(path)
+        assert back.dtype == np.uint8 and np.array_equal(back, pixels)
 
     def test_rejects_non_ppm(self, tmp_path):
         path = tmp_path / "bad.ppm"

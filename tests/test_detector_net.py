@@ -319,6 +319,23 @@ class TestBatch:
             np.testing.assert_allclose(t.grad, want[name], rtol=1e-9, atol=1e-12,
                                        err_msg=name)
 
+    def test_uint8_scaling_equals_the_float64_path_for_every_byte(self):
+        pixels = np.arange(256, dtype=np.uint8)
+        scaled = pixels.astype(np.float32) / np.float32(255)
+        old = (pixels.astype(np.float64) / 255.0).astype(np.float32)
+        assert scaled.dtype == np.float32
+        assert np.array_equal(scaled.view(np.uint32), old.view(np.uint32))
+
+    def test_uint8_forward_equals_float32_image_forward_bit_for_bit(self):
+        # 3 x 32 x 32 pixels hold every byte value 12 times.
+        pixels = np.random.default_rng(16).permutation(np.arange(3 * 32 * 32) % 256)
+        pixels = pixels.astype(np.uint8).reshape(1, 3, 32, 32)
+        with no_grad():
+            _, got = forward(MRF_NET, pixels)
+            _, want = forward(MRF_NET, (pixels / 255.0).astype(np.float32))
+        for g, w in zip(head_arrays(got), head_arrays(want)):
+            assert g.dtype == w.dtype == np.float32 and np.array_equal(g, w)
+
     def test_bad_batch_shape_rejected(self):
         with pytest.raises(ShapeError, match="image"):
             forward(MRF_NET, np.zeros((3, 32, 32)))

@@ -93,7 +93,7 @@ class TestDenseRegime:
                             dtype=np.float32)
         synth_dataset(DatasetSpec(num_images=1, seed=1), tmp_path)
         (_, image, _), = load_dataset(tmp_path)
-        _, outputs = forward(det, image[None].astype(np.float32), with_seg=False)
+        _, outputs = forward(det, image[None], with_seg=False)
         logits = outputs.conf.data[0].astype(np.float64)
         probs = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import zipfile
 from pathlib import Path
 
@@ -165,13 +166,31 @@ class TestPrepareSample:
         det = build_network(BackboneSpec(32, (8, 8, 8, 8)), 3, cfg_off.toggles)
         image, gts, assignment, mask = prepare_sample(det, cfg_off, img, boxes)
         assert mask is None
-        assert image.dtype == np.float32 and image.shape == (1, 3, 32, 32)
+        assert image.dtype == np.uint8 and image.shape == (1, 3, 32, 32)
+        assert np.shares_memory(image, img)
         assert assignment.shape == (1, det.num_anchors)
         assert (assignment >= 0).sum() >= len(boxes)
 
         det2 = build_network(BackboneSpec(32, (8, 8, 8, 8)), 3, TINY_CFG.toggles)
         _, _, _, mask2 = prepare_sample(det2, TINY_CFG, img, boxes)
         assert mask2 is not None and mask2.shape == (1, 32, 32)
+
+    def test_loading_and_preparing_keeps_pixels_as_bytes(self, tmp_path):
+        # A 64x64 image is 12 KB of uint8 pixels; a float64 copy of it is 96 KB.
+        n = 16
+        synth_dataset(DatasetSpec(num_images=n, seed=3), tmp_path)
+        cfg = TrainConfig()
+        det = build_network(BackboneSpec(cfg.image_size, cfg.stage_channels),
+                            cfg.num_classes, cfg.toggles, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            samples = [prepare_sample(det, cfg, img, gts)
+                       for _, img, gts in load_dataset(tmp_path)]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(samples) == n
+        assert peak < n * 96 * 1024
 
 
 def member_spans(path):
