@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
+from functools import partial
 
 from .dataset import DatasetSpec, load_dataset, synth_dataset
 from .detector_net import BackboneSpec, Toggles, build_network, describe
@@ -65,46 +66,19 @@ def _int_tuple(s):
     return tuple(int(v) for v in s.replace(",", " ").split())
 
 
-def dataset_spec_from(values: dict) -> DatasetSpec:
-    d = DatasetSpec()
-    return DatasetSpec(
-        image_size=_get(values, "image_size", int, d.image_size),
-        num_images=_get(values, "num_images", int, d.num_images),
-        num_classes=_get(values, "num_classes", int, d.num_classes),
-        min_objects=_get(values, "min_objects", int, d.min_objects),
-        max_objects=_get(values, "max_objects", int, d.max_objects),
-        small_ratio=_get(values, "small_ratio", float, d.small_ratio),
-        small_side=_get(values, "small_side", _int_tuple, d.small_side),
-        large_side=_get(values, "large_side", _int_tuple, d.large_side),
-        noise=_get(values, "noise", float, d.noise),
-        seed=_get(values, "seed", int, d.seed),
-    )
-
-
-def train_config_from(values: dict) -> TrainConfig:
-    t = TrainConfig()
-    toggles = Toggles(
-        mrf=_get(values, "mrf", _bool, t.toggles.mrf),
-        extra_level=_get(values, "extra_level", _bool, t.toggles.extra_level),
-        seg_mode=_get(values, "seg_mode", str, t.toggles.seg_mode),
-    )
-    return TrainConfig(
-        epochs=_get(values, "epochs", int, t.epochs),
-        batch_size=_get(values, "batch_size", int, t.batch_size),
-        base_lr=_get(values, "base_lr", float, t.base_lr),
-        warmup_start_lr=_get(values, "warmup_start_lr", float, t.warmup_start_lr),
-        warmup_epochs=_get(values, "warmup_epochs", int, t.warmup_epochs),
-        lr_drop_epochs=_get(values, "lr_drop_epochs", _int_tuple, t.lr_drop_epochs),
-        momentum=_get(values, "momentum", float, t.momentum),
-        weight_decay=_get(values, "weight_decay", float, t.weight_decay),
-        seed=_get(values, "seed", int, t.seed),
-        toggles=toggles,
-        t1=_get(values, "t1", float, t.t1),
-        t2=_get(values, "t2", float, t.t2),
-        num_classes=_get(values, "num_classes", int, t.num_classes),
-        image_size=_get(values, "image_size", int, t.image_size),
-        stage_channels=_get(values, "stage_channels", _int_tuple, t.stage_channels),
-    )
+def fields_from(cls, values: dict):
+    """cls() with each field read from values by its name, converted by the type of
+    its default; a field holding a dataclass reads its own fields from the same keys."""
+    default = cls()
+    kwargs = {}
+    for f in fields(cls):
+        d = getattr(default, f.name)
+        if is_dataclass(d):
+            kwargs[f.name] = fields_from(type(d), values)
+        else:
+            convert = {bool: _bool, tuple: _int_tuple}.get(type(d), type(d))
+            kwargs[f.name] = _get(values, f.name, convert, d)
+    return cls(**kwargs)
 
 
 def mrf_spec_from(values: dict) -> MRFBlockSpec:
@@ -128,12 +102,12 @@ def mrf_spec_from(values: dict) -> MRFBlockSpec:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args):
-    synth_dataset(read_config(args.spec, dataset_spec_from), args.out)
+    synth_dataset(read_config(args.spec, partial(fields_from, DatasetSpec)), args.out)
     print(f"dataset written to {args.out}")
 
 
 def cmd_train(args):
-    config = read_config(args.config, train_config_from)
+    config = read_config(args.config, partial(fields_from, TrainConfig))
     result = train(config, args.data, log_fn=print, ckpt_path=args.out)
     print(f"trained {result.steps} steps; checkpoint at {args.out}")
 
@@ -180,7 +154,7 @@ def format_ablation_table(rows) -> str:
 
 
 def cmd_ablate(args):
-    config = read_config(args.config, train_config_from)
+    config = read_config(args.config, partial(fields_from, TrainConfig))
     test_dir = args.test_data or args.data
     rows = ablate(config, args.data, test_dir)
     print(format_ablation_table(rows))
@@ -220,7 +194,7 @@ def cmd_rf_report(args):
 
 
 def cmd_describe(args):
-    config = read_config(args.config, train_config_from)
+    config = read_config(args.config, partial(fields_from, TrainConfig))
     det = build_network(BackboneSpec(config.image_size, config.stage_channels),
                         config.num_classes, config.toggles, seed=config.seed)
     print(describe(det))

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import generate_anchors
-from .mrf_block import (default_mrf_spec, init_conv, init_mrf_params, mrf_forward,
-                        msra_init, named_conv)
-from .tensor_core import (ConvSpec, ShapeError, Tensor, _node, add, as_tensor,
-                          concat, conv2d, relu, transposed_conv2d, upsample_nearest_2x)
+from .mrf_block import default_mrf_spec, init_conv, init_mrf_params, mrf_forward, named_conv
+from .tensor_core import (ShapeError, Tensor, _node, add, as_tensor, concat, relu,
+                          upsample_nearest_2x)
 
 SEG_MODES = ("off", "aws", "sws")
 
@@ -193,13 +192,8 @@ def build_network(backbone: BackboneSpec, num_classes: int, toggles: Toggles,
     if toggles.extra_level:
         # Segmentation head on the finest merged feature (stride 4):
         # two stride-2 transposed convs, 3x3 transition + ReLU, 1x1 to 2 logits.
-        c0 = levels[0].channels
-        params["seg.up1.w"] = Tensor(msra_init(rng, (c0, 16, 2, 2), dtype),
-                                     requires_grad=True)
-        params["seg.up1.b"] = Tensor(np.zeros(16, dtype=dtype), requires_grad=True)
-        params["seg.up2.w"] = Tensor(msra_init(rng, (16, 8, 2, 2), dtype),
-                                     requires_grad=True)
-        params["seg.up2.b"] = Tensor(np.zeros(8, dtype=dtype), requires_grad=True)
+        init_conv(params, "seg.up1", 16, levels[0].channels, 2, rng, dtype, transposed=True)
+        init_conv(params, "seg.up2", 8, 16, 2, rng, dtype, transposed=True)
         init_conv(params, "seg.transition", 8, 8, 3, rng, dtype)
         init_conv(params, "seg.cls", 2, 8, 1, rng, dtype)
 
@@ -213,16 +207,14 @@ def build_network(backbone: BackboneSpec, num_classes: int, toggles: Toggles,
                           anchors=anchors, seed=seed)
 
 
-def fpn_merge(top_feature, lateral_feature, lateral_proj_w, lateral_proj_b) -> Tensor:
-    """upsample_nearest_2x(top) + 1x1-projected lateral, elementwise."""
+def fpn_merge(params: dict, name, top_feature, lateral_feature) -> Tensor:
+    """upsample_nearest_2x(top) + the lateral projected by the 1x1 conv `name`."""
     top = as_tensor(top_feature)
     lat = as_tensor(lateral_feature)
     if lat.shape[2] != 2 * top.shape[2] or lat.shape[3] != 2 * top.shape[3]:
         raise ShapeError(f"lateral extent {lat.shape[2:]} is not twice the top "
                          f"extent {top.shape[2:]}")
-    w = as_tensor(lateral_proj_w)
-    spec = ConvSpec(lat.shape[1], w.shape[0], 1)
-    return add([upsample_nearest_2x(top), conv2d(lat, w, lateral_proj_b, spec)])
+    return add([upsample_nearest_2x(top), named_conv(params, name, lat)])
 
 
 def _anchor_rows(level_map: Tensor, k: int) -> Tensor:
@@ -254,10 +246,8 @@ def seg_head_forward(det: DetectorParams, finest_feature) -> Tensor:
     if x.shape[2] * 4 != det.backbone.image_size:
         raise ShapeError(f"segmentation head expects a stride-4 feature, got extent "
                          f"{x.shape[2]} for image size {det.backbone.image_size}")
-    up1 = relu(transposed_conv2d(x, p["seg.up1.w"], p["seg.up1.b"],
-                                 ConvSpec(x.shape[1], 16, 2, stride=2)))
-    up2 = relu(transposed_conv2d(up1, p["seg.up2.w"], p["seg.up2.b"],
-                                 ConvSpec(16, 8, 2, stride=2)))
+    up1 = relu(named_conv(p, "seg.up1", x, transposed=True))
+    up2 = relu(named_conv(p, "seg.up2", up1, transposed=True))
     trans = relu(named_conv(p, "seg.transition", up2))
     return named_conv(p, "seg.cls", trans)
 
@@ -288,7 +278,7 @@ def forward(det: DetectorParams, images, with_seg=None):
         top = stages[-1]
         by_stride[2 ** n_stages] = top
         for s in range(n_stages - 2, 0, -1):
-            top = fpn_merge(top, stages[s], p[f"lateral.s{s}.w"], p[f"lateral.s{s}.b"])
+            top = fpn_merge(p, f"lateral.s{s}", top, stages[s])
             by_stride[2 ** (s + 1)] = top
     else:
         for s in range(2, n_stages):

@@ -31,8 +31,12 @@ class LossConfig:
     neg_pos_ratio: float = 3.0
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0 or self.neg_pos_ratio <= 0:
-            raise ShapeError(f"invalid loss config: {self}")
+        # NaN fails each of these range checks.
+        for key in ("alpha", "beta"):
+            if not 0 <= getattr(self, key) < np.inf:
+                raise ShapeError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
+        if not 0 < self.neg_pos_ratio < np.inf:
+            raise ShapeError(f"neg_pos_ratio must be finite and > 0, got {self.neg_pos_ratio}")
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor_core import (ConvSpec, ShapeError, Tensor, add, as_tensor, concat,
-                          conv2d, relu)
+                          conv2d, relu, transposed_conv2d)
 
 
 @dataclass(frozen=True)
@@ -87,19 +87,26 @@ def msra_init(rng, shape, dtype=np.float64) -> np.ndarray:
     return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
 
 
-def init_conv(params: dict, name, out_c, in_c, k, rng, dtype=np.float64, scale=1.0):
-    """Add an MSRA `{name}.w` (out_c, in_c, k, k), times scale, and a zero `{name}.b`."""
-    w = msra_init(rng, (out_c, in_c, k, k), dtype) * dtype(scale)
+def init_conv(params: dict, name, out_c, in_c, k, rng, dtype=np.float64, scale=1.0,
+              transposed=False):
+    """Add an MSRA `{name}.w` (out_c, in_c, k, k), or (in_c, out_c, k, k) when
+    transposed, times scale, and a zero `{name}.b`."""
+    shape = (in_c, out_c, k, k) if transposed else (out_c, in_c, k, k)
+    w = msra_init(rng, shape, dtype) * dtype(scale)
     params[f"{name}.w"] = Tensor(w, requires_grad=True)
     params[f"{name}.b"] = Tensor(np.zeros(out_c, dtype=dtype), requires_grad=True)
 
 
-def named_conv(params: dict, name, x, stride=1, dilation=1) -> Tensor:
-    """Apply the conv stored as `{name}.w`/`{name}.b`, with extent-keeping padding.
+def named_conv(params: dict, name, x, stride=1, dilation=1, transposed=False) -> Tensor:
+    """Apply the conv stored as `{name}.w`/`{name}.b`, with extent-keeping padding;
+    transposed, a k x k kernel at stride k, which multiplies the extent by k.
 
     Kernel size and channel counts come from the weight's shape.
     """
     w = params[f"{name}.w"]
+    if transposed:
+        in_c, out_c, k, _ = w.shape
+        return transposed_conv2d(x, w, params[f"{name}.b"], ConvSpec(in_c, out_c, k, stride=k))
     out_c, in_c, k, _ = w.shape
     spec = ConvSpec(in_c, out_c, k, stride=stride, padding=dilation * (k - 1) // 2,
                     dilation=dilation)

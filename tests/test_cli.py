@@ -3,6 +3,8 @@ import io
 import re
 import shutil
 import zipfile
+from dataclasses import fields, is_dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrfdet.cli import (ABLATION_LADDER, _bool, _int_tuple,
-                        dataset_spec_from, format_ablation_table, main,
-                        mrf_spec_from, parse_config_file, train_config_from)
-from mrfdet.dataset import load_annotations, write_ppm
-from mrfdet.detector_net import BackboneSpec, build_network
+from mrfdet.cli import (ABLATION_LADDER, _bool, _int_tuple, fields_from,
+                        format_ablation_table, main, mrf_spec_from, parse_config_file,
+                        read_config)
+from mrfdet.dataset import DatasetSpec, load_annotations, write_ppm
+from mrfdet.detector_net import BackboneSpec, Toggles, build_network
+from mrfdet.losses import LossConfig
 from mrfdet.sws_masks import mask_to_pgm_bytes, rasterize_sws_mask
 from mrfdet.trainer import SGD, TrainConfig, save_checkpoint
 
@@ -30,7 +33,55 @@ def data_dir(tmp_path_factory):
     return d
 
 
+# For every field a config file can set: a non-default file value and what it
+# parses to. extra_level = no also needs seg_mode = off to stay valid.
+NON_DEFAULT = {
+    (DatasetSpec, "image_size"): ("96", 96), (DatasetSpec, "num_images"): ("12", 12),
+    (DatasetSpec, "num_classes"): ("2", 2), (DatasetSpec, "min_objects"): ("2", 2),
+    (DatasetSpec, "max_objects"): ("4", 4), (DatasetSpec, "small_ratio"): ("0.5", 0.5),
+    (DatasetSpec, "small_side"): ("8 20", (8, 20)),
+    (DatasetSpec, "large_side"): ("30, 40", (30, 40)),
+    (DatasetSpec, "noise"): ("0.1", 0.1), (DatasetSpec, "seed"): ("5", 5),
+    (TrainConfig, "epochs"): ("40", 40), (TrainConfig, "batch_size"): ("4", 4),
+    (TrainConfig, "base_lr"): ("0.01", 0.01),
+    (TrainConfig, "warmup_start_lr"): ("1e-4", 1e-4),
+    (TrainConfig, "warmup_epochs"): ("5", 5),
+    (TrainConfig, "lr_drop_epochs"): ("10 20", (10, 20)),
+    (TrainConfig, "momentum"): ("0.8", 0.8), (TrainConfig, "weight_decay"): ("0", 0.0),
+    (TrainConfig, "seed"): ("7", 7), (TrainConfig, "t1"): ("32", 32.0),
+    (TrainConfig, "t2"): ("512", 512.0), (TrainConfig, "num_classes"): ("2", 2),
+    (TrainConfig, "image_size"): ("128", 128),
+    (TrainConfig, "stage_channels"): ("8 8 8 8", (8, 8, 8, 8)),
+    (Toggles, "mrf"): ("no", False), (Toggles, "extra_level"): ("no", False),
+    (Toggles, "seg_mode"): ("aws", "aws"),
+    (LossConfig, "alpha"): ("0.5", 0.5), (LossConfig, "beta"): ("2", 2.0),
+    (LossConfig, "neg_pos_ratio"): ("4", 4.0),
+}
+
+
+def settable_fields():
+    """(file's config class, attribute holding the field's dataclass, field name)."""
+    for top, path in ((DatasetSpec, None), (TrainConfig, None), (TrainConfig, "toggles"),
+                      (TrainConfig, "loss")):
+        owner = type(getattr(top(), path)) if path else top
+        for f in fields(owner):
+            if not is_dataclass(getattr(owner(), f.name)):
+                yield pytest.param(top, path, f.name, id=f"{owner.__name__}.{f.name}")
+
+
 class TestConfigParsing:
+    @pytest.mark.parametrize("top,path,name", list(settable_fields()))
+    def test_key_sets_its_field(self, tmp_path, top, path, name):
+        owner = type(getattr(top(), path)) if path else top
+        text, want = NON_DEFAULT[owner, name]
+        assert want != getattr(owner(), name)
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(f"{name} = {text}\n" + ("seg_mode = off\n" if name == "extra_level"
+                                                else ""))
+        # read_config rejects a file with a key left unread.
+        config = read_config(cfg, partial(fields_from, top))
+        assert getattr(getattr(config, path) if path else config, name) == want
+
     def test_parse_file(self, tmp_path):
         p = tmp_path / "c.txt"
         p.write_text("a = 1\n# full comment\nb = two words  # trailing\n\n")
@@ -53,16 +104,16 @@ class TestConfigParsing:
         assert _int_tuple("8 8") == (8, 8)
 
     def test_dataset_spec_defaults_and_overrides(self):
-        spec = dataset_spec_from({"image_size": "48", "seed": "9",
-                                  "large_side": "30 40"})
+        spec = fields_from(DatasetSpec, {"image_size": "48", "seed": "9",
+                                         "large_side": "30 40"})
         assert spec.image_size == 48 and spec.seed == 9
         assert spec.large_side == (30, 40)
         assert spec.num_classes == 3  # default preserved
 
     def test_train_config_toggles(self):
-        cfg = train_config_from({"mrf": "no", "seg_mode": "off",
-                                 "extra_level": "false", "epochs": "12",
-                                 "lr_drop_epochs": "8, 10"})
+        cfg = fields_from(TrainConfig, {"mrf": "no", "seg_mode": "off",
+                                        "extra_level": "false", "epochs": "12",
+                                        "lr_drop_epochs": "8, 10"})
         assert not cfg.toggles.mrf and cfg.toggles.seg_mode == "off"
         assert cfg.epochs == 12 and cfg.lr_drop_epochs == (8, 10)
 
@@ -193,7 +244,7 @@ class TestDiagnostics:
     def test_benchmark_keys_stay_valid(self):
         values = {"epochs": "1", "batch_size": "8", "warmup_epochs": "0",
                   "lr_drop_epochs": ""}
-        cfg = train_config_from(values)
+        cfg = fields_from(TrainConfig, values)
         assert (cfg.epochs, cfg.batch_size, cfg.warmup_epochs) == (1, 8, 0)
         assert values == {}  # every key was read
 
@@ -235,9 +286,20 @@ class TestDiagnostics:
         ("momentum = nan", "momentum must lie in [0, 1), got nan"),
         ("momentum = 1.5", "momentum must lie in [0, 1), got 1.5"),
         ("weight_decay = nan", "weight_decay must be finite and >= 0, got nan"),
-        ("weight_decay = -1", "weight_decay must be finite and >= 0, got -1.0")],
+        ("weight_decay = -1", "weight_decay must be finite and >= 0, got -1.0"),
+        ("alpha = nan", "alpha must be finite and >= 0, got nan"),
+        ("alpha = inf", "alpha must be finite and >= 0, got inf"),
+        ("alpha = -1", "alpha must be finite and >= 0, got -1.0"),
+        ("beta = nan", "beta must be finite and >= 0, got nan"),
+        ("beta = inf", "beta must be finite and >= 0, got inf"),
+        ("beta = -1", "beta must be finite and >= 0, got -1.0"),
+        ("neg_pos_ratio = nan", "neg_pos_ratio must be finite and > 0, got nan"),
+        ("neg_pos_ratio = inf", "neg_pos_ratio must be finite and > 0, got inf"),
+        ("neg_pos_ratio = -3", "neg_pos_ratio must be finite and > 0, got -3.0")],
         ids=["lr-nan", "lr-inf", "warmup-lr-inf", "momentum-nan", "momentum-1.5",
-             "decay-nan", "decay-negative"])
+             "decay-nan", "decay-negative", "alpha-nan", "alpha-inf", "alpha-negative",
+             "beta-nan", "beta-inf", "beta-negative", "ratio-nan", "ratio-inf",
+             "ratio-negative"])
     def test_optimizer_setting_out_of_range_named(self, data_dir, tmp_path, capsys, line,
                                                   message):
         cfg = tmp_path / "c.txt"

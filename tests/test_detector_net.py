@@ -105,7 +105,7 @@ class TestFpnMerge:
         lat = rng.standard_normal((1, 6, 4, 4))
         w = rng.standard_normal((4, 6, 1, 1))
         b = rng.standard_normal(4)
-        out = fpn_merge(top, lat, w, b)
+        out = fpn_merge({"lat.w": w, "lat.b": b}, "lat", top, lat)
         assert out.shape == (1, 4, 4, 4)
         # Spot check one cell: nearest upsample + 1x1 projection.
         proj = np.tensordot(w[:, :, 0, 0], lat[0], axes=(1, 0)) + b[:, None, None]
@@ -114,8 +114,8 @@ class TestFpnMerge:
 
     def test_extent_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="twice"):
-            fpn_merge(np.zeros((1, 2, 3, 3)), np.zeros((1, 2, 5, 5)),
-                      np.zeros((2, 2, 1, 1)), np.zeros(2))
+            fpn_merge({"lat.w": np.zeros((2, 2, 1, 1)), "lat.b": np.zeros(2)}, "lat",
+                      np.zeros((1, 2, 3, 3)), np.zeros((1, 2, 5, 5)))
 
 
 class TestFlatten:

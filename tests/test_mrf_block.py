@@ -7,7 +7,8 @@ from mrfdet.mrf_block import (DEFAULT_BRANCHES, BranchSpec, branch_taps, default
                               effective_receptive_field, format_rf_report,
                               init_conv, init_mrf_params, mrf_forward,
                               msra_init, named_conv, rf_report)
-from mrfdet.tensor_core import ShapeError, finite_diff_check, inner, relu
+from mrfdet.tensor_core import (ConvSpec, ShapeError, finite_diff_check, inner, relu,
+                               transposed_conv2d)
 
 
 class TestEffectiveReceptiveField:
@@ -124,6 +125,20 @@ class TestNamedConv:
         assert out.shape == (1, 4, 11, 11)
         np.testing.assert_array_equal(out[0, :, 5, 5], [1.0, 2.0, 3.0, 4.0])
         assert named_conv(params, "c", x, stride=2).shape == (1, 4, 6, 6)
+
+    def test_transposed_layout_and_geometry(self):
+        # A transposed 3 -> 4 conv with a 2x2 kernel stores (in, out, k, k) MSRA
+        # draws and runs at stride k, doubling the extent.
+        params = {}
+        init_conv(params, "t", 4, 3, 2, np.random.default_rng(0), transposed=True)
+        np.testing.assert_array_equal(params["t.w"].data,
+                                      msra_init(np.random.default_rng(0), (3, 4, 2, 2)))
+        assert params["t.b"].shape == (4,)
+        x = np.random.default_rng(1).standard_normal((2, 3, 5, 5))
+        out = named_conv(params, "t", x, transposed=True).data
+        want = transposed_conv2d(x, params["t.w"], params["t.b"], ConvSpec(3, 4, 2, stride=2))
+        assert out.shape == (2, 4, 10, 10)
+        np.testing.assert_array_equal(out, want.data)
 
     def test_scale(self):
         a, b = {}, {}
