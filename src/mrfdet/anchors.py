@@ -82,18 +82,15 @@ def generate_anchors(pyramid_shapes, scales, aspect_ratios, image_size) -> np.nd
     out = []
     for level, (extent, ratios) in enumerate(zip(pyramid_shapes, aspect_ratios)):
         s = scales[level]
-        cell = image_size / extent
         sizes = [(s * np.sqrt(r), s / np.sqrt(r)) for r in ratios]
         extra = np.sqrt(s * scales[level + 1])
-        sizes.append((extra, extra))
-        for y in range(extent):
-            cy = (y + 0.5) * cell
-            for x in range(extent):
-                cx = (x + 0.5) * cell
-                for w, h in sizes:
-                    out.append((cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2))
-    arr = np.array(out, dtype=np.float64)
-    return np.clip(arr, 0, image_size)
+        w, h = np.array(sizes + [(extra, extra)], dtype=np.float64).T
+        # Cell centers; boxes broadcast over (row, column, size), in that order.
+        c = (np.arange(extent) + 0.5) * (image_size / extent)
+        cy, cx = c[:, None, None], c[None, :, None]
+        out.append(np.stack(np.broadcast_arrays(cx - w / 2, cy - h / 2, cx + w / 2,
+                                                cy + h / 2), axis=-1).reshape(-1, 4))
+    return np.clip(np.concatenate(out), 0, image_size)
 
 
 def match_anchors(anchors: np.ndarray, gts, pos_threshold=0.5) -> np.ndarray:
@@ -133,27 +130,37 @@ def nms_array(boxes: np.ndarray, scores: np.ndarray, classes: np.ndarray,
               iou_threshold=0.45, max_keep=200) -> np.ndarray:
     """Vectorized greedy NMS within classes; returns kept indices in score order.
 
-    Descending score, ties by index, suppress same-class IoU >= threshold (or NaN).
-    A candidate's fate depends only on higher-ranked ones, so the pass runs
-    over the top 2 * max_keep (doubled if that runs out) with IoU in blocks
-    of 64 rows against the columns from the block's first row on.
+    Descending score, ties by index, NaN scores last; suppress same-class
+    IoU >= threshold (or NaN). A candidate's fate depends only on higher-ranked
+    ones, so the pass ranks only the top 2 * max_keep (every tie at the cut
+    included; doubled if that runs out) and walks them in blocks of 64, taking
+    IoU of the boxes kept so far and of the block's rows against the block.
     """
-    order = np.lexsort((np.arange(len(scores)), -np.asarray(scores)))
+    neg = -np.asarray(scores)
     size = 2 * max_keep
     while True:
-        cand, cls = boxes[order[:size]], classes[order[:size]]
-        suppressed = np.zeros(len(cand), dtype=bool)
+        cut = np.partition(neg, size - 1)[size - 1] if size < len(neg) else np.nan
+        top = np.flatnonzero(neg <= cut) if not np.isnan(cut) else np.arange(len(neg))
+        order = top[np.lexsort((top, neg[top]))]
+        cand, cls = boxes[order], classes[order]
         keep = []
         for r0 in range(0, len(cand), 64):
             if len(keep) >= max_keep:
                 break
-            hit = ~(iou_matrix(cand[r0:r0 + 64], cand[r0:]) < iou_threshold)
-            hit &= cls[r0:r0 + 64, None] == cls[None, r0:]
-            for i in range(r0, min(r0 + 64, len(cand))):
-                if not suppressed[i] and len(keep) < max_keep:
-                    keep.append(i)
-                    suppressed[i:] |= hit[i - r0, i - r0:]
-        if len(keep) >= max_keep or len(cand) == len(order):
+            block = np.arange(r0, min(r0 + 64, len(cand)))
+            rows = np.concatenate([np.array(keep, dtype=np.int64), block])
+            hit = ~(iou_matrix(cand[rows], cand[block]) < iou_threshold)
+            hit &= cls[rows, None] == cls[None, block]
+            # The greedy pass on Python-int bitmasks, bit j for candidate r0 + j:
+            # `dead` starts as the block's candidates that a kept box suppresses.
+            k, b = len(keep), len(block)
+            bits = np.zeros((b + 1, 64), dtype=bool)
+            bits[0, :b], bits[1:, :b] = hit[:k].any(axis=0), hit[k:]
+            dead, *masks = np.packbits(bits, axis=1, bitorder="little").view("<u8")[:, 0].tolist()
+            for i, mask in enumerate(masks):
+                if not dead >> i & 1 and len(keep) < max_keep:
+                    keep.append(r0 + i)
+                    dead |= mask
+        if len(keep) >= max_keep or len(order) == len(neg):
             return order[np.array(keep, dtype=np.int64)]
         size *= 2
-

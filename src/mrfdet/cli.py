@@ -196,7 +196,7 @@ def cmd_rf_report(args):
 def cmd_describe(args):
     config = read_config(args.config, partial(fields_from, TrainConfig))
     det = build_network(BackboneSpec(config.image_size, config.stage_channels),
-                        config.num_classes, config.toggles, seed=config.seed)
+                        config.num_classes, config.toggles, seed=None)
     print(describe(det))
 
 

@@ -192,7 +192,8 @@ def load_dataset(data_dir, image_size=None, size_from=None):
     """Ordered list of (image key, (3, S, S) uint8 pixels, (M, 5) ground truth).
 
     With image_size, an image of any other size is rejected; the message
-    names size_from, the source of the expected size.
+    names size_from, the source of the expected size. A directory without
+    images is rejected too.
     """
     samples = []
     for rel, gts in sorted(load_annotations(data_dir).items()):
@@ -202,5 +203,7 @@ def load_dataset(data_dir, image_size=None, size_from=None):
             raise ShapeError(f"{path}: image is {image.shape[2]}x{image.shape[1]} pixels; "
                              f"{size_from} needs {image_size}x{image_size}")
         samples.append((rel, image, gts))
+    if not samples:
+        raise ShapeError(f"no images found under {data_dir}")
     return samples
 

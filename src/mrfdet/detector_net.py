@@ -97,7 +97,7 @@ class DetectorParams:
     params: dict                # name -> Tensor, insertion-ordered
     mrf_specs: dict             # level name -> MRFBlockSpec
     anchors: np.ndarray
-    seed: int
+    seed: int | None            # None for a build that drew no init
 
     def named_params(self):
         return list(self.params.items())
@@ -133,9 +133,13 @@ def aspect_ratios_for(a: int):
 
 
 def build_network(backbone: BackboneSpec, num_classes: int, toggles: Toggles,
-                  seed: int = 0, dtype=np.float64) -> DetectorParams:
-    """Construct and initialize all parameters; fully determined by the seed."""
-    rng = np.random.default_rng(seed)
+                  seed: int | None = 0, dtype=np.float64) -> DetectorParams:
+    """Construct and initialize all parameters; fully determined by the seed.
+
+    With seed None nothing is drawn: the layout, names, shapes and anchors are
+    the same, and every parameter is zero.
+    """
+    rng = None if seed is None else np.random.default_rng(seed)
     params = {}
 
     # Backbone stages: first conv of each stage downsamples by 2.

@@ -90,9 +90,10 @@ def msra_init(rng, shape, dtype=np.float64) -> np.ndarray:
 def init_conv(params: dict, name, out_c, in_c, k, rng, dtype=np.float64, scale=1.0,
               transposed=False):
     """Add an MSRA `{name}.w` (out_c, in_c, k, k), or (in_c, out_c, k, k) when
-    transposed, times scale, and a zero `{name}.b`."""
+    transposed, times scale, and a zero `{name}.b`; with rng None the weight is
+    zero too and nothing is drawn."""
     shape = (in_c, out_c, k, k) if transposed else (out_c, in_c, k, k)
-    w = msra_init(rng, shape, dtype) * dtype(scale)
+    w = np.zeros(shape, dtype) if rng is None else msra_init(rng, shape, dtype) * dtype(scale)
     params[f"{name}.w"] = Tensor(w, requires_grad=True)
     params[f"{name}.b"] = Tensor(np.zeros(out_c, dtype=dtype), requires_grad=True)
 

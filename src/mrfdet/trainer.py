@@ -148,8 +148,6 @@ def train(config: TrainConfig, data_dir, log_fn=None, ckpt_path=None) -> TrainRe
     data = load_dataset(data_dir, config.image_size, "train config image_size")
     check_class_ids(data, data_dir, config.num_classes)
     samples = [prepare_sample(det, config, img, gts) for _, img, gts in data]
-    if not samples:
-        raise ShapeError(f"no images found under {data_dir}")
     opt = SGD(det.named_params(), config.momentum, config.weight_decay)
     rng = np.random.default_rng(config.seed + 1)
     log, step = [], 0
@@ -281,9 +279,10 @@ def load_checkpoint(path):
         toggles = Toggles(mrf=bool(meta[3]), extra_level=bool(meta[4]),
                           seg_mode=SEG_MODES[meta[5]])
         det = build_network(BackboneSpec(int(meta[2]), tuple(stages.tolist())),
-                            int(meta[1]), toggles, seed=int(meta[0]), dtype=np.float32)
+                            int(meta[1]), toggles, seed=None, dtype=np.float32)
     except ShapeError as exc:
         raise ShapeError(f"checkpoint {path} describes no valid network: {exc}") from None
+    det.seed = int(meta[0])
     names, expected = members["names"], list(det.params)
     if names.ndim != 1 or names.tolist() != expected:
         stored = set(names.ravel().tolist())

@@ -1,9 +1,9 @@
 """Per-box reference geometry and evaluation, for tests only.
 
-The package computes IoU, NMS and box encoding on (N, 4) corner arrays
-(mrfdet.anchors) and keeps ground truth as (M, 5) arrays. These versions
-follow the textbook definitions one box or one pair at a time, and the
-tests check the array functions against them.
+The package computes default boxes, IoU, NMS and box encoding on (N, 4)
+corner arrays (mrfdet.anchors) and keeps ground truth as (M, 5) arrays.
+These versions follow the textbook definitions one box or one pair at a
+time, and the tests check the array functions against them.
 
 The package's evaluation matches each image once for every IoU threshold
 and area band of a report. greedy_match and the reference_* functions
@@ -101,6 +101,25 @@ def encode_box(g: Box, d: Box):
     dcx, dcy, dw, dh = center(d)
     return ((gcx - dcx) / dw, (gcy - dcy) / dh,
             float(np.log(gw / dw)), float(np.log(gh / dh)))
+
+
+def generate_anchors_per_cell(pyramid_shapes, scales, aspect_ratios, image_size):
+    """mrfdet.anchors.generate_anchors one Python tuple per (cell, box): rows
+    y, then columns x, then the ratio boxes and the geometric-mean box."""
+    out = []
+    for level, (extent, ratios) in enumerate(zip(pyramid_shapes, aspect_ratios)):
+        s = scales[level]
+        cell = image_size / extent
+        sizes = [(s * np.sqrt(r), s / np.sqrt(r)) for r in ratios]
+        extra = np.sqrt(s * scales[level + 1])
+        sizes.append((extra, extra))
+        for y in range(extent):
+            cy = (y + 0.5) * cell
+            for x in range(extent):
+                cx = (x + 0.5) * cell
+                for w, h in sizes:
+                    out.append((cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2))
+    return np.clip(np.array(out, dtype=np.float64), 0, image_size)
 
 
 def nms(detections, iou_threshold=0.45, max_keep=200):

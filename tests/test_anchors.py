@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from box_oracles import (Box, ScoredBox, box_from_center, corners, encode_box, iou,
-                         nms)
+from box_oracles import (Box, ScoredBox, box_from_center, corners, encode_box,
+                         generate_anchors_per_cell, iou, nms)
 from mrfdet.anchors import (center_to_corner, corner_to_center, decode_array,
                             encode_array, generate_anchors, iou_matrix,
                             match_anchors, nms_array)
@@ -169,6 +169,19 @@ class TestGenerateAnchors:
         np.testing.assert_allclose(centers[2], [48, 16])
         np.testing.assert_allclose(centers[4], [16, 48])
         np.testing.assert_allclose(centers[6], [48, 48])
+
+    @given(levels=st.lists(st.tuples(st.integers(1, 9),
+                                     st.lists(st.floats(0.1, 10), min_size=1, max_size=6)),
+                           min_size=1, max_size=4),
+           scales=st.lists(st.floats(0.5, 200) | st.integers(1, 200), min_size=5, max_size=5),
+           image_size=st.integers(1, 256))
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_cell_by_cell_oracle(self, levels, scales, image_size):
+        extents, ratios = [e for e, _ in levels], [r for _, r in levels]
+        args = extents, scales[:len(levels) + 1], ratios, image_size
+        got, want = generate_anchors(*args), generate_anchors_per_cell(*args)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def brute_force_match(anchors, gts, threshold):
@@ -359,6 +372,37 @@ class TestNms:
             keep = nms_array(boxes, scores, np.zeros(n, dtype=np.int64), thr, max_keep)
             want = [position[id(d)] for d in nms(dets, thr, max_keep)]
             assert keep.tolist() == want
+
+    @pytest.mark.parametrize("max_keep", [1, 3, 50, 200])
+    @given(extra=st.integers(1, 300), n_classes=st.integers(1, 3), crowded=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_candidate_cut_matches_brute_force(self, max_keep, extra, n_classes, crowded,
+                                               seed):
+        # More than 2 * max_keep boxes, so only the top candidates are ranked. A quarter
+        # of them take the score ranked 2 * max_keep, so ties cross the cut; crowded
+        # boxes suppress enough to make the prefix double.
+        rng = np.random.default_rng(seed)
+        n = 2 * max_keep + extra
+        xy = np.round(rng.uniform(0, 8 if crowded else 64, (n, 2)))
+        wh = np.round(rng.uniform(10 if crowded else 1, 30, (n, 2)))
+        scores = np.round(rng.uniform(0, 1, n), 2)
+        scores[rng.choice(n, n // 4, replace=False)] = np.sort(scores)[::-1][2 * max_keep - 1]
+        classes = rng.integers(0, n_classes, n)
+        dets = [ScoredBox(*b, class_id=int(c), score=float(s))
+                for b, c, s in zip(np.concatenate([xy, xy + wh], axis=1), classes, scores)]
+        assert nms_array_of(dets, 0.45, max_keep) == brute_force_nms(dets, 0.45, max_keep)
+
+    @pytest.mark.parametrize("max_keep,want", [(1, [3]), (2, [3, 1]), (3, [3, 1, 2]),
+                                               (200, [3, 1, 2])])
+    def test_nan_scores_rank_last(self, max_keep, want):
+        # Ranked 3, 1, then the NaN boxes 0, 2, 4 by index: 1 suppresses 0 and 4.
+        # At max_keep 2 the cut value is NaN, so every candidate is ranked.
+        boxes = np.array([[0, 0, 10, 10], [0, 0, 10, 10], [50, 50, 60, 60],
+                          [20, 20, 30, 30], [0, 0, 10, 10]], dtype=np.float64)
+        scores = np.array([np.nan, 0.3, np.nan, 0.7, np.nan])
+        keep = nms_array(boxes, scores, np.zeros(5, dtype=np.int64), 0.45, max_keep)
+        assert keep.tolist() == want
 
     def test_prefix_doubles_until_enough_kept(self):
         # 500 identical top boxes leave one survivor per prefix of 6, 12, ...

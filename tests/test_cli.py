@@ -378,10 +378,20 @@ class TestDiagnostics:
                           "--out", str(tmp_path / "m.ckpt")],
                 "mask-gen": ["mask-gen", "--data", str(data), "--out",
                              str(tmp_path / "masks")],
-                "eval": ["eval", "--ckpt", str(ckpt), "--data", str(data)]}[command]
+                "eval": ["eval", "--ckpt", str(ckpt), "--data", str(data)],
+                "eval-coco": ["eval", "--ckpt", str(ckpt), "--data", str(data),
+                              "--coco-style"]}[command]
         err = self.run_error(argv, capsys)
         assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "masks").exists()
         return err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "eval-coco", "mask-gen"])
+    def test_empty_dataset_rejected(self, tmp_path, capsys, small_ckpt, command):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "annotations.txt").write_text("")
+        err = self.run_on_data(command, data, tmp_path, small_ckpt, capsys)
+        assert err == f"error: no images found under {data}"
 
     @pytest.mark.parametrize("command", ["train", "mask-gen", "eval"])
     @pytest.mark.parametrize("coords", ["1 1 inf 9", "nan 1 5 9", "5 1 5 9", "1 9 5 2"])

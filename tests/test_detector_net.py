@@ -83,6 +83,16 @@ class TestBuild:
         for name in a.params:
             assert np.array_equal(a.params[name].data, b.params[name].data)
 
+    @pytest.mark.parametrize("mrf,extra,seg", [(True, True, "sws"), (False, True, "off"),
+                                               (True, False, "off")])
+    def test_unseeded_build_has_the_seeded_layout_with_zeros(self, mrf, extra, seg):
+        seeded, bare = small_net(mrf, extra, seg, seed=4), small_net(mrf, extra, seg, seed=None)
+        assert bare.seed is None and bare.levels == seeded.levels
+        assert bare.anchors.tobytes() == seeded.anchors.tobytes()
+        assert [(n, t.shape, t.data.dtype) for n, t in bare.named_params()] == \
+            [(n, t.shape, t.data.dtype) for n, t in seeded.named_params()]
+        assert all(not t.data.any() and t.requires_grad for t in bare.params.values())
+
     def test_seg_params_exist_whenever_extra_level(self):
         # Same RNG draw order for seg off and on: toggling segmentation
         # cannot perturb the rest of the initialization.

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import mrfdet
+from mrfdet import mrf_block
 from mrfdet.cli import main
 from mrfdet.dataset import DatasetSpec, load_dataset, synth_dataset
-from mrfdet.detector_net import BackboneSpec, Toggles, build_network
+from mrfdet.detector_net import BackboneSpec, Toggles, build_network, describe
 from mrfdet.tensor_core import ShapeError, Tensor
 from mrfdet.trainer import (SGD, TrainConfig, load_checkpoint, lr_at,
                             prepare_sample, save_checkpoint, train)
@@ -293,6 +294,30 @@ class TestCheckpoint:
         loaded, records = load_checkpoint(path)
         assert loaded.seed == big and records["meta"][0] == big
         assert records["meta"][6] == big
+
+    def test_loading_draws_no_init(self, tiny_result, tmp_path, capsys, monkeypatch):
+        # The stored params replace every weight, so a load builds without drawing.
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, tiny_result.detector, TINY_CFG)
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("image_size = 32\nstage_channels = 8 8 8 8\n")
+        seeded = build_network(BackboneSpec(32, (8, 8, 8, 8)), 3, TINY_CFG.toggles,
+                               seed=TINY_CFG.seed, dtype=np.float32)
+        seeded_text = describe(seeded) + "\n"
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("msra_init called")
+
+        monkeypatch.setattr(mrf_block, "msra_init", no_draw)
+        det, members = load_checkpoint(path)
+        assert det.seed == TINY_CFG.seed
+        assert det.anchors.tobytes() == seeded.anchors.tobytes()
+        stored = np.concatenate([t.data.ravel() for t in det.params.values()])
+        assert stored.tobytes() == members["params"].tobytes()
+        for name, t in tiny_result.detector.named_params():
+            assert np.array_equal(det.params[name].data, t.data), name
+        assert main(["describe", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == seeded_text
 
     def test_rng_state_preserved(self, tiny_result, tmp_path):
         rng = np.random.default_rng(99)
