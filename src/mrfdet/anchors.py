@@ -15,15 +15,26 @@ from .tensor_core import ShapeError
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU of corner-form (N, 4) vs (M, 4) arrays."""
+    """Pairwise IoU of corner-form (N, 4) vs (M, 4) arrays.
+
+    The operations of inter / (area_a + area_b - inter), in that order, run
+    into three (N, M) buffers: iw (then inter, then the IoU), ih and t.
+    """
     if a.size == 0 or b.size == 0:
         return np.zeros((a.shape[0], b.shape[0]))
-    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
-    inter = np.clip(iw, 0, None) * np.clip(ih, 0, None)
+    iw = np.minimum(a[:, None, 2], b[None, :, 2])
+    t = np.maximum(a[:, None, 0], b[None, :, 0])
+    iw -= t
+    ih = np.minimum(a[:, None, 3], b[None, :, 3])
+    ih -= np.maximum(a[:, None, 1], b[None, :, 1], out=t)
+    np.clip(iw, 0, None, out=iw)
+    iw *= np.clip(ih, 0, None, out=ih)
     area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
     area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    return inter / (area_a[:, None] + area_b[None, :] - inter)
+    np.add(area_a[:, None], area_b[None, :], out=t)
+    t -= iw
+    # Integer boxes keep their integer buffers and divide into a new float array.
+    return np.divide(iw, t, out=iw if iw.dtype.kind == "f" else None)
 
 
 def encode_array(gt: np.ndarray, anchors: np.ndarray) -> np.ndarray:

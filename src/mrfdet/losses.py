@@ -81,14 +81,20 @@ def conf_loss(conf_logits, anchor_gt, gt_labels, mined) -> Tensor:
     targets = targets[img, anchor]
     if img.size == 0:
         return Tensor(np.zeros(len(anchor_gt)))
-    logp = _log_softmax(logits.data, axis=2)
-    losses = np.bincount(img, -logp[img, anchor, targets], minlength=len(anchor_gt))
+    rows = np.arange(img.size)
+    logp = _log_softmax(logits.data, axis=2)[img, anchor]
+    losses = np.bincount(img, -logp[rows, targets], minlength=len(anchor_gt))
+    # softmax - onehot of the picked anchors, in the logits' dtype; the
+    # gradient scales it by g in one array of the product's dtype.
+    delta = np.exp(logp)
+    delta[rows, targets] -= 1.0
+    shape = logits.shape
 
     def grad_logits(g):
-        p = np.zeros_like(logp)
-        p[img, anchor] = np.exp(logp[img, anchor])
-        p[img, anchor, targets] -= 1.0
-        return g[:, None, None] * p
+        grad = np.zeros(shape, np.result_type(delta, g))
+        grad[img, anchor] = delta
+        grad *= g[:, None, None]
+        return grad
     return _node(losses, (logits,), grad_logits)
 
 
@@ -105,9 +111,10 @@ def loc_loss(loc_preds, anchor_gt, gt_boxes, anchors) -> Tensor:
                            np.asarray(anchors)[anchor])
     diff = preds.data[img, anchor] - targets
     losses = np.bincount(img, smooth_l1(diff).sum(axis=1), minlength=len(anchor_gt))
+    shape, dtype = preds.shape, preds.dtype
 
     def grad_preds(g):
-        grad = np.zeros_like(preds.data)
+        grad = np.zeros(shape, dtype)
         grad[img, anchor] = smooth_l1_grad(diff)
         return g[:, None, None] * grad
     return _node(losses, (preds,), grad_preds)

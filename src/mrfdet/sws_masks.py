@@ -84,16 +84,20 @@ def seg_loss(seg_logits, mask: np.ndarray):
     valid = mask != int(SegLabel.IGNORE)
     count = valid.sum(axis=(1, 2))
     logp = _log_softmax(logits.data, axis=1)
-    truth = (mask == int(SegLabel.FOREGROUND)).astype(np.int64)
-    picked = np.where(truth == 1, logp[:, 1], logp[:, 0])
+    fg = mask == int(SegLabel.FOREGROUND)
+    picked = np.where(fg, logp[:, 1], logp[:, 0])
     denom = np.maximum(count, 1)
-    weight = (valid / denom[:, None, None])[:, None]
     loss = -np.where(valid, picked, 0.0).sum(axis=(1, 2), dtype=np.float64) / denom
 
     def grad_logits(g):
-        p = np.exp(logp)
-        onehot = np.stack([1.0 - truth, truth.astype(np.float64)], axis=1)
-        return g[:, None, None, None] * ((p - onehot) * weight)
+        # (softmax - onehot) * valid / denom * g, built in one float64 array.
+        grad = np.empty(logp.shape)
+        np.exp(logp, out=grad)
+        np.subtract(grad[:, 0], 1.0, out=grad[:, 0], where=~fg)
+        np.subtract(grad[:, 1], 1.0, out=grad[:, 1], where=fg)
+        grad *= (valid / denom[:, None, None])[:, None]
+        grad *= g[:, None, None, None]
+        return grad
     return _node(loss, (logits,), grad_logits), count
 
 

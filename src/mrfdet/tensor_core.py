@@ -2,10 +2,16 @@
 
 Every spatial operation works on batches of channels-first arrays
 (N, C, H, W) and is a pure function of its inputs. Results are wrapped in
-:class:`Tensor`, a thin reverse-mode tape node, so composed blocks can be
-differentiated without hand-wiring adjoints at every call site. All
-gradients here are exact adjoints of the forward maps and are validated
-against central finite differences (see :func:`finite_diff_check`).
+:class:`Tensor`, an array plus a reverse-mode gradient node, so composed
+blocks can be differentiated without hand-wiring adjoints at every call
+site. All gradients here are exact adjoints of the forward maps and are
+validated against central finite differences (see :func:`finite_diff_check`).
+
+The tape is made of gradient nodes, not Tensors: a node holds its gradient
+and edges to its inputs' nodes, and each gradient function captures only
+the arrays it reads (a conv its input and weights, a ReLU its output). An
+array that no gradient reads, such as a pre-ReLU conv output or an MRF
+branch output, is freed as soon as the forward drops its Tensor.
 
 Convolutions run one kernel (im2col as GEMM): the N inputs are padded once
 into a zero-filled flat buffer, a strided view of it yields every tap as a
@@ -82,20 +88,42 @@ class ConvSpec:
         return out
 
 
+class _GradNode:
+    """A Tensor's place on the tape: its gradient, the dtype that
+    accumulation gives it, and one (input node, gradient function) edge per
+    input that needs a gradient; the function maps this node's gradient to
+    that input's share. Edges point at nodes, never at Tensors, so a Tensor's
+    array lives only as long as a gradient function reads it."""
+
+    __slots__ = ("grad", "edges", "dtype")
+
+    def __init__(self, dtype):
+        self.grad, self.edges, self.dtype = None, (), dtype
+
+    def accumulate(self, g):
+        if self.grad is None:
+            self.grad = np.array(g, dtype=self.dtype)
+        else:
+            self.grad += g
+
+
 class Tensor:
-    """A numpy array plus an optional tape node for reverse-mode gradients.
+    """A numpy array plus its gradient node for reverse-mode gradients."""
 
-    _edges holds one (input, gradient function) pair per input that needs a
-    gradient; the function maps this node's gradient to that input's share.
-    """
-
-    __slots__ = ("data", "grad", "requires_grad", "_edges")
+    __slots__ = ("data", "requires_grad", "node")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64 if np.asarray(data).dtype.kind != "f" else None)
-        self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._edges = ()
+        self.node = _GradNode(self.data.dtype)
+
+    @property
+    def grad(self):
+        return self.node.grad
+
+    @grad.setter
+    def grad(self, value):
+        self.node.grad = value
 
     @property
     def shape(self):
@@ -107,12 +135,6 @@ class Tensor:
 
     def item(self) -> float:
         return self.data.item()
-
-    def _accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype)
-        else:
-            self.grad += g
 
     def backward(self, grad=None):
         """Reverse-mode sweep from this node; default seed is 1 for scalars.
@@ -129,23 +151,23 @@ class Tensor:
             raise ShapeError(f"backward grad shape {np.shape(grad)} != node shape {self.shape}")
         # Depth-first post-order (inputs in order) with an explicit stack,
         # so tape depth is not bounded by the recursion limit.
-        topo, seen, stack = [], {id(self)}, [(self, iter(self._edges))]
+        topo, seen, stack = [], {id(self.node)}, [(self.node, iter(self.node.edges))]
         while stack:
             node, edges = stack[-1]
             for p, _ in edges:
                 if id(p) not in seen:
                     seen.add(id(p))
-                    stack.append((p, iter(p._edges)))
+                    stack.append((p, iter(p.edges)))
                     break
             else:
                 topo.append(stack.pop()[0])
-        self._accumulate(grad)
+        self.node.accumulate(grad)
         while topo:
             node = topo.pop()
-            if node._edges:
-                for p, fn in node._edges:
-                    p._accumulate(fn(node.grad))
-                node.grad, node._edges = None, ()
+            if node.edges:
+                for p, fn in node.edges:
+                    p.accumulate(fn(node.grad))
+                node.grad, node.edges = None, ()
 
     # Scalar arithmetic, enough to combine loss terms.
     def __add__(self, other):
@@ -165,15 +187,16 @@ class Tensor:
 
 
 def _node(data, parents, *grad_fns):
-    """Tape node over data; grad_fns[i] maps its gradient to parents[i]'s.
+    """A Tensor over data whose node has an edge to each parent's node;
+    grad_fns[i] maps its gradient to parents[i]'s.
 
     Only inputs that need a gradient get an edge, so no other input's
     gradient is ever computed; under no_grad no input gets one.
     """
     out = Tensor(data)
     if _grad_enabled:
-        out._edges = tuple([(p, fn) for p, fn in zip(parents, grad_fns)
-                            if p.requires_grad or p._edges])
+        out.node.edges = tuple([(p.node, fn) for p, fn in zip(parents, grad_fns)
+                                if p.requires_grad or p.node.edges])
     return out
 
 
@@ -296,11 +319,12 @@ def conv2d(input, weights, bias, spec: ConvSpec) -> Tensor:
         raise ShapeError(f"input has {x.shape[1]} channels, spec expects {spec.in_channels}")
     if b.shape != (spec.out_channels,):
         raise ShapeError(f"bias shape {b.shape} != ({spec.out_channels},)")
-    y = _conv_fwd(x.data, w.data, spec) + b.data[:, None, None]
+    xa, wa = x.data, w.data  # all that the gradients read
+    y = _conv_fwd(xa, wa, spec) + b.data[:, None, None]
     h, wd = x.shape[2], x.shape[3]
     return _node(y, (x, w, b),
-                 lambda g: _conv_grad_input(g, w.data, spec, h, wd),
-                 lambda g: _conv_grad_w(g, x.data, spec),
+                 lambda g: _conv_grad_input(g, wa, spec, h, wd),
+                 lambda g: _conv_grad_w(g, xa, spec),
                  lambda g: g.sum(axis=(0, 2, 3)))
 
 
@@ -323,23 +347,28 @@ def transposed_conv2d(input, weights, bias, spec: ConvSpec) -> Tensor:
                    spec.stride, spec.padding, spec.dilation)
     h, wd = x.shape[2], x.shape[3]
     oh, ow = spec.transposed_out_extent(h), spec.transposed_out_extent(wd)
-    y = _conv_grad_input(x.data, w.data, adj, oh, ow) + b.data[:, None, None]
+    xa, wa = x.data, w.data
+    y = _conv_grad_input(xa, wa, adj, oh, ow) + b.data[:, None, None]
     return _node(y, (x, w, b),
-                 lambda g: _conv_fwd(g, w.data, adj),
-                 lambda g: _conv_grad_w(x.data, g, adj),
+                 lambda g: _conv_fwd(g, wa, adj),
+                 lambda g: _conv_grad_w(xa, g, adj),
                  lambda g: g.sum(axis=(0, 2, 3)))
 
 
 def relu(input) -> Tensor:
     x = as_tensor(input)
-    return _node(np.maximum(x.data, 0.0), (x,), lambda g: g * (x.data > 0))
+    y = np.maximum(x.data, 0.0)
+    # y > 0 is the mask x > 0, NaN and -0.0 included: the gradient keeps the
+    # output, which the next op reads anyway, so x can be freed.
+    return _node(y, (x,), lambda g: g * (y > 0))
 
 
 def upsample_nearest_2x(input) -> Tensor:
     x = as_tensor(input)
     _check_nchw(x.data, "input")
-    y = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
     n, c, h, w = x.shape
+    y = np.broadcast_to(x.data[:, :, :, None, :, None], (n, c, h, 2, w, 2)).reshape(
+        n, c, 2 * h, 2 * w)
     return _node(y, (x,), lambda g: g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
 
 
@@ -366,7 +395,12 @@ def add(inputs) -> Tensor:
         if t.shape != ts[0].shape:
             raise ShapeError(f"add shape mismatch: input[{i}] is {t.shape}, "
                              f"input[0] is {ts[0].shape}")
-    return _node(np.sum([t.data for t in ts], axis=0), ts, *[lambda g: g] * len(ts))
+    # An in-order sum into one array: np.sum over the stacked inputs would
+    # copy them all first.
+    out = ts[0].data.astype(np.result_type(*[t.data for t in ts]))
+    for t in ts[1:]:
+        np.add(out, t.data, out=out)
+    return _node(out, ts, *[lambda g: g] * len(ts))
 
 
 def inner(input, coeffs) -> Tensor:

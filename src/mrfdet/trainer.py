@@ -113,15 +113,32 @@ class TrainResult:
     steps: int
 
 
-def prepare_sample(det: DetectorParams, config: TrainConfig, image, gts):
-    """One image as a batch of one: a (1, 3, S, S) view of the loaded
+def match_sample(det: DetectorParams, image, gts):
+    """What training keeps of one image: the loaded pixels, their (M, 5)
+    ground truth, the anchors that matching made positive and their
+    ground-truth rows. Matching runs once per image; expand_sample rebuilds
+    the dense assignment and the mask for each tape at a tenth of its cost."""
+    assignment = match_anchors(det.anchors, gts[:, :4])
+    positives = np.flatnonzero(assignment >= 0)
+    return image, gts, positives, assignment[positives]
+
+
+def expand_sample(det: DetectorParams, config: TrainConfig, sample):
+    """A matched sample as a batch of one: a (1, 3, S, S) view of the
     pixels, their (M, 5) ground truth, the (1, A) anchor assignment into it
     and the (1, S, S) SWS/AWS mask (None without segmentation)."""
-    assignment = match_anchors(det.anchors, gts[:, :4])[None]
+    image, gts, positives, rows = sample
+    assignment = np.full((1, det.num_anchors), -1, dtype=np.int64)
+    assignment[0, positives] = rows
     mask = None
     if det.toggles.seg_mode != "off":
         mask = rasterize_sws_mask(gts, config.image_size, config.thresholds)[None]
     return image[None], gts, assignment, mask
+
+
+def prepare_sample(det: DetectorParams, config: TrainConfig, image, gts):
+    """One image as a batch of one, as expand_sample gives it."""
+    return expand_sample(det, config, match_sample(det, image, gts))
 
 
 def join_samples(samples):
@@ -138,16 +155,18 @@ def join_samples(samples):
 def train(config: TrainConfig, data_dir, log_fn=None, ckpt_path=None) -> TrainResult:
     """Train on a dataset directory; aborts with diagnostics on NaN loss.
 
-    The samples hold the loaded uint8 pixels. Each mini-batch runs as tapes of up to
-    FORWARD_BATCH images: one forward, one loss over the tape and one backward seeded
-    with 1/len(batch), so the step follows the mean loss of the mini-batch.
+    The samples hold the loaded uint8 pixels, the ground truth and the matched
+    anchors; a tape's dense assignment and masks exist only while it runs. Each
+    mini-batch runs as tapes of up to FORWARD_BATCH images: one forward, one loss
+    over the tape and one backward seeded with 1/len(batch), so the step follows
+    the mean loss of the mini-batch.
     """
     det = build_network(BackboneSpec(config.image_size, config.stage_channels),
                         config.num_classes, config.toggles,
                         seed=config.seed, dtype=np.float32)
     data = load_dataset(data_dir, config.image_size, "train config image_size")
     check_class_ids(data, data_dir, config.num_classes)
-    samples = [prepare_sample(det, config, img, gts) for _, img, gts in data]
+    samples = [match_sample(det, img, gts) for _, img, gts in data]
     opt = SGD(det.named_params(), config.momentum, config.weight_decay)
     rng = np.random.default_rng(config.seed + 1)
     log, step = [], 0
@@ -159,9 +178,11 @@ def train(config: TrainConfig, data_dir, log_fn=None, ckpt_path=None) -> TrainRe
             sums = np.zeros(6)  # the LossBreakdown fields, n_pos last
             for tape_start in range(0, len(batch), FORWARD_BATCH):
                 images, gts, assignment, mask = join_samples(
-                    [samples[idx] for idx in batch[tape_start:tape_start + FORWARD_BATCH]])
-                _, outputs = forward(det, images)
-                breakdown, loss = total_loss(outputs, assignment, gts, mask, config.loss)
+                    [expand_sample(det, config, samples[idx])
+                     for idx in batch[tape_start:tape_start + FORWARD_BATCH]])
+                # Only the tape keeps the forward's arrays through the backward.
+                breakdown, loss = total_loss(forward(det, images)[1], assignment, gts, mask,
+                                             config.loss)
                 if not np.isfinite(breakdown.total):
                     raise FloatingPointError(
                         f"NaN/Inf loss at step {step}: l_conf={breakdown.l_conf} "

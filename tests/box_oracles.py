@@ -91,6 +91,19 @@ def iou(a: Box, b: Box) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def iou_matrix_formula(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise IoU as one expression of full-size temporaries, the form
+    that iou_matrix computes in three buffers."""
+    if a.size == 0 or b.size == 0:
+        return np.zeros((a.shape[0], b.shape[0]))
+    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    inter = np.clip(iw, 0, None) * np.clip(ih, 0, None)
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    return inter / (area_a[:, None] + area_b[None, :] - inter)
+
+
 def encode_box(g: Box, d: Box):
     """Offsets (t_cx, t_cy, t_w, t_h) of ground truth g relative to default box d.
 

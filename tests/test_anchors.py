@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from box_oracles import (Box, ScoredBox, box_from_center, corners, encode_box,
-                         generate_anchors_per_cell, iou, nms)
+                         generate_anchors_per_cell, iou, iou_matrix_formula, nms)
 from mrfdet.anchors import (center_to_corner, corner_to_center, decode_array,
                             encode_array, generate_anchors, iou_matrix,
                             match_anchors, nms_array)
@@ -12,6 +12,22 @@ from mrfdet.tensor_core import ShapeError
 
 box_coords = st.tuples(st.floats(0, 50), st.floats(0, 50),
                        st.floats(1, 40), st.floats(1, 40))
+
+
+@st.composite
+def corner_arrays(draw):
+    """(n, 4) corner arrays of generic doubles, with inverted, degenerate,
+    infinite and NaN coordinates mixed in."""
+    n = draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    low = rng.uniform(-60, 60, (n, 2))
+    boxes = np.hstack([low, low + rng.uniform(-5, 30, (n, 2))])
+    specials = draw(st.lists(st.sampled_from([None] * 6 + [0.0, -0.0, np.inf, -np.inf, np.nan]),
+                             min_size=4 * n, max_size=4 * n))
+    for i, value in enumerate(specials):
+        if value is not None:
+            boxes.flat[i] = value
+    return boxes
 
 
 def make_box(coords, class_id=0, score=None):
@@ -76,6 +92,17 @@ class TestIoU:
 
     def test_empty_matrix(self):
         assert iou_matrix(np.zeros((0, 4)), np.zeros((3, 4))).shape == (0, 3)
+
+    @given(a=corner_arrays(), b=corner_arrays(), dtypes=st.sampled_from(
+        [(np.float64, np.float64), (np.float32, np.float32), (np.float32, np.float64),
+         (np.int64, np.int64)]))
+    @settings(max_examples=200, deadline=None)
+    def test_buffered_matrix_keeps_the_formula_bits(self, a, b, dtypes):
+        with np.errstate(all="ignore"):
+            a, b = a.astype(dtypes[0]), b.astype(dtypes[1])
+            got, want = iou_matrix(a, b), iou_matrix_formula(a, b)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     @given(box_coords, box_coords)
     @settings(max_examples=60, deadline=None)

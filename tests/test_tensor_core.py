@@ -311,6 +311,36 @@ class TestElementwise:
         relu(t).backward(g)
         np.testing.assert_array_equal(t.grad, [[[[0.0, 0.0, 1.0]]]])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_gradient_from_its_output_is_the_input_mask(self, dtype):
+        # y > 0 and x > 0 agree on NaN, -0.0, 0.0, subnormals and infinities.
+        x = np.array([np.nan, -np.nan, -0.0, 0.0, -1.0, 2.0, np.finfo(dtype).smallest_subnormal,
+                      -np.finfo(dtype).smallest_subnormal, np.inf, -np.inf], dtype=dtype)
+        g = np.arange(1.0, x.size + 1, dtype=dtype)
+        t = Tensor(x, requires_grad=True)
+        relu(t).backward(g)
+        assert t.grad.dtype == dtype
+        assert t.grad.tobytes() == (g * (x > 0)).tobytes()
+
+    @given(shape=st.sampled_from([(), (1,), (2, 3), (2, 1, 3, 3)]), count=st.integers(1, 7),
+           dtypes=st.sampled_from(["f8", "f4", "f4 f8"]), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_add_equals_the_stacked_sum_bit_for_bit(self, shape, count, dtypes, seed):
+        # Seven or fewer one-element inputs: np.sum switches to pairwise
+        # summation from eight, where add stays an in-order sum.
+        rng = np.random.default_rng(seed)
+        kinds = dtypes.split()
+        xs = [(rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, shape))
+              .astype(kinds[i % len(kinds)]) for i in range(count)]
+        got, want = add(xs).data, np.asarray(np.sum(xs, axis=0))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_upsample_equals_the_repeated_copy(self):
+        x = np.random.default_rng(11).standard_normal((2, 3, 4, 5)).astype(np.float32)
+        out = upsample_nearest_2x(x).data
+        assert out.dtype == x.dtype and out.flags.c_contiguous
+        assert np.array_equal(out, np.repeat(np.repeat(x, 2, axis=2), 2, axis=3))
+
     def test_upsample(self):
         out = upsample_nearest_2x(np.full((1, 1, 1, 1), 7.0)).data
         np.testing.assert_array_equal(out, np.full((1, 1, 2, 2), 7.0))
@@ -387,12 +417,12 @@ class TestBackwardOrder:
         ran = []
 
         def tagged(name, t):
-            (parent, fn), *rest = t._edges
+            (parent, fn), *rest = t.node.edges
 
             def logged(g):
                 ran.append(name)
                 return fn(g)
-            t._edges = ((parent, logged), *rest)
+            t.node.edges = ((parent, logged), *rest)
             return t
 
         x = Tensor(np.ones(2), requires_grad=True)
@@ -462,24 +492,24 @@ class TestNoGrad:
         x = np.ones((2, 1, 4, 4))
         with no_grad():
             out = relu(conv2d(x, w, b, ConvSpec(1, 2, 3, padding=1)))
-        assert out._edges == ()
+        assert out.node.edges == ()
         taped = relu(conv2d(x, w, b, ConvSpec(1, 2, 3, padding=1)))
         np.testing.assert_array_equal(out.data, taped.data)
-        assert taped._edges != ()
+        assert taped.node.edges != ()
 
     def test_mode_restored_after_an_error(self):
         with pytest.raises(RuntimeError):
             with no_grad():
                 raise RuntimeError
         x = Tensor(np.ones(2), requires_grad=True)
-        assert relu(x)._edges != ()
+        assert relu(x).node.edges != ()
 
 
 def tape_nodes(root):
-    """Every node reachable from root, leaves included."""
-    seen, stack = {id(root): root}, [root]
+    """Every gradient node reachable from the Tensor root, leaves included."""
+    seen, stack = {id(root.node): root.node}, [root.node]
     while stack:
-        for p, _ in stack.pop()._edges:
+        for p, _ in stack.pop().edges:
             if id(p) not in seen:
                 seen[id(p)] = p
                 stack.append(p)
@@ -495,9 +525,9 @@ class TestBackwardFreesTheTape:
         h = relu(conv2d(x, w, b, ConvSpec(2, 3, 3, padding=1)))
         out = add([h, relu(h)])
         nodes = tape_nodes(out)
-        interior = [n for n in nodes if n._edges]
+        interior = [n for n in nodes if n.edges]
         assert len(interior) == 4 and len(nodes) == 7
         out.backward(np.ones(out.shape))
         for node in interior:
-            assert node.grad is None and node._edges == ()
+            assert node.grad is None and node.edges == ()
         assert all(t.grad is not None for t in (x, w, b))

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,12 +11,13 @@ import pytest
 
 import mrfdet
 from mrfdet import mrf_block
+from mrfdet.anchors import match_anchors
 from mrfdet.cli import main
 from mrfdet.dataset import DatasetSpec, load_dataset, synth_dataset
 from mrfdet.detector_net import BackboneSpec, Toggles, build_network, describe
 from mrfdet.tensor_core import ShapeError, Tensor
-from mrfdet.trainer import (SGD, TrainConfig, load_checkpoint, lr_at,
-                            prepare_sample, save_checkpoint, train)
+from mrfdet.trainer import (SGD, TrainConfig, expand_sample, load_checkpoint, lr_at,
+                            match_sample, prepare_sample, save_checkpoint, train)
 
 TINY_CFG = TrainConfig(epochs=3, batch_size=4, lr_drop_epochs=(2,),
                        warmup_epochs=1, stage_channels=(8, 8, 8, 8),
@@ -175,6 +177,18 @@ class TestPrepareSample:
         det2 = build_network(BackboneSpec(32, (8, 8, 8, 8)), 3, TINY_CFG.toggles)
         _, _, _, mask2 = prepare_sample(det2, TINY_CFG, img, boxes)
         assert mask2 is not None and mask2.shape == (1, 32, 32)
+
+    def test_matched_sample_expands_to_the_dense_assignment(self, tiny_dir):
+        det = build_network(BackboneSpec(32, (8, 8, 8, 8)), 3, TINY_CFG.toggles)
+        for _, img, boxes in load_dataset(tiny_dir):
+            sample = match_sample(det, img, boxes)
+            image, gts, positives, rows = sample
+            assert image is img and gts is boxes
+            assert 0 < positives.size == rows.size < det.num_anchors
+            got = expand_sample(det, TINY_CFG, sample)
+            np.testing.assert_array_equal(got[2], match_anchors(det.anchors, boxes[:, :4])[None])
+            for part, want in zip(got, prepare_sample(det, TINY_CFG, img, boxes)):
+                np.testing.assert_array_equal(part, want)
 
     def test_loading_and_preparing_keeps_pixels_as_bytes(self, tmp_path):
         # A 64x64 image is 12 KB of uint8 pixels; a float64 copy of it is 96 KB.
@@ -491,3 +505,34 @@ def test_cli_training_byte_identical_across_processes(sixteen_dir, tmp_path, thr
                        env=env, check=True, capture_output=True, timeout=300)
         ckpts.append(out.read_bytes())
     assert ckpts[0] == ckpts[1]
+
+
+# The reference training: the default model on the 16-image seed-0 set, 2 epochs
+# with one warmup epoch and no LR drop. Its bits are defined only for the numpy and
+# BLAS they were pinned with.
+REFERENCE_SHA256 = {
+    "checkpoint": "e865407227a175317497a3b064729fa101dc763d0c6ed6b64eafcd787c308d16",
+    "log": "8c09ddda9bdc5be32a827545b519f5e7b9c6396aeae888fc47a8497d587945ed"}
+REFERENCE_MACHINE = {"numpy": "2.4.6", "blas name": "scipy-openblas",
+                     "blas version": "0.3.31.188.0"}
+
+
+def machine_keys():
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"numpy": np.__version__, "blas name": blas.get("name"),
+            "blas version": blas.get("version")}
+
+
+def test_reference_training_writes_the_pinned_checkpoint(tmp_path):
+    differ = [f"{key} is {value!r}, pinned {REFERENCE_MACHINE[key]!r}"
+              for key, value in machine_keys().items() if value != REFERENCE_MACHINE[key]]
+    if differ:
+        pytest.skip("reference training bits are pinned for another machine: "
+                    + "; ".join(differ))
+    synth_dataset(DatasetSpec(num_images=16, seed=0), tmp_path / "data")
+    lines = []
+    train(TrainConfig(epochs=2, warmup_epochs=1, lr_drop_epochs=()), tmp_path / "data",
+          log_fn=lines.append, ckpt_path=str(tmp_path / "ref.ckpt"))
+    got = {"checkpoint": hashlib.sha256((tmp_path / "ref.ckpt").read_bytes()).hexdigest(),
+           "log": hashlib.sha256("\n".join(lines).encode()).hexdigest()}
+    assert got == REFERENCE_SHA256
