@@ -6,8 +6,8 @@ from .anchors import (decode_array, encode_array, generate_anchors, iou_matrix,
 from .detector_net import (BackboneSpec, DetectorParams, HeadOutputs, Toggles,
                            build_network, describe, forward, fpn_merge,
                            seg_head_forward)
-from .eval_metrics import (EvalConfig, EvalReport, average_precision,
-                           evaluate_detections, match_detections)
+from .eval_metrics import (EvalReport, average_precision, evaluate_detections,
+                           match_detections)
 from .losses import (LossBreakdown, LossConfig, conf_loss, hard_negative_mine,
                      loc_loss, smooth_l1, total_loss)
 from .mrf_block import (BranchSpec, MRFBlockSpec, default_mrf_spec,

@@ -16,7 +16,7 @@ from functools import partial
 
 from .dataset import DatasetSpec, load_dataset, synth_dataset
 from .detector_net import BackboneSpec, Toggles, build_network, describe
-from .eval_metrics import EvalConfig, coco_style_summary, evaluate_detections
+from .eval_metrics import evaluate_detections
 from .gradcheck import run_suite
 from .inference import collect_detections, evaluate_detector
 from .mrf_block import MRFBlockSpec, default_mrf_spec, format_rf_report
@@ -114,11 +114,9 @@ def cmd_train(args):
 
 def cmd_eval(args):
     det, _ = load_checkpoint(args.ckpt)
-    dets, gts = collect_detections(det, args.data, size_from=f"checkpoint {args.ckpt}")
-    if args.coco_style:
-        print(coco_style_summary(dets, gts))
-    else:
-        print(evaluate_detections(dets, gts, EvalConfig()).format_table())
+    report = evaluate_detections(
+        *collect_detections(det, args.data, size_from=f"checkpoint {args.ckpt}"))
+    print(report.format_coco() if args.coco_style else report.format_table())
 
 
 ABLATION_LADDER = (

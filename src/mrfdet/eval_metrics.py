@@ -1,9 +1,9 @@
-"""VOC-style mAP at a fixed IoU threshold plus COCO-style AP by object area.
+"""VOC-style mAP at IoU 0.5 and COCO-style AP over IoUs and object areas.
 
 A detection is a true positive when it claims a previously unmatched
 ground truth with IoU strictly above the threshold, greedily in descending
-score order; each image is matched once for every threshold and band a
-report needs. For area-banded AP, ground truths outside the band are
+score order; each image is matched once for every threshold and band of
+both reports. For area-banded AP, ground truths outside the band are
 ignored: detections matching them are dropped rather than counted as
 false positives. As in the COCO evaluation, a class with no ground truth
 in a band is left out of that band's mean.
@@ -16,38 +16,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import iou_matrix
-from .tensor_core import ShapeError
 
-DEFAULT_AREA_RANGES = (("S", 0.0, 32.0 ** 2), ("M", 32.0 ** 2, 96.0 ** 2),
-                       ("L", 96.0 ** 2, float("inf")))
+AREA_BANDS = (("S", 0.0, 32.0 ** 2), ("M", 32.0 ** 2, 96.0 ** 2),
+              ("L", 96.0 ** 2, float("inf")))
+IOU_SWEEP = np.arange(0.5, 0.955, 0.05)
+# The settings of one matching walk: the sweep, whose first threshold is 0.5
+# itself; then 0.75, since the sweep's sixth threshold is 0.7500000000000002;
+# then each area band at IoU 0.5.
+SETTINGS = ([(t, None) for t in IOU_SWEEP] + [(0.75, None)]
+            + [(0.5, (lo, hi)) for _, lo, hi in AREA_BANDS])
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    iou_threshold: float = 0.5
-    interpolation: str = "eleven_point"
-    area_ranges: tuple = DEFAULT_AREA_RANGES
-
-    def __post_init__(self):
-        if not 0 < self.iou_threshold < 1:
-            raise ShapeError("iou threshold must lie in (0, 1)")
-        if self.interpolation not in ("eleven_point", "all_point"):
-            raise ShapeError(f"unknown interpolation {self.interpolation!r}")
-        prev = None
-        for _, lo, hi in self.area_ranges:
-            if hi <= lo or (prev is not None and lo < prev):
-                raise ShapeError("area bands must be disjoint and ordered")
-            prev = hi
+def _ap_text(v):
+    return "n/a" if v is None else f"{v:.4f}"
 
 
 @dataclass
 class EvalReport:
+    """Both reports of one matching walk. VOC: 11-point AP at IoU 0.5 per
+    class and per area band, and the TP/FP/missed counts at IoU 0.5. COCO:
+    all-point AP at IoU 0.5 per class and per area band, and coco_maps, the
+    mAP at each IOU_SWEEP threshold and then at 0.75."""
     per_class_ap: dict
     map: float
     per_area_ap: dict
     tp: int
     fp: int
     missed: int
+    coco_per_class_ap: dict
+    coco_maps: tuple
+    coco_per_area_ap: dict
 
     def format_table(self) -> str:
         lines = ["class  AP"]
@@ -55,11 +53,16 @@ class EvalReport:
             ap = self.per_class_ap[cls]
             lines.append(f"{cls:>5}  {'excluded' if ap is None else f'{ap:.4f}'}")
         lines.append(f"mAP    {self.map:.4f}")
-        area = "  ".join(f"AP_{n}={'n/a' if v is None else f'{v:.4f}'}"
-                         for n, v in self.per_area_ap.items())
-        if area:
-            lines.append(area)
+        lines.append("  ".join(f"AP_{n}={_ap_text(v)}" for n, v in self.per_area_ap.items()))
         lines.append(f"TP={self.tp} FP={self.fp} missed={self.missed}")
+        return "\n".join(lines)
+
+    def format_coco(self) -> str:
+        """AP@0.5, AP@0.75, AP@[0.5:0.95] and AP by area at IoU 0.5."""
+        lines = [f"AP@0.5        {self.coco_maps[0]:.4f}",
+                 f"AP@0.75       {self.coco_maps[-1]:.4f}",
+                 f"AP@[0.5:0.95] {float(np.mean(self.coco_maps[:-1])):.4f}"]
+        lines += [f"AP_{n} @0.5     {_ap_text(v)}" for n, v in self.coco_per_area_ap.items()]
         return "\n".join(lines)
 
 
@@ -156,47 +159,33 @@ def _mean(aps, empty):
     return float(np.mean(valid)) if valid else empty
 
 
-def _band_map(matches, p, interpolation):
-    """Mean AP at setting p over the classes with a gt in its band."""
-    return _mean([_ap(m, p, interpolation) for m in matches.values() if m[1][p]], None)
+def _band_maps(matches, interpolation):
+    """Each area band's mean AP over the classes with a gt in the band."""
+    return {name: _mean([_ap(m, p, interpolation) for m in matches.values() if m[1][p]], None)
+            for p, (name, _, _) in enumerate(AREA_BANDS, len(IOU_SWEEP) + 1)}
 
 
-def evaluate_detections(dets_by_image, gts_by_image, config: EvalConfig) -> EvalReport:
-    """Per-class AP, mAP and per-area-band AP over a whole dataset.
+def evaluate_detections(dets_by_image, gts_by_image) -> EvalReport:
+    """The VOC and COCO numbers of a whole dataset, from one matching walk
+    over SETTINGS.
 
     dets_by_image maps an image key to a (K, 6) array of detections (xmin,
     ymin, xmax, ymax, score, class id), gts_by_image to an (M, 5) array of
     ground truth (xmin, ymin, xmax, ymax, class id).
     """
-    thr = config.iou_threshold
-    matches = _match_all(dets_by_image, gts_by_image, [(thr, None)] + [
-        (thr, (lo, hi)) for _, lo, hi in config.area_ranges])
-    per_class = {cls: _ap(m, 0, config.interpolation) for cls, m in matches.items()}
-    per_area = {name: _band_map(matches, p, config.interpolation)
-                for p, (name, _, _) in enumerate(config.area_ranges, 1)}
+    matches = _match_all(dets_by_image, gts_by_image, SETTINGS)
+    voc = {cls: _ap(m, 0, "eleven_point") for cls, m in matches.items()}
+    # coco[p]: each class's all-point AP at the p-th IoU, the last being 0.75.
+    coco = [{cls: _ap(m, p, "all_point") for cls, m in matches.items()}
+            for p in range(len(IOU_SWEEP) + 1)]
     tp = fp = missed = 0
     for flags, n_gt, n_matched in matches.values():
         tp += np.count_nonzero(flags[0] == 1)
         fp += np.count_nonzero(flags[0] == 0)
         missed += n_gt[0] - n_matched[0]
-    return EvalReport(per_class_ap=per_class, map=_mean(per_class.values(), 0.0),
-                      per_area_ap=per_area, tp=int(tp), fp=int(fp), missed=int(missed))
-
-
-def coco_style_summary(dets_by_image, gts_by_image) -> str:
-    """AP@0.5, AP@0.75, AP@[0.5:0.95] and AP by area with all-point AP."""
-    # The sweep's sixth threshold is 0.7500000000000002, not 0.75, so AP@0.75
-    # has a setting of its own; area bands are printed at IoU 0.5 only.
-    sweep = np.arange(0.5, 0.955, 0.05)
-    bands = [(0.5, (lo, hi)) for _, lo, hi in DEFAULT_AREA_RANGES]
-    matches = _match_all(dets_by_image, gts_by_image,
-                         [(t, None) for t in sweep] + [(0.75, None)] + bands)
-    maps = [_mean([_ap(m, p, "all_point") for m in matches.values()], 0.0)
-            for p in range(len(sweep) + 1)]
-    lines = [f"AP@0.5        {maps[0]:.4f}",
-             f"AP@0.75       {maps[-1]:.4f}",
-             f"AP@[0.5:0.95] {float(np.mean(maps[:-1])):.4f}"]
-    for p, (name, _, _) in enumerate(DEFAULT_AREA_RANGES, len(sweep) + 1):
-        v = _band_map(matches, p, "all_point")
-        lines.append(f"AP_{name} @0.5     " + ("n/a" if v is None else f"{v:.4f}"))
-    return "\n".join(lines)
+    return EvalReport(
+        per_class_ap=voc, map=_mean(voc.values(), 0.0),
+        per_area_ap=_band_maps(matches, "eleven_point"),
+        tp=int(tp), fp=int(fp), missed=int(missed),
+        coco_per_class_ap=coco[0], coco_maps=tuple(_mean(c.values(), 0.0) for c in coco),
+        coco_per_area_ap=_band_maps(matches, "all_point"))

@@ -9,7 +9,7 @@ import numpy as np
 from .anchors import decode_array, nms_array
 from .dataset import check_class_ids, load_dataset
 from .detector_net import FORWARD_BATCH, DetectorParams, forward
-from .eval_metrics import EvalConfig, EvalReport, evaluate_detections
+from .eval_metrics import EvalReport, evaluate_detections
 from .tensor_core import no_grad
 
 
@@ -58,4 +58,4 @@ def collect_detections(det: DetectorParams, data_dir, size_from="the detector"):
 
 
 def evaluate_detector(det: DetectorParams, data_dir) -> EvalReport:
-    return evaluate_detections(*collect_detections(det, data_dir), EvalConfig())
+    return evaluate_detections(*collect_detections(det, data_dir))

@@ -62,6 +62,8 @@ class TrainConfig:
             raise ShapeError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if drops and not (self.warmup_epochs < drops[0] < self.epochs):
             raise ShapeError("need warmup epochs < first drop epoch < total epochs")
+        # Checked for every seg mode, so no command accepts thresholds a later run rejects.
+        AreaThresholds(self.t1, self.t2)
 
     @property
     def thresholds(self) -> AreaThresholds:
@@ -116,40 +118,34 @@ class TrainResult:
 def match_sample(det: DetectorParams, image, gts):
     """What training keeps of one image: the loaded pixels, their (M, 5)
     ground truth, the anchors that matching made positive and their
-    ground-truth rows. Matching runs once per image; expand_sample rebuilds
+    ground-truth rows. Matching runs once per image; join_samples rebuilds
     the dense assignment and the mask for each tape at a tenth of its cost."""
     assignment = match_anchors(det.anchors, gts[:, :4])
     positives = np.flatnonzero(assignment >= 0)
     return image, gts, positives, assignment[positives]
 
 
-def expand_sample(det: DetectorParams, config: TrainConfig, sample):
-    """A matched sample as a batch of one: a (1, 3, S, S) view of the
-    pixels, their (M, 5) ground truth, the (1, A) anchor assignment into it
-    and the (1, S, S) SWS/AWS mask (None without segmentation)."""
-    image, gts, positives, rows = sample
-    assignment = np.full((1, det.num_anchors), -1, dtype=np.int64)
-    assignment[0, positives] = rows
+def join_samples(det: DetectorParams, config: TrainConfig, samples):
+    """N matched samples as one tape's batch: the (N, 3, S, S) pixels (a view
+    for one image), their joined (M, 5) ground truth, the (N, A) anchor
+    assignment into it and the (N, S, S) SWS/AWS masks (None without
+    segmentation)."""
+    images, gts, positives, rows = zip(*samples)
+    assignment = np.full((len(samples), det.num_anchors), -1, dtype=np.int64)
+    offsets = np.cumsum([0] + [len(g) for g in gts[:-1]])
+    for n, offset in enumerate(offsets):
+        assignment[n, positives[n]] = rows[n] + offset
     mask = None
     if det.toggles.seg_mode != "off":
-        mask = rasterize_sws_mask(gts, config.image_size, config.thresholds)[None]
-    return image[None], gts, assignment, mask
+        mask = np.stack([rasterize_sws_mask(g, config.image_size, config.thresholds)
+                         for g in gts])
+    pixels = images[0][None] if len(images) == 1 else np.stack(images)
+    return pixels, np.concatenate(gts), assignment, mask
 
 
 def prepare_sample(det: DetectorParams, config: TrainConfig, image, gts):
-    """One image as a batch of one, as expand_sample gives it."""
-    return expand_sample(det, config, match_sample(det, image, gts))
-
-
-def join_samples(samples):
-    """Prepared samples joined along the batch axis; each assignment is
-    offset to its rows of the joined ground truth."""
-    images, gts, assignments, masks = zip(*samples)
-    offsets = np.cumsum([0] + [len(g) for g in gts[:-1]])
-    assignment = np.concatenate([np.where(a >= 0, a + off, -1)
-                                 for a, off in zip(assignments, offsets)])
-    mask = None if masks[0] is None else np.concatenate(masks)
-    return np.concatenate(images), np.concatenate(gts), assignment, mask
+    """One image as a batch of one, as join_samples gives it."""
+    return join_samples(det, config, [match_sample(det, image, gts)])
 
 
 def train(config: TrainConfig, data_dir, log_fn=None, ckpt_path=None) -> TrainResult:
@@ -177,9 +173,8 @@ def train(config: TrainConfig, data_dir, log_fn=None, ckpt_path=None) -> TrainRe
             batch = order[start:start + config.batch_size]
             sums = np.zeros(6)  # the LossBreakdown fields, n_pos last
             for tape_start in range(0, len(batch), FORWARD_BATCH):
-                images, gts, assignment, mask = join_samples(
-                    [expand_sample(det, config, samples[idx])
-                     for idx in batch[tape_start:tape_start + FORWARD_BATCH]])
+                tape = [samples[idx] for idx in batch[tape_start:tape_start + FORWARD_BATCH]]
+                images, gts, assignment, mask = join_samples(det, config, tape)
                 # Only the tape keeps the forward's arrays through the backward.
                 breakdown, loss = total_loss(forward(det, images)[1], assignment, gts, mask,
                                              config.loss)

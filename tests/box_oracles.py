@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mrfdet.anchors import iou_matrix
-from mrfdet.eval_metrics import (DEFAULT_AREA_RANGES, EvalConfig, EvalReport,
-                                 average_precision)
+from mrfdet.eval_metrics import AREA_BANDS, average_precision
 from mrfdet.tensor_core import ShapeError
 
 
@@ -219,41 +218,42 @@ def _collect(inputs, iou_threshold, band=None):
     return [f for *_, f in scored], n_gt, matched_total
 
 
-def reference_evaluate(dets_by_image, gts_by_image, config: EvalConfig) -> EvalReport:
-    """evaluate_detections, one greedy_match pass per setting."""
+def reference_evaluate(dets_by_image, gts_by_image, iou_threshold, interpolation,
+                       bands=()) -> dict:
+    """One interpolation's numbers at one IoU threshold, one greedy_match pass
+    per setting: the fields per_class_ap, map, per_area_ap (over bands, the
+    (name, lo, hi) area bands), tp, fp and missed, as a dict."""
     inputs = _match_inputs(dets_by_image, gts_by_image)
     per_class, tp, fp, missed = {}, 0, 0, 0
     for cls in inputs:
-        seq, n_gt, matched = _collect(inputs[cls], config.iou_threshold)
-        per_class[cls] = average_precision(seq, n_gt, config.interpolation)
+        seq, n_gt, matched = _collect(inputs[cls], iou_threshold)
+        per_class[cls] = average_precision(seq, n_gt, interpolation)
         tp += sum(seq)
         fp += len(seq) - sum(seq)
         missed += n_gt - matched
     valid = [ap for ap in per_class.values() if ap is not None]
     per_area = {}
-    for name, lo, hi in config.area_ranges:
+    for name, lo, hi in bands:
         aps = []
         for cls in inputs:
-            seq, n_gt, _ = _collect(inputs[cls], config.iou_threshold, band=(lo, hi))
+            seq, n_gt, _ = _collect(inputs[cls], iou_threshold, band=(lo, hi))
             if n_gt:
-                aps.append(average_precision(seq, n_gt, config.interpolation))
+                aps.append(average_precision(seq, n_gt, interpolation))
         per_area[name] = float(np.mean(aps)) if aps else None
-    return EvalReport(per_class_ap=per_class,
-                      map=float(np.mean(valid)) if valid else 0.0,
-                      per_area_ap=per_area, tp=int(tp), fp=int(fp), missed=int(missed))
+    return {"per_class_ap": per_class, "map": float(np.mean(valid)) if valid else 0.0,
+            "per_area_ap": per_area, "tp": int(tp), "fp": int(fp), "missed": int(missed)}
 
 
 def reference_coco_summary(dets_by_image, gts_by_image) -> str:
-    """coco_style_summary from 12 reference_evaluate passes."""
+    """EvalReport.format_coco from 12 reference_evaluate passes."""
     def map_at(thr, bands=()):
-        cfg = EvalConfig(iou_threshold=thr, interpolation="all_point", area_ranges=bands)
-        return reference_evaluate(dets_by_image, gts_by_image, cfg)
+        return reference_evaluate(dets_by_image, gts_by_image, thr, "all_point", bands)
 
-    r50, r75 = map_at(0.5, DEFAULT_AREA_RANGES), map_at(0.75)
-    sweep = [map_at(t).map for t in np.arange(0.5, 0.955, 0.05)]
-    lines = [f"AP@0.5        {r50.map:.4f}",
-             f"AP@0.75       {r75.map:.4f}",
+    r50, r75 = map_at(0.5, AREA_BANDS), map_at(0.75)
+    sweep = [map_at(t)["map"] for t in np.arange(0.5, 0.955, 0.05)]
+    lines = [f"AP@0.5        {r50['map']:.4f}",
+             f"AP@0.75       {r75['map']:.4f}",
              f"AP@[0.5:0.95] {float(np.mean(sweep)):.4f}"]
-    for name, v in r50.per_area_ap.items():
+    for name, v in r50["per_area_ap"].items():
         lines.append(f"AP_{name} @0.5     " + ("n/a" if v is None else f"{v:.4f}"))
     return "\n".join(lines)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrfdet import cli
 from mrfdet.cli import (ABLATION_LADDER, _bool, _int_tuple, fields_from,
                         format_ablation_table, main, mrf_spec_from, parse_config_file,
                         read_config)
@@ -240,6 +241,22 @@ class TestDiagnostics:
         err = self.run_error([command, flag, str(cfg)] + extra, capsys)
         assert err == f"error: {cfg}: unknown key 'epoch'"
         assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("command", ["train", "describe", "ablate"])
+    def test_inverted_area_thresholds_rejected_before_training(
+            self, data_dir, tmp_path, capsys, monkeypatch, command):
+        # Without segmentation no mask reads t1 and t2, but a later run with it would.
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("t1 = 5000\nt2 = 100\nseg_mode = off\nextra_level = false\n")
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a command trained with t1 > t2")
+        monkeypatch.setattr(cli, "train", no_training)
+        extra = {"train": ["--data", str(data_dir / "data"), "--out", str(tmp_path / "m.ckpt")],
+                 "ablate": ["--data", str(data_dir / "data")]}.get(command, [])
+        err = self.run_error([command, "--config", str(cfg)] + extra, capsys)
+        assert err == "error: need 0 < t1 < t2, got (5000.0, 100.0)"
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_benchmark_keys_stay_valid(self):
         values = {"epochs": "1", "batch_size": "8", "warmup_epochs": "0",

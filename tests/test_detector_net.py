@@ -15,7 +15,7 @@ from mrfdet.detector_net import (BackboneSpec, Toggles, anchor_counts, anchor_sc
 from mrfdet.losses import total_loss
 from mrfdet.tensor_core import (ShapeError, Tensor, add, finite_diff_check,
                                 inner, no_grad, relu)
-from mrfdet.trainer import TrainConfig, join_samples, prepare_sample
+from mrfdet.trainer import TrainConfig, join_samples, match_sample
 
 SMALL = BackboneSpec(image_size=32, stage_channels=(8, 8, 8, 8))
 
@@ -405,8 +405,8 @@ class TestTapeMemory:
         cfg = TrainConfig()
         det = build_network(BackboneSpec(cfg.image_size, cfg.stage_channels),
                             cfg.num_classes, cfg.toggles, seed=cfg.seed, dtype=np.float32)
-        images, gts, assignment, mask = join_samples(
-            [prepare_sample(det, cfg, image, boxes) for _, image, boxes in load_dataset(tmp_path)])
+        samples = [match_sample(det, image, boxes) for _, image, boxes in load_dataset(tmp_path)]
+        images, gts, assignment, mask = join_samples(det, cfg, samples)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from box_oracles import (Box, ScoredBox, corners, detection_array, greedy_match, gt_array,
                          reference_coco_summary, reference_evaluate)
 from mrfdet.anchors import iou_matrix
-from mrfdet.eval_metrics import (EvalConfig, average_precision, coco_style_summary,
-                                 evaluate_detections, match_detections)
-from mrfdet.tensor_core import ShapeError
+from mrfdet.eval_metrics import (AREA_BANDS, IOU_SWEEP, average_precision, evaluate_detections,
+                                 match_detections)
 
 
 def as_arrays(dets_by_image):
@@ -200,22 +199,21 @@ def two_image_fixture():
 class TestEvaluateDetections:
     def test_counts(self):
         dets, gts = two_image_fixture()
-        rep = evaluate_detections(as_arrays(dets), gt_arrays(gts), EvalConfig())
+        rep = evaluate_detections(as_arrays(dets), gt_arrays(gts))
         assert rep.tp == 3 and rep.fp == 1 and rep.missed == 0
 
     def test_per_class_ap(self):
         dets, gts = two_image_fixture()
-        rep = evaluate_detections(as_arrays(dets), gt_arrays(gts),
-                                  EvalConfig(interpolation="all_point"))
+        rep = evaluate_detections(as_arrays(dets), gt_arrays(gts))
         # Class 1: [TP at 0.9, FP at 0.7, TP at 0.6] against 2 gts -> 5/6.
-        assert rep.per_class_ap[1] == pytest.approx(5 / 6)
-        assert rep.per_class_ap[2] == pytest.approx(1.0)
-        assert rep.map == pytest.approx((5 / 6 + 1.0) / 2)
+        assert rep.coco_per_class_ap[1] == pytest.approx(5 / 6)
+        assert rep.coco_per_class_ap[2] == pytest.approx(1.0)
+        assert rep.coco_maps[0] == pytest.approx((5 / 6 + 1.0) / 2)
 
     def test_detection_only_class_scores_zero(self):
         dets = {"a": [ScoredBox(0, 0, 10, 10, 3, 0.9)]}
         gts = {"a": [Box(0, 0, 10, 10, 1)]}
-        rep = evaluate_detections(as_arrays(dets), gt_arrays(gts), EvalConfig())
+        rep = evaluate_detections(as_arrays(dets), gt_arrays(gts))
         assert rep.per_class_ap[3] == 0.0
         assert rep.per_class_ap[1] == 0.0
 
@@ -223,8 +221,7 @@ class TestEvaluateDetections:
         # A gt of area 400 (small band) and one of 1600 (medium band).
         gts = {"a": [Box(0, 0, 20, 20, 1), Box(30, 0, 70, 40, 1)]}
         dets = {"a": [ScoredBox(0, 0, 20, 20, 1, 0.9), ScoredBox(30, 0, 70, 40, 1, 0.8)]}
-        bands = evaluate_detections(as_arrays(dets), gt_arrays(gts),
-                                    EvalConfig(interpolation="all_point")).per_area_ap
+        bands = evaluate_detections(as_arrays(dets), gt_arrays(gts)).coco_per_area_ap
         # In the S band the medium gt is ignored, so its matching detection
         # is dropped rather than counted as an FP.
         assert bands["S"] == pytest.approx(1.0)
@@ -234,8 +231,7 @@ class TestEvaluateDetections:
     def test_out_of_band_fp_still_counts(self):
         gts = {"a": [Box(0, 0, 20, 20, 1)]}
         dets = {"a": [ScoredBox(0, 0, 20, 20, 1, 0.9), ScoredBox(40, 40, 60, 60, 1, 0.8)]}
-        bands = evaluate_detections(as_arrays(dets), gt_arrays(gts),
-                                    EvalConfig(interpolation="all_point")).per_area_ap
+        bands = evaluate_detections(as_arrays(dets), gt_arrays(gts)).coco_per_area_ap
         # The stray detection overlaps no gt at all: an FP even in band S.
         assert bands["S"] == pytest.approx(1.0)  # FP ranks after the TP
 
@@ -245,33 +241,31 @@ class TestEvaluateDetections:
         # the COCO evaluation, the band has no AP rather than 0.
         gts = {"a": [Box(0, 0, 20, 20, 1)]}
         dets = {"a": [ScoredBox(0, 0, 20, 20, 1, 0.9), ScoredBox(20, 20, 60, 60, 1, 0.8)]}
-        rep = evaluate_detections(as_arrays(dets), gt_arrays(gts),
-                                  EvalConfig(interpolation="all_point"))
-        assert rep.per_area_ap["S"] == pytest.approx(1.0)
-        assert rep.per_area_ap["M"] is None and rep.per_area_ap["L"] is None
+        rep = evaluate_detections(as_arrays(dets), gt_arrays(gts))
+        assert rep.coco_per_area_ap["S"] == pytest.approx(1.0)
+        assert rep.coco_per_area_ap["M"] is None and rep.coco_per_area_ap["L"] is None
         assert "AP_M=n/a" in rep.format_table()
+        assert "AP_M @0.5     n/a" in rep.format_coco()
 
     def test_band_mean_skips_classes_without_gt_in_band(self):
         # Class 1 has an M-band gt; class 2 has only a stray M-sized detection.
         gts = {"a": [Box(0, 0, 40, 40, 1)]}
         dets = {"a": [ScoredBox(0, 0, 40, 40, 1, 0.9), ScoredBox(0, 0, 40, 40, 2, 0.8)]}
-        rep = evaluate_detections(as_arrays(dets), gt_arrays(gts),
-                                  EvalConfig(interpolation="all_point"))
-        assert rep.per_class_ap[2] == 0.0
-        assert rep.per_area_ap["M"] == pytest.approx(1.0)
+        rep = evaluate_detections(as_arrays(dets), gt_arrays(gts))
+        assert rep.coco_per_class_ap[2] == 0.0
+        assert rep.coco_per_area_ap["M"] == pytest.approx(1.0)
 
     def test_global_score_ordering_across_images(self):
         gts = {"a": [Box(0, 0, 10, 10, 1)], "b": [Box(0, 0, 10, 10, 1)]}
         dets = {"a": [ScoredBox(50, 50, 60, 60, 1, 0.9)],  # highest-scoring is an FP
                 "b": [ScoredBox(0, 0, 10, 10, 1, 0.5)]}
-        rep = evaluate_detections(as_arrays(dets), gt_arrays(gts),
-                                  EvalConfig(interpolation="all_point"))
+        rep = evaluate_detections(as_arrays(dets), gt_arrays(gts))
         # Sequence is [FP, TP] against 2 gts: AP = 0.5 * 0.5 = 0.25.
-        assert rep.per_class_ap[1] == pytest.approx(0.25)
+        assert rep.coco_per_class_ap[1] == pytest.approx(0.25)
 
     def test_format_table(self):
         dets, gts = two_image_fixture()
-        rep = evaluate_detections(as_arrays(dets), gt_arrays(gts), EvalConfig())
+        rep = evaluate_detections(as_arrays(dets), gt_arrays(gts))
         text = rep.format_table()
         assert text.splitlines()[0] == "class  AP"
         assert "mAP" in text and "TP=3" in text
@@ -279,24 +273,16 @@ class TestEvaluateDetections:
     def test_class_ids_from_the_array_stay_ints(self):
         # The class column is float64; the report keys and table rows are ints.
         dets, gts = two_image_fixture()
-        rep = evaluate_detections(as_arrays(dets), {}, EvalConfig())
+        rep = evaluate_detections(as_arrays(dets), {})
         assert all(type(cls) is int for cls in rep.per_class_ap)
         assert rep.format_table().splitlines()[1:3] == ["    1  0.0000", "    2  0.0000"]
-
-    def test_config_validation(self):
-        with pytest.raises(ShapeError):
-            EvalConfig(iou_threshold=1.5)
-        with pytest.raises(ShapeError):
-            EvalConfig(interpolation="trapezoid")
-        with pytest.raises(ShapeError):
-            EvalConfig(area_ranges=(("A", 0.0, 10.0), ("B", 5.0, 20.0)))
 
 
 class TestCocoSummary:
     def test_perfect_detector_all_ones(self):
         gts = {"a": [Box(0, 0, 20, 20, 1)]}
         dets = {"a": [ScoredBox(0, 0, 20, 20, 1, 0.99)]}
-        text = coco_style_summary(as_arrays(dets), gt_arrays(gts))
+        text = evaluate_detections(as_arrays(dets), gt_arrays(gts)).format_coco()
         assert "AP@0.5        1.0000" in text
         assert "AP@0.75       1.0000" in text
         assert "AP@[0.5:0.95] 1.0000" in text
@@ -304,7 +290,7 @@ class TestCocoSummary:
     def test_loose_detection_fails_high_thresholds(self):
         gts = {"a": [Box(0, 0, 20, 20, 1)]}
         dets = {"a": [ScoredBox(3, 3, 23, 23, 1, 0.99)]}  # IoU ~ 0.57
-        text = coco_style_summary(as_arrays(dets), gt_arrays(gts))
+        text = evaluate_detections(as_arrays(dets), gt_arrays(gts)).format_coco()
         assert "AP@0.5        1.0000" in text
         assert "AP@0.75       0.0000" in text
 
@@ -313,7 +299,7 @@ class TestCocoSummary:
         # sixth threshold, which is that same value.
         gts = {"a": [Box(0, 0, 20, 20, 1)]}
         dets = {"a": [ScoredBox(0, 0, 20, 15.000000000000002, 1, 0.9)]}
-        text = coco_style_summary(as_arrays(dets), gt_arrays(gts))
+        text = evaluate_detections(as_arrays(dets), gt_arrays(gts)).format_coco()
         assert "AP@0.75       1.0000" in text
         assert "AP@[0.5:0.95] 0.5000" in text
         assert text == reference_coco_summary(as_arrays(dets), gt_arrays(gts))
@@ -362,8 +348,13 @@ class TestReportOracle:
     @given(data=datasets())
     def test_reports_equal_the_per_setting_composition(self, data):
         dets, gts = data
-        for interpolation in ("eleven_point", "all_point"):
-            config = EvalConfig(interpolation=interpolation)
-            assert evaluate_detections(dets, gts, config) == \
-                reference_evaluate(dets, gts, config)
-        assert coco_style_summary(dets, gts) == reference_coco_summary(dets, gts)
+        rep = evaluate_detections(dets, gts)
+        voc = reference_evaluate(dets, gts, 0.5, "eleven_point", AREA_BANDS)
+        coco = reference_evaluate(dets, gts, 0.5, "all_point", AREA_BANDS)
+        assert {key: getattr(rep, key) for key in voc} == voc
+        assert (rep.tp, rep.fp, rep.missed) == (coco["tp"], coco["fp"], coco["missed"])
+        assert rep.coco_per_class_ap == coco["per_class_ap"]
+        assert rep.coco_per_area_ap == coco["per_area_ap"]
+        assert rep.coco_maps == tuple(reference_evaluate(dets, gts, t, "all_point")["map"]
+                                      for t in [*IOU_SWEEP, 0.75])
+        assert rep.format_coco() == reference_coco_summary(dets, gts)

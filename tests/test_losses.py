@@ -12,7 +12,6 @@ from mrfdet.losses import (LossConfig, background_ce, conf_loss,
                            smooth_l1_grad, total_loss)
 from mrfdet.sws_masks import SegLabel
 from mrfdet.tensor_core import ShapeError, Tensor, finite_diff_check
-from mrfdet.trainer import join_samples
 
 
 class TestSmoothL1:
@@ -290,8 +289,12 @@ def batch_case(n_anchors, images, tied, ratio, alpha, beta, with_seg, seed):
         mask = rng.integers(0, 3, (4, 4)).astype(np.uint8)
         if seg_mask == "ignored":
             mask[:] = int(SegLabel.IGNORE)
-        samples.append((np.zeros((1, 1)), gts, assign[None], mask[None]))
-    _, gts, assign, masks = join_samples(samples)
+        samples.append((gts, assign, mask))
+    # Joined as a tape joins them: each assignment offset into the joined gts.
+    offsets = np.cumsum([0] + [len(g) for g, _, _ in samples[:-1]])
+    gts = np.concatenate([g for g, _, _ in samples])
+    assign = np.stack([np.where(a >= 0, a + off, -1) for (_, a, _), off in zip(samples, offsets)])
+    masks = np.stack([m for _, _, m in samples])
     n = len(images)
     if tied:
         conf = rng.integers(-1, 2, (n, n_anchors, 3)).astype(np.float64)
@@ -339,11 +342,10 @@ class TestBatchAgainstPerImageOracle:
         total.backward()
         sums = np.zeros(5)
         n_pos = 0
-        for i, (_, image_gts, image_assign, image_mask) in enumerate(samples):
+        for i, (image_gts, image_assign, image_mask) in enumerate(samples):
             one = taped(heads, i)
             want, one_total = loss_oracles.total_loss(
-                one, image_assign[0], image_gts,
-                None if masks is None else image_mask[0], cfg)
+                one, image_assign, image_gts, None if masks is None else image_mask, cfg)
             one_total.backward()
             sums += [want.l_conf, want.l_loc, want.l_det, want.l_seg, want.total]
             n_pos += want.n_pos

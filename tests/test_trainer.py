@@ -16,8 +16,9 @@ from mrfdet.cli import main
 from mrfdet.dataset import DatasetSpec, load_dataset, synth_dataset
 from mrfdet.detector_net import BackboneSpec, Toggles, build_network, describe
 from mrfdet.tensor_core import ShapeError, Tensor
-from mrfdet.trainer import (SGD, TrainConfig, expand_sample, load_checkpoint, lr_at,
+from mrfdet.trainer import (SGD, TrainConfig, join_samples, load_checkpoint, lr_at,
                             match_sample, prepare_sample, save_checkpoint, train)
+from reference_machine import skip_unless_reference_machine
 
 TINY_CFG = TrainConfig(epochs=3, batch_size=4, lr_drop_epochs=(2,),
                        warmup_epochs=1, stage_channels=(8, 8, 8, 8),
@@ -185,10 +186,25 @@ class TestPrepareSample:
             image, gts, positives, rows = sample
             assert image is img and gts is boxes
             assert 0 < positives.size == rows.size < det.num_anchors
-            got = expand_sample(det, TINY_CFG, sample)
+            got = join_samples(det, TINY_CFG, [sample])
             np.testing.assert_array_equal(got[2], match_anchors(det.anchors, boxes[:, :4])[None])
             for part, want in zip(got, prepare_sample(det, TINY_CFG, img, boxes)):
                 np.testing.assert_array_equal(part, want)
+
+    def test_joined_samples_offset_each_assignment_into_the_joined_gts(self, tiny_dir):
+        det = build_network(BackboneSpec(32, (8, 8, 8, 8)), 3, TINY_CFG.toggles)
+        samples = [match_sample(det, img, boxes) for _, img, boxes in load_dataset(tiny_dir)]
+        images, gts, assignment, mask = join_samples(det, TINY_CFG, samples)
+        assert images.shape == (len(samples), 3, 32, 32) and mask.shape == (len(samples), 32, 32)
+        offset = 0
+        for n, (img, boxes, _, _) in enumerate(samples):
+            want = match_anchors(det.anchors, boxes[:, :4])
+            np.testing.assert_array_equal(assignment[n], np.where(want >= 0, want + offset, -1))
+            np.testing.assert_array_equal(gts[offset:offset + len(boxes)], boxes)
+            np.testing.assert_array_equal(images[n], img)
+            np.testing.assert_array_equal(mask[n], prepare_sample(det, TINY_CFG, img, boxes)[3][0])
+            offset += len(boxes)
+        assert offset == len(gts)
 
     def test_loading_and_preparing_keeps_pixels_as_bytes(self, tmp_path):
         # A 64x64 image is 12 KB of uint8 pixels; a float64 copy of it is 96 KB.
@@ -513,22 +529,10 @@ def test_cli_training_byte_identical_across_processes(sixteen_dir, tmp_path, thr
 REFERENCE_SHA256 = {
     "checkpoint": "e865407227a175317497a3b064729fa101dc763d0c6ed6b64eafcd787c308d16",
     "log": "8c09ddda9bdc5be32a827545b519f5e7b9c6396aeae888fc47a8497d587945ed"}
-REFERENCE_MACHINE = {"numpy": "2.4.6", "blas name": "scipy-openblas",
-                     "blas version": "0.3.31.188.0"}
-
-
-def machine_keys():
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    return {"numpy": np.__version__, "blas name": blas.get("name"),
-            "blas version": blas.get("version")}
 
 
 def test_reference_training_writes_the_pinned_checkpoint(tmp_path):
-    differ = [f"{key} is {value!r}, pinned {REFERENCE_MACHINE[key]!r}"
-              for key, value in machine_keys().items() if value != REFERENCE_MACHINE[key]]
-    if differ:
-        pytest.skip("reference training bits are pinned for another machine: "
-                    + "; ".join(differ))
+    skip_unless_reference_machine("reference training bits")
     synth_dataset(DatasetSpec(num_images=16, seed=0), tmp_path / "data")
     lines = []
     train(TrainConfig(epochs=2, warmup_epochs=1, lr_drop_epochs=()), tmp_path / "data",
