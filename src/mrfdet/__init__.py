@@ -14,9 +14,8 @@ from .mrf_block import (BranchSpec, MRFBlockSpec, default_mrf_spec,
                         effective_receptive_field, mrf_forward, rf_report)
 from .sws_masks import (AreaThresholds, SegLabel, classify_box,
                         rasterize_sws_mask, seg_loss)
-from .tensor_core import (ConvSpec, ShapeError, Tensor, add, concat,
-                          conv2d, finite_diff_check, relu, transposed_conv2d,
-                          upsample_nearest_2x)
+from .tensor_core import (ShapeError, Tensor, add, concat, conv2d, finite_diff_check,
+                          relu, transposed_conv2d, upsample_nearest_2x)
 from .trainer import TrainConfig, load_checkpoint, lr_at, save_checkpoint, train
 
 __version__ = "0.1.0"

@@ -13,8 +13,8 @@ from .detector_net import BackboneSpec, Toggles, build_network, forward
 from .losses import LossConfig, conf_loss, loc_loss, total_loss
 from .mrf_block import default_mrf_spec, init_mrf_params, mrf_forward
 from .sws_masks import SegLabel, seg_loss
-from .tensor_core import (ConvSpec, Tensor, conv2d, finite_diff_check, inner,
-                          relu, transposed_conv2d, upsample_nearest_2x)
+from .tensor_core import (Tensor, conv2d, finite_diff_check, inner, relu,
+                          transposed_conv2d, upsample_nearest_2x)
 
 PRIMITIVE_TOL = 1e-5
 COMPOSED_TOL = 1e-4
@@ -29,49 +29,46 @@ def conv_checks(rng):
     for k in (1, 3, 5):
         for d in (1, 2, 3, 5):
             for s in (1, 2):
-                e = k + (k - 1) * (d - 1)
-                size = e + 3
-                spec = ConvSpec(2, 3, k, stride=s, padding=0, dilation=d)
+                size = k + (k - 1) * (d - 1) + 3
                 x = rng.standard_normal((1, 2, size, size))
                 w = rng.standard_normal((3, 2, k, k)) * 0.5
                 b = rng.standard_normal(3) * 0.1
-                oh = spec.out_extent(size)
-                c = _coeffs(rng, (1, 3, oh, oh))
+                c = _coeffs(rng, conv2d(x, w, b, s, 0, d).shape)
                 checks.append((
                     f"conv2d k={k} d={d} s={s} (input)",
-                    finite_diff_check(lambda t: inner(conv2d(t, w, b, spec), c), x),
+                    finite_diff_check(lambda t: inner(conv2d(t, w, b, s, 0, d), c), x),
                 ))
                 checks.append((
                     f"conv2d k={k} d={d} s={s} (weights)",
-                    finite_diff_check(lambda t: inner(conv2d(x, t, b, spec), c), w),
+                    finite_diff_check(lambda t: inner(conv2d(x, t, b, s, 0, d), c), w),
                 ))
     # Two-image batches: the weight gradient sums over the images.
     for k, d, s, pad in ((3, 2, 2, 1), (3, 3, 1, 3)):
-        spec = ConvSpec(2, 3, k, stride=s, padding=pad, dilation=d)
         x = rng.standard_normal((2, 2, 7, 6))
         w = rng.standard_normal((3, 2, k, k)) * 0.5
         b = rng.standard_normal(3) * 0.1
-        c = _coeffs(rng, (2, 3, spec.out_extent(7), spec.out_extent(6)))
+        c = _coeffs(rng, conv2d(x, w, b, s, pad, d).shape)
         name = f"conv2d k={k} d={d} s={s} N=2"
         checks += [
-            (f"{name} (input)", finite_diff_check(lambda t: inner(conv2d(t, w, b, spec), c), x)),
+            (f"{name} (input)",
+             finite_diff_check(lambda t: inner(conv2d(t, w, b, s, pad, d), c), x)),
             (f"{name} (weights)",
-             finite_diff_check(lambda t: inner(conv2d(x, t, b, spec), c), w)),
-            (f"{name} (bias)", finite_diff_check(lambda t: inner(conv2d(x, w, t, spec), c), b))]
+             finite_diff_check(lambda t: inner(conv2d(x, t, b, s, pad, d), c), w)),
+            (f"{name} (bias)",
+             finite_diff_check(lambda t: inner(conv2d(x, w, t, s, pad, d), c), b))]
     return checks
 
 
 def transposed_checks(rng, n):
-    spec = ConvSpec(3, 2, 2, stride=2)
     x = rng.standard_normal((n, 3, 4, 4))
     w = rng.standard_normal((3, 2, 2, 2)) * 0.5
     b = rng.standard_normal(2) * 0.1
     c = _coeffs(rng, (n, 2, 8, 8))
     batch = "" if n == 1 else f" N={n}"
     return [(f"transposed_conv2d{batch} (input)",
-             finite_diff_check(lambda t: inner(transposed_conv2d(t, w, b, spec), c), x)),
+             finite_diff_check(lambda t: inner(transposed_conv2d(t, w, b), c), x)),
             (f"transposed_conv2d{batch} (weights)",
-             finite_diff_check(lambda t: inner(transposed_conv2d(x, t, b, spec), c), w))]
+             finite_diff_check(lambda t: inner(transposed_conv2d(x, t, b), c), w))]
 
 
 def primitive_checks(rng):

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import (ConvSpec, ShapeError, Tensor, add, as_tensor, concat,
-                          conv2d, relu, transposed_conv2d)
+from .tensor_core import (ShapeError, Tensor, add, as_tensor, concat, conv2d, relu,
+                          transposed_conv2d)
 
 
 @dataclass(frozen=True)
@@ -104,14 +104,10 @@ def named_conv(params: dict, name, x, stride=1, dilation=1, transposed=False) ->
 
     Kernel size and channel counts come from the weight's shape.
     """
-    w = params[f"{name}.w"]
+    w, b = params[f"{name}.w"], params[f"{name}.b"]
     if transposed:
-        in_c, out_c, k, _ = w.shape
-        return transposed_conv2d(x, w, params[f"{name}.b"], ConvSpec(in_c, out_c, k, stride=k))
-    out_c, in_c, k, _ = w.shape
-    spec = ConvSpec(in_c, out_c, k, stride=stride, padding=dilation * (k - 1) // 2,
-                    dilation=dilation)
-    return conv2d(x, w, params[f"{name}.b"], spec)
+        return transposed_conv2d(x, w, b)
+    return conv2d(x, w, b, stride, dilation * (w.shape[2] - 1) // 2, dilation)
 
 
 def init_mrf_params(params: dict, name, spec: MRFBlockSpec, rng, dtype=np.float64):

@@ -17,9 +17,13 @@ Convolutions run one kernel (im2col as GEMM): the N inputs are padded once
 into a zero-filled flat buffer, a strided view of it yields every tap as a
 contiguous run, and one GEMM per image follows, with the shapes of a
 one-image batch, so an image's forward keeps its bits in any batch.
-The input gradient, and with it the transposed convolution, is the same
-kernel applied to the zero-inserted gradient with the flipped kernel, so
-nothing is scatter-added.
+The input gradient is the same kernel applied to the zero-inserted
+gradient with the flipped kernel, so nothing is scatter-added. The weights
+are the only record of a conv's kernel and channel counts.
+
+The transposed convolution takes only the seg head's shape, a k x k kernel
+at stride k: each input pixel writes its own output block, so it is one
+GEMM per image and a depth-to-space reshape, and no zeros are inserted.
 
 Under :func:`no_grad` ops record no tape, so each intermediate array is
 freed as soon as the next op has read it. ``Tensor.backward`` frees each
@@ -29,7 +33,6 @@ interior node's gradient and edges once they have been used.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,43 +52,6 @@ def no_grad():
 
 class ShapeError(ValueError):
     """Raised when an operation is handed inconsistently shaped arrays."""
-
-
-@dataclass(frozen=True)
-class ConvSpec:
-    """Geometry of a (possibly dilated, strided) square convolution."""
-
-    in_channels: int
-    out_channels: int
-    kernel: int
-    stride: int = 1
-    padding: int = 0
-    dilation: int = 1
-
-    def __post_init__(self):
-        if min(self.in_channels, self.out_channels, self.kernel,
-               self.stride, self.dilation) < 1 or self.padding < 0:
-            raise ShapeError(f"invalid conv spec: {self}")
-
-    @property
-    def effective_kernel(self) -> int:
-        return self.kernel + (self.kernel - 1) * (self.dilation - 1)
-
-    def out_extent(self, extent: int) -> int:
-        out = (extent + 2 * self.padding - self.effective_kernel) // self.stride + 1
-        if out < 1:
-            raise ShapeError(
-                f"conv output extent {out} < 1 for input extent {extent} "
-                f"with kernel {self.kernel}, dilation {self.dilation}, "
-                f"padding {self.padding}, stride {self.stride}")
-        return out
-
-    def transposed_out_extent(self, extent: int) -> int:
-        out = (extent - 1) * self.stride - 2 * self.padding + self.effective_kernel
-        if out < 1:
-            raise ShapeError(
-                f"transposed conv output extent {out} < 1 for input extent {extent}")
-        return out
 
 
 class _GradNode:
@@ -206,8 +172,7 @@ def as_tensor(x) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # Convolution internals: one gather of contiguous tap runs from a zero-padded
-# flat buffer, then one GEMM per image, for conv2d, both its gradients and
-# the transposed conv.
+# flat buffer, then one GEMM per image, for conv2d and both its gradients.
 # ---------------------------------------------------------------------------
 
 def _check_nchw(x, name):
@@ -275,83 +240,105 @@ def _apply(a, taps):
     return out
 
 
-def _conv_fwd(x, w, spec: ConvSpec):
-    n, oh, ow = x.shape[0], spec.out_extent(x.shape[2]), spec.out_extent(x.shape[3])
-    taps, wq = _gather(x, spec.kernel, spec.dilation, spec.stride, oh, ow, spec.padding)
-    y = _apply(w.reshape(spec.out_channels, -1), taps)
-    return y.reshape(n, spec.out_channels, oh, wq)[..., :ow]
+def _out_extent(extent, k, stride, padding, dilation):
+    out = (extent + 2 * padding - (k - 1) * dilation - 1) // stride + 1
+    if out < 1:
+        raise ShapeError(
+            f"conv output extent {out} < 1 for input extent {extent} "
+            f"with kernel {k}, dilation {dilation}, padding {padding}, stride {stride}")
+    return out
 
 
-def _conv_grad_input(g, w, spec: ConvSpec, h, wd):
+def _conv_fwd(x, w, stride, padding, dilation):
+    n, (o, _, k, _) = x.shape[0], w.shape
+    oh, ow = (_out_extent(e, k, stride, padding, dilation) for e in x.shape[2:])
+    taps, wq = _gather(x, k, dilation, stride, oh, ow, padding)
+    return _apply(w.reshape(o, -1), taps).reshape(n, o, oh, wq)[..., :ow]
+
+
+def _conv_grad_input(g, w, stride, padding, dilation, h, wd):
     """Adjoint of _conv_fwd in its input: the stride-1 correlation of the
     zero-inserted gradient with the flipped, transposed kernel."""
-    k, d = spec.kernel, spec.dilation
-    taps, wq = _gather(g, k, d, 1, h, wd, (k - 1) * d - spec.padding, step=spec.stride)
-    wf = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(spec.in_channels, -1)
-    return _apply(wf, taps).reshape(g.shape[0], spec.in_channels, h, wq)[..., :wd]
+    k = w.shape[2]
+    taps, wq = _gather(g, k, dilation, 1, h, wd, (k - 1) * dilation - padding, step=stride)
+    wf = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(w.shape[1], -1)
+    return _apply(wf, taps).reshape(g.shape[0], w.shape[1], h, wq)[..., :wd]
 
 
-def _conv_grad_w(g, x, spec: ConvSpec):
+def _conv_grad_w(g, x, k, stride, padding, dilation):
     """Weight gradient summed over the batch, image by image."""
-    k, oh, ow = spec.kernel, g.shape[2], g.shape[3]
-    taps, wq = _gather(x, k, spec.dilation, spec.stride, oh, ow, spec.padding)
+    o, oh, ow = g.shape[1:]
+    taps, wq = _gather(x, k, dilation, stride, oh, ow, padding)
     # Zero gradient on the spill columns keeps their taps out of the sum.
-    gp = np.zeros((spec.out_channels, oh, wq), dtype=g.dtype)
+    gp = np.zeros((o, oh, wq), dtype=g.dtype)
     gw = 0
     for gi, image_taps in zip(g, taps):
         gp[:, :, :ow] = gi
-        gw = gw + gp.reshape(spec.out_channels, -1) @ image_taps.reshape(-1, oh * wq).T
-    return gw.reshape(spec.out_channels, x.shape[1], k, k)
+        gw = gw + gp.reshape(o, -1) @ image_taps.reshape(-1, oh * wq).T
+    return gw.reshape(o, x.shape[1], k, k)
+
+
+def _check_conv(x, w, b, in_axis):
+    """One-line ShapeError unless x is (N, C, H, W), w a nonempty (., ., k, k)
+    kernel with C on axis in_axis, and b as long as w's other channel axis."""
+    _check_nchw(x.data, "input")
+    if w.data.ndim != 4 or w.shape[2] != w.shape[3] or min(w.shape) < 1:
+        raise ShapeError(f"weights shape {w.shape} is not a nonempty (., ., k, k) kernel")
+    if x.shape[1] != w.shape[in_axis]:
+        raise ShapeError(f"input has {x.shape[1]} channels, weights expect {w.shape[in_axis]}")
+    if b.shape != (w.shape[1 - in_axis],):
+        raise ShapeError(f"bias shape {b.shape} != ({w.shape[1 - in_axis]},)")
 
 
 # ---------------------------------------------------------------------------
 # Public operations.
 # ---------------------------------------------------------------------------
 
-def conv2d(input, weights, bias, spec: ConvSpec) -> Tensor:
-    """Dilated cross-correlation; tap (i, j) samples offset (d*i, d*j)."""
+def conv2d(input, weights, bias, stride=1, padding=0, dilation=1) -> Tensor:
+    """Dilated cross-correlation; tap (i, j) samples offset (d*i, d*j).
+
+    The (out, in, k, k) weights give the kernel and both channel counts.
+    """
     x, w, b = as_tensor(input), as_tensor(weights), as_tensor(bias)
-    _check_nchw(x.data, "input")
-    if w.shape != (spec.out_channels, spec.in_channels, spec.kernel, spec.kernel):
-        raise ShapeError(f"weights shape {w.shape} != "
-                         f"({spec.out_channels}, {spec.in_channels}, {spec.kernel}, {spec.kernel})")
-    if x.shape[1] != spec.in_channels:
-        raise ShapeError(f"input has {x.shape[1]} channels, spec expects {spec.in_channels}")
-    if b.shape != (spec.out_channels,):
-        raise ShapeError(f"bias shape {b.shape} != ({spec.out_channels},)")
+    _check_conv(x, w, b, 1)
+    if min(stride, dilation) < 1 or padding < 0:
+        raise ShapeError(f"need stride >= 1, dilation >= 1 and padding >= 0, got "
+                         f"stride {stride}, dilation {dilation}, padding {padding}")
     xa, wa = x.data, w.data  # all that the gradients read
-    y = _conv_fwd(xa, wa, spec) + b.data[:, None, None]
-    h, wd = x.shape[2], x.shape[3]
+    y = _conv_fwd(xa, wa, stride, padding, dilation) + b.data[:, None, None]
+    k, (h, wd) = wa.shape[2], x.shape[2:]
     return _node(y, (x, w, b),
-                 lambda g: _conv_grad_input(g, wa, spec, h, wd),
-                 lambda g: _conv_grad_w(g, xa, spec),
+                 lambda g: _conv_grad_input(g, wa, stride, padding, dilation, h, wd),
+                 lambda g: _conv_grad_w(g, xa, k, stride, padding, dilation),
                  lambda g: g.sum(axis=(0, 2, 3)))
 
 
-def transposed_conv2d(input, weights, bias, spec: ConvSpec) -> Tensor:
-    """Fractionally-strided convolution: the adjoint map of conv2d.
+def transposed_conv2d(input, weights, bias) -> Tensor:
+    """Transposed conv with (in, out, k, k) weights at stride k, unpadded:
+    the adjoint of a k x k stride-k conv2d, so the extent grows k-fold and
+    input pixel (r, q) writes only output block (r*k:(r+1)*k, q*k:(q+1)*k).
 
-    weights shape is (in_channels, out_channels, k, k); with stride 2 the
-    spatial extent roughly doubles.
+    The forward is one (out*k*k, in) GEMM per image, so an image's output
+    keeps its bits in any batch, then a depth-to-space reshape. The input
+    gradient is the transposed GEMM over the space-to-depth of the output
+    gradient; the weight gradient sums over the images.
     """
     x, w, b = as_tensor(input), as_tensor(weights), as_tensor(bias)
-    _check_nchw(x.data, "input")
-    if w.shape != (spec.in_channels, spec.out_channels, spec.kernel, spec.kernel):
-        raise ShapeError(f"weights shape {w.shape} != "
-                         f"({spec.in_channels}, {spec.out_channels}, {spec.kernel}, {spec.kernel})")
-    if x.shape[1] != spec.in_channels:
-        raise ShapeError(f"input has {x.shape[1]} channels, spec expects {spec.in_channels}")
-    # The adjoint of a conv mapping out_channels -> in_channels with the
-    # same geometry; reuse the conv gradient kernels with roles swapped.
-    adj = ConvSpec(spec.out_channels, spec.in_channels, spec.kernel,
-                   spec.stride, spec.padding, spec.dilation)
-    h, wd = x.shape[2], x.shape[3]
-    oh, ow = spec.transposed_out_extent(h), spec.transposed_out_extent(wd)
-    xa, wa = x.data, w.data
-    y = _conv_grad_input(xa, wa, adj, oh, ow) + b.data[:, None, None]
+    _check_conv(x, w, b, 0)
+    (n, c, h, wd), (o, k) = x.shape, w.shape[1:3]
+    xa, wa = x.data.reshape(n, c, h * wd), w.data.reshape(c, o * k * k)
+
+    def space_to_depth(g):
+        return g.reshape(n, o, h, k, wd, k).transpose(0, 1, 3, 5, 2, 4).reshape(n, -1, h * wd)
+
+    def grad_w(g):
+        return sum(xi @ gi.T for xi, gi in zip(xa, space_to_depth(g))).reshape(c, o, k, k)
+
+    blocks = np.matmul(wa.T, xa).reshape(n, o, k, k, h, wd).transpose(0, 1, 4, 2, 5, 3)
+    y = (blocks + b.data[:, None, None, None, None]).reshape(n, o, h * k, wd * k)
     return _node(y, (x, w, b),
-                 lambda g: _conv_fwd(g, wa, adj),
-                 lambda g: _conv_grad_w(xa, g, adj),
+                 lambda g: np.matmul(wa, space_to_depth(g)).reshape(n, c, h, wd),
+                 grad_w,
                  lambda g: g.sum(axis=(0, 2, 3)))
 
 

@@ -44,14 +44,13 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
-        for key in ("epochs", "batch_size"):
+        for key in ("epochs", "batch_size", "num_classes"):
             if getattr(self, key) < 1:
                 raise ShapeError(f"{key} must be >= 1, got {getattr(self, key)}")
         # The checkpoint stores the seed as int64.
         if not 0 <= self.seed < 2 ** 63:
             raise ShapeError(f"seed must lie in 0..{2 ** 63 - 1}, got {self.seed}")
-        drops = tuple(self.lr_drop_epochs)
-        object.__setattr__(self, "lr_drop_epochs", drops)
+        object.__setattr__(self, "lr_drop_epochs", tuple(self.lr_drop_epochs))
         # NaN fails each of these range checks.
         for key in ("base_lr", "warmup_start_lr"):
             if not 0 < getattr(self, key) < np.inf:
@@ -60,8 +59,9 @@ class TrainConfig:
             raise ShapeError(f"momentum must lie in [0, 1), got {self.momentum}")
         if not 0 <= self.weight_decay < np.inf:
             raise ShapeError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        if drops and not (self.warmup_epochs < drops[0] < self.epochs):
-            raise ShapeError("need warmup epochs < first drop epoch < total epochs")
+        if not all(self.warmup_epochs < d < self.epochs for d in self.lr_drop_epochs):
+            raise ShapeError(f"each of lr_drop_epochs {self.lr_drop_epochs} must lie strictly "
+                             f"between warmup_epochs {self.warmup_epochs} and epochs {self.epochs}")
         # Checked for every seg mode, so no command accepts thresholds a later run rejects.
         AreaThresholds(self.t1, self.t2)
 

@@ -15,6 +15,7 @@ import pytest
 
 from box_oracles import Box, ScoredBox, box_from_center, corners, gt_array, iou
 from mrfdet.anchors import encode_array, iou_matrix, match_anchors, nms_array
+from mrfdet import cli
 from mrfdet.cli import ablate, format_ablation_table
 from mrfdet.dataset import DatasetSpec, synth_dataset
 from mrfdet.detector_net import (BackboneSpec, Toggles, build_network,
@@ -284,8 +285,20 @@ def test_criterion_6_desk_training(desk):
            f"{desk['train_seconds']:.0f}s (<600s)")
 
 
-def test_criterion_6_ablation_ladder(desk):
+def test_criterion_6_ablation_ladder(desk, monkeypatch):
+    # The ladder's SWS rung is the fixture's training, TrainConfig() on the same
+    # data, which is bit-deterministic (criterion 7): that call gets the
+    # fixture's result instead of training the same model again.
+    hits, trained = [], cli.train
+
+    def reuse_fixture_model(*args, **kwargs):
+        if args == (TrainConfig(), desk["train_dir"]) and kwargs == {"log_fn": None}:
+            hits.append(args)
+            return desk["result"]
+        return trained(*args, **kwargs)
+    monkeypatch.setattr(cli, "train", reuse_fixture_model)
     rows = ablate(TrainConfig(), desk["train_dir"], desk["test_dir"])
+    assert len(hits) == 1
     table = format_ablation_table(rows)
     print("\n" + table)
     labels = [label for label, _, _ in rows]

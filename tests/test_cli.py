@@ -258,6 +258,30 @@ class TestDiagnostics:
         assert err == "error: need 0 < t1 < t2, got (5000.0, 100.0)"
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("command", ["train", "describe", "ablate"])
+    @pytest.mark.parametrize("line,message", [
+        ("lr_drop_epochs = 20 2", "each of lr_drop_epochs (20, 2) must lie strictly between "
+                                  "warmup_epochs 3 and epochs 30"),
+        ("lr_drop_epochs = 20 100", "each of lr_drop_epochs (20, 100) must lie strictly between "
+                                    "warmup_epochs 3 and epochs 30"),
+        ("num_classes = 0", "num_classes must be >= 1, got 0")],
+        ids=["drop-inside-warmup", "drop-past-the-last-epoch", "no-classes"])
+    def test_schedule_and_class_count_rejected_before_training(
+            self, data_dir, tmp_path, capsys, monkeypatch, command, line, message):
+        # Only the first drop was checked: a later one inside the warmup or past
+        # the last epoch trained on, and so did a network without classes.
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(line + "\n")
+
+        def no_training(*args, **kwargs):
+            raise AssertionError(f"a command trained with {line}")
+        monkeypatch.setattr(cli, "train", no_training)
+        extra = {"train": ["--data", str(data_dir / "data"), "--out", str(tmp_path / "m.ckpt")],
+                 "ablate": ["--data", str(data_dir / "data")]}.get(command, [])
+        err = self.run_error([command, "--config", str(cfg)] + extra, capsys)
+        assert err == "error: " + message
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_benchmark_keys_stay_valid(self):
         values = {"epochs": "1", "batch_size": "8", "warmup_epochs": "0",
                   "lr_drop_epochs": ""}

@@ -7,7 +7,7 @@ from mrfdet.mrf_block import (DEFAULT_BRANCHES, BranchSpec, branch_taps, default
                               effective_receptive_field, format_rf_report,
                               init_conv, init_mrf_params, mrf_forward,
                               msra_init, named_conv, rf_report)
-from mrfdet.tensor_core import (ConvSpec, ShapeError, finite_diff_check, inner, relu,
+from mrfdet.tensor_core import (ShapeError, finite_diff_check, inner, relu,
                                transposed_conv2d)
 
 
@@ -136,7 +136,7 @@ class TestNamedConv:
         assert params["t.b"].shape == (4,)
         x = np.random.default_rng(1).standard_normal((2, 3, 5, 5))
         out = named_conv(params, "t", x, transposed=True).data
-        want = transposed_conv2d(x, params["t.w"], params["t.b"], ConvSpec(3, 4, 2, stride=2))
+        want = transposed_conv2d(x, params["t.w"], params["t.b"])
         assert out.shape == (2, 4, 10, 10)
         np.testing.assert_array_equal(out, want.data)
 

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrfdet import tensor_core
-from mrfdet.tensor_core import (ConvSpec, ShapeError, Tensor, add, concat,
-                                conv2d, finite_diff_check, inner, no_grad,
-                                relu, transposed_conv2d, upsample_nearest_2x)
+from mrfdet.tensor_core import (ShapeError, Tensor, add, concat, conv2d,
+                                finite_diff_check, inner, no_grad, relu,
+                                transposed_conv2d, upsample_nearest_2x)
+from reference_machine import REFERENCE_MACHINE, machine_keys
 
 
 def identity_kernel(channels):
@@ -16,11 +17,11 @@ def identity_kernel(channels):
     return w
 
 
-def conv2d_grads(g, x, w, spec):
+def conv2d_grads(g, x, w, **geometry):
     """(grad_input, grad_weights, grad_bias) of conv2d for output grad g."""
     x, w = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-    b = Tensor(np.zeros(spec.out_channels), requires_grad=True)
-    conv2d(x, w, b, spec).backward(g)
+    b = Tensor(np.zeros(w.shape[0]), requires_grad=True)
+    conv2d(x, w, b, **geometry).backward(g)
     return x.grad, w.grad, b.grad
 
 
@@ -28,13 +29,13 @@ class TestConvForward:
     def test_identity_1x1(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((1, 3, 5, 5))
-        out = conv2d(x, identity_kernel(3), np.zeros(3), ConvSpec(3, 3, 1)).data
+        out = conv2d(x, identity_kernel(3), np.zeros(3)).data
         np.testing.assert_array_equal(out, x)
 
     def test_all_ones_3x3_on_constant(self):
         # 3x3 all-ones kernel over constant 2 sums 9 taps of 2 -> 18 everywhere.
         x = np.full((1, 1, 5, 5), 2.0)
-        out = conv2d(x, np.ones((1, 1, 3, 3)), np.zeros(1), ConvSpec(1, 1, 3)).data
+        out = conv2d(x, np.ones((1, 1, 3, 3)), np.zeros(1)).data
         assert out.shape == (1, 1, 3, 3)
         np.testing.assert_allclose(out, 18.0)
 
@@ -42,8 +43,7 @@ class TestConvForward:
         # Oracle: enumerate tap coordinates {0,2,4} x {0,2,4} by hand.
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1, 1, 5, 5))
-        out = conv2d(x, np.ones((1, 1, 3, 3)), np.zeros(1),
-                     ConvSpec(1, 1, 3, dilation=2)).data
+        out = conv2d(x, np.ones((1, 1, 3, 3)), np.zeros(1), dilation=2).data
         expected = sum(x[0, 0, i, j] for i in (0, 2, 4) for j in (0, 2, 4))
         assert out.shape == (1, 1, 1, 1)
         np.testing.assert_allclose(out[0, 0, 0, 0], expected)
@@ -51,13 +51,13 @@ class TestConvForward:
     def test_loop_oracle_random_case(self):
         # Brute-force nested-loop convolution on a random strided dilated case.
         rng = np.random.default_rng(2)
-        spec = ConvSpec(2, 3, 3, stride=2, padding=2, dilation=2)
         x = rng.standard_normal((2, 7, 7))
         w = rng.standard_normal((3, 2, 3, 3))
         b = rng.standard_normal(3)
-        out = conv2d(x[None], w, b, spec).data[0]
+        out = conv2d(x[None], w, b, stride=2, padding=2, dilation=2).data[0]
         xp = np.pad(x, ((0, 0), (2, 2), (2, 2)))
-        oh = spec.out_extent(7)
+        oh = (7 + 2 * 2 - 5) // 2 + 1
+        assert out.shape == (3, oh, oh)
         expected = np.zeros((3, oh, oh))
         for o in range(3):
             for y in range(oh):
@@ -77,126 +77,127 @@ class TestConvForward:
         b = rng.standard_normal(2)
         for d in (2, 3, 5):
             np.testing.assert_array_equal(
-                conv2d(x, w, b, ConvSpec(2, 2, 1, dilation=d)).data,
-                conv2d(x, w, b, ConvSpec(2, 2, 1)).data)
+                conv2d(x, w, b, dilation=d).data, conv2d(x, w, b).data)
 
     def test_bias_per_output_channel(self):
         x = np.zeros((1, 1, 3, 3))
-        out = conv2d(x, np.zeros((2, 1, 1, 1)), np.array([1.5, -2.0]),
-                     ConvSpec(1, 2, 1)).data
+        out = conv2d(x, np.zeros((2, 1, 1, 1)), np.array([1.5, -2.0])).data
         np.testing.assert_allclose(out[0, 0], 1.5)
         np.testing.assert_allclose(out[0, 1], -2.0)
 
     def test_shape_mismatch_names_dimension(self):
         x = np.zeros((1, 2, 5, 5))
         with pytest.raises(ShapeError, match="channels"):
-            conv2d(x, np.zeros((1, 3, 3, 3)), np.zeros(1), ConvSpec(3, 1, 3))
+            conv2d(x, np.zeros((1, 3, 3, 3)), np.zeros(1))
         with pytest.raises(ShapeError, match="weights shape"):
-            conv2d(x, np.zeros((1, 2, 5, 5)), np.zeros(1), ConvSpec(2, 1, 3))
+            conv2d(x, np.zeros((1, 2, 3, 5)), np.zeros(1))
+
+    @pytest.mark.parametrize("weights,bias,geometry,message", [
+        ((2, 3, 3), (2,), {}, r"weights shape \(2, 3, 3\) is not a nonempty"),
+        ((2, 3, 3, 2), (2,), {}, r"weights shape \(2, 3, 3, 2\) is not a nonempty"),
+        ((2, 3, 0, 0), (2,), {}, r"weights shape \(2, 3, 0, 0\) is not a nonempty"),
+        ((2, 4, 3, 3), (2,), {}, "input has 3 channels, weights expect 4"),
+        ((2, 3, 3, 3), (3,), {}, r"bias shape \(3,\) != \(2,\)"),
+        ((2, 3, 3, 3), (2,), {"stride": 0}, "stride 0"),
+        ((2, 3, 3, 3), (2,), {"dilation": 0}, "dilation 0"),
+        ((2, 3, 3, 3), (2,), {"padding": -1}, "padding -1")],
+        ids=["3-d", "non-square", "empty", "channels", "bias", "stride", "dilation",
+             "padding"])
+    def test_geometry_rejected_in_one_line(self, weights, bias, geometry, message):
+        with pytest.raises(ShapeError, match=message) as err:
+            conv2d(np.zeros((1, 3, 6, 6)), np.zeros(weights), np.zeros(bias), **geometry)
+        assert "\n" not in str(err.value)
 
     def test_too_small_input_rejected(self):
         with pytest.raises(ShapeError, match="extent"):
-            conv2d(np.zeros((1, 1, 4, 4)), np.ones((1, 1, 3, 3)), np.zeros(1),
-                   ConvSpec(1, 1, 3, dilation=3))
+            conv2d(np.zeros((1, 1, 4, 4)), np.ones((1, 1, 3, 3)), np.zeros(1), dilation=3)
 
     def test_determinism(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((1, 3, 8, 8))
         w = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
-        spec = ConvSpec(3, 4, 3, padding=1)
-        a = conv2d(x, w, b, spec).data
-        assert np.array_equal(a, conv2d(x, w, b, spec).data)
+        a = conv2d(x, w, b, padding=1).data
+        assert np.array_equal(a, conv2d(x, w, b, padding=1).data)
 
 
 class TestConvBackward:
     def test_zero_grad_out(self):
         rng = np.random.default_rng(5)
-        spec = ConvSpec(2, 3, 3)
         x = rng.standard_normal((1, 2, 5, 5))
         w = rng.standard_normal((3, 2, 3, 3))
-        gx, gw, gb = conv2d_grads(np.zeros((1, 3, 3, 3)), x, w, spec)
+        gx, gw, gb = conv2d_grads(np.zeros((1, 3, 3, 3)), x, w)
         assert not gx.any() and not gw.any() and not gb.any()
 
     def test_identity_kernel_adjoint(self):
         rng = np.random.default_rng(6)
         g = rng.standard_normal((1, 2, 4, 4))
         gx, _, _ = conv2d_grads(g, rng.standard_normal((1, 2, 4, 4)),
-                                identity_kernel(2), ConvSpec(2, 2, 1))
+                                identity_kernel(2))
         np.testing.assert_array_equal(gx, g)
 
     def test_grad_bias_is_channel_sum(self):
         rng = np.random.default_rng(7)
-        spec = ConvSpec(1, 2, 3)
         g = rng.standard_normal((1, 2, 3, 3))
         _, _, gb = conv2d_grads(g, rng.standard_normal((1, 1, 5, 5)),
-                                rng.standard_normal((2, 1, 3, 3)), spec)
+                                rng.standard_normal((2, 1, 3, 3)))
         np.testing.assert_allclose(gb, g.sum(axis=(0, 2, 3)))
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(8)
-        spec = ConvSpec(2, 3, 3, padding=1)
         x = rng.standard_normal((1, 2, 4, 4))
         w = rng.standard_normal((3, 2, 3, 3))
         b = rng.standard_normal(3)
         c = rng.standard_normal((1, 3, 4, 4))
-        assert finite_diff_check(lambda t: inner(conv2d(t, w, b, spec), c), x) < 1e-5
-        assert finite_diff_check(lambda t: inner(conv2d(x, t, b, spec), c), w) < 1e-5
-        assert finite_diff_check(lambda t: inner(conv2d(x, w, t, spec), c), b) < 1e-5
+        assert finite_diff_check(lambda t: inner(conv2d(t, w, b, padding=1), c), x) < 1e-5
+        assert finite_diff_check(lambda t: inner(conv2d(x, t, b, padding=1), c), w) < 1e-5
+        assert finite_diff_check(lambda t: inner(conv2d(x, w, t, padding=1), c), b) < 1e-5
 
     def test_grad_out_shape_rejected(self):
         with pytest.raises(ShapeError, match="grad shape"):
             conv2d_grads(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 5, 5)),
-                         np.zeros((1, 1, 3, 3)), ConvSpec(1, 1, 3))
+                         np.zeros((1, 1, 3, 3)))
 
 
 class TestTransposedConv:
     def test_identity(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((1, 2, 4, 4))
-        out = transposed_conv2d(x, identity_kernel(2), np.zeros(2),
-                                ConvSpec(2, 2, 1)).data
+        out = transposed_conv2d(x, identity_kernel(2), np.zeros(2)).data
         np.testing.assert_array_equal(out, x)
 
     def test_stride2_disjoint_blocks(self):
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        out = transposed_conv2d(x, np.ones((1, 1, 2, 2)), np.zeros(1),
-                                ConvSpec(1, 1, 2, stride=2)).data
+        out = transposed_conv2d(x, np.ones((1, 1, 2, 2)), np.zeros(1)).data
         assert out.shape == (1, 1, 4, 4)
         for (y, xx), v in np.ndenumerate(x[0, 0]):
             np.testing.assert_allclose(out[0, 0, 2 * y:2 * y + 2, 2 * xx:2 * xx + 2], v)
 
     def test_adjoint_inner_product_identity(self):
-        # <transposed(x), y> == <x, conv(y)> for the matched spec.
+        # <transposed(x), y> == <x, conv(y)> for the 2x2 stride-2 conv.
         rng = np.random.default_rng(10)
-        spec = ConvSpec(3, 2, 3, stride=2, padding=1)
-        conv_spec = ConvSpec(2, 3, 3, stride=2, padding=1)
-        x = rng.standard_normal((1, 3, 4, 4))
-        w = rng.standard_normal((3, 2, 3, 3))
-        y = rng.standard_normal((1, 2, spec.transposed_out_extent(4),
-                                 spec.transposed_out_extent(4)))
-        lhs = (transposed_conv2d(x, w, np.zeros(2), spec).data * y).sum()
+        x = rng.standard_normal((2, 3, 4, 5))
+        w = rng.standard_normal((3, 2, 2, 2))
+        y = rng.standard_normal((2, 2, 8, 10))
+        lhs = (transposed_conv2d(x, w, np.zeros(2)).data * y).sum()
         # conv weights (out, in, k, k) = (3, 2, k, k): same array.
-        rhs = (x * conv2d(y, w, np.zeros(3), conv_spec).data).sum()
+        rhs = (x * conv2d(y, w, np.zeros(3), stride=2).data).sum()
         assert abs(lhs - rhs) < 1e-10
 
     def test_gradients(self):
         rng = np.random.default_rng(11)
-        spec = ConvSpec(2, 3, 2, stride=2)
         x = rng.standard_normal((1, 2, 3, 3))
         w = rng.standard_normal((2, 3, 2, 2))
         b = rng.standard_normal(3)
         c = rng.standard_normal((1, 3, 6, 6))
-        assert finite_diff_check(
-            lambda t: inner(transposed_conv2d(t, w, b, spec), c), x) < 1e-5
-        assert finite_diff_check(
-            lambda t: inner(transposed_conv2d(x, t, b, spec), c), w) < 1e-5
+        assert finite_diff_check(lambda t: inner(transposed_conv2d(t, w, b), c), x) < 1e-5
+        assert finite_diff_check(lambda t: inner(transposed_conv2d(x, t, b), c), w) < 1e-5
 
 
-def conv_oracle(x, w, b, g, spec):
+def conv_oracle(x, w, b, g, stride=1, padding=0, dilation=1):
     """Nested-loop conv2d output and its (input, weight, bias) gradients for
     output gradient g."""
-    k, s, d, p = spec.kernel, spec.stride, spec.dilation, spec.padding
+    k, s, d, p = w.shape[2], stride, dilation, padding
     (_, h, wd), (_, oh, ow) = x.shape, g.shape
     y = np.zeros(g.shape) + b[:, None, None]
     gx, gw = np.zeros_like(x), np.zeros_like(w)
@@ -212,50 +213,47 @@ def conv_oracle(x, w, b, g, spec):
     return y, gx, gw, g.sum(axis=(1, 2))
 
 
-def transposed_oracle(x, w, b, g, spec):
+def transposed_oracle(x, w, b, g):
     """Nested-loop transposed_conv2d: input pixel (r, q) adds w[:, :, i, j]
-    times its value at output (r*s + i*d - p, q*s + j*d - p)."""
-    k, s, d, p = spec.kernel, spec.stride, spec.dilation, spec.padding
-    (_, h, wd), (_, oh, ow) = x.shape, g.shape
+    times its value at output (r*k + i, q*k + j)."""
+    k, (_, h, wd) = w.shape[2], x.shape
     y = np.zeros(g.shape) + b[:, None, None]
     gx, gw = np.zeros_like(x), np.zeros_like(w)
     for r in range(h):
         for q in range(wd):
             for i in range(k):
                 for j in range(k):
-                    a, c = r * s + i * d - p, q * s + j * d - p
-                    if 0 <= a < oh and 0 <= c < ow:
-                        y[:, a, c] += w[:, :, i, j].T @ x[:, r, q]
-                        gx[:, r, q] += w[:, :, i, j] @ g[:, a, c]
-                        gw[:, :, i, j] += np.outer(x[:, r, q], g[:, a, c])
+                    a, c = r * k + i, q * k + j
+                    y[:, a, c] += w[:, :, i, j].T @ x[:, r, q]
+                    gx[:, r, q] += w[:, :, i, j] @ g[:, a, c]
+                    gw[:, :, i, j] += np.outer(x[:, r, q], g[:, a, c])
     return y, gx, gw, g.sum(axis=(1, 2))
 
 
 @st.composite
-def conv_geometry(draw, transposed=False):
-    """A ConvSpec with padding up to one past the kernel span, and an H != W
-    input on which it gives at least one output pixel."""
+def conv_geometry(draw):
+    """Channel counts, a kernel, keyword geometry with padding up to one
+    past the kernel span, and an H != W input on which it gives at least one
+    output pixel."""
     k, s, d = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
     span = d * (k - 1) + 1
     p = draw(st.integers(0, span))
-    if transposed:
-        low = max(1, 1 - (span - 2 * p - 1) // s)
-    else:
-        low = max(1, span - 2 * p)
+    low = max(1, span - 2 * p)
     h = draw(st.integers(low, low + 5))
     w = draw(st.integers(low, low + 5).filter(lambda v: v != h))
-    spec = ConvSpec(draw(st.integers(1, 3)), draw(st.integers(1, 3)), k, s, p, d)
-    return spec, h, w, draw(st.integers(1, 3)), draw(st.integers(0, 2 ** 32 - 1))
+    geometry = {"stride": s, "padding": p, "dilation": d}
+    return (draw(st.integers(1, 3)), draw(st.integers(1, 3)), k, geometry, h, w,
+            draw(st.integers(1, 3)), draw(st.integers(0, 2 ** 32 - 1)))
 
 
-def assert_matches_oracle(op, oracle, x, w, b, g, spec):
+def assert_matches_oracle(op, oracle, x, w, b, g, **geometry):
     """op on an (N, C, H, W) batch against the one-image oracle per image:
     outputs and input gradients stack, parameter gradients sum."""
     xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
-    y = op(xt, wt, bt, spec)
+    y = op(xt, wt, bt, **geometry)
     assert y.shape == g.shape
     y.backward(g)
-    per_image = [oracle(xi, w, b, gi, spec) for xi, gi in zip(x, g)]
+    per_image = [oracle(xi, w, b, gi, **geometry) for xi, gi in zip(x, g)]
     want = (np.stack([r[0] for r in per_image]), np.stack([r[1] for r in per_image]),
             sum(r[2] for r in per_image), sum(r[3] for r in per_image))
     for got, expected in zip((y.data, xt.grad, wt.grad, bt.grad), want):
@@ -265,27 +263,68 @@ def assert_matches_oracle(op, oracle, x, w, b, g, spec):
 class TestConvOracle:
     @given(conv_geometry())
     @settings(max_examples=40, deadline=None)
-    def test_conv2d_forward_and_gradients(self, geometry):
-        spec, h, wd, n, seed = geometry
+    def test_conv2d_forward_and_gradients(self, case):
+        in_c, out_c, k, geometry, h, wd, n, seed = case
+        s, p, d = geometry["stride"], geometry["padding"], geometry["dilation"]
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((n, spec.in_channels, h, wd))
-        w = rng.standard_normal((spec.out_channels, spec.in_channels, spec.kernel, spec.kernel))
-        b = rng.standard_normal(spec.out_channels)
-        g = rng.standard_normal((n, spec.out_channels, spec.out_extent(h),
-                                 spec.out_extent(wd)))
-        assert_matches_oracle(conv2d, conv_oracle, x, w, b, g, spec)
+        x = rng.standard_normal((n, in_c, h, wd))
+        w = rng.standard_normal((out_c, in_c, k, k))
+        b = rng.standard_normal(out_c)
+        g = rng.standard_normal((n, out_c) + tuple((e + 2 * p - d * (k - 1) - 1) // s + 1
+                                                   for e in (h, wd)))
+        assert_matches_oracle(conv2d, conv_oracle, x, w, b, g, **geometry)
 
-    @given(conv_geometry(transposed=True))
+    @given(k=st.integers(1, 4), in_c=st.integers(1, 3), out_c=st.integers(1, 3),
+           hw=st.lists(st.integers(1, 5), min_size=2, max_size=2, unique=True),
+           n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_transposed_conv2d_forward_and_gradients(self, geometry):
-        spec, h, wd, n, seed = geometry
+    def test_transposed_conv2d_forward_and_gradients(self, k, in_c, out_c, hw, n, seed):
+        h, wd = hw
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((n, spec.in_channels, h, wd))
-        w = rng.standard_normal((spec.in_channels, spec.out_channels, spec.kernel, spec.kernel))
-        b = rng.standard_normal(spec.out_channels)
-        g = rng.standard_normal((n, spec.out_channels, spec.transposed_out_extent(h),
-                                 spec.transposed_out_extent(wd)))
-        assert_matches_oracle(transposed_conv2d, transposed_oracle, x, w, b, g, spec)
+        x = rng.standard_normal((n, in_c, h, wd))
+        w = rng.standard_normal((in_c, out_c, k, k))
+        b = rng.standard_normal(out_c)
+        g = rng.standard_normal((n, out_c, h * k, wd * k))
+        assert_matches_oracle(transposed_conv2d, transposed_oracle, x, w, b, g)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("c,o,extent", [(64, 16, 16), (16, 8, 32)],
+                             ids=["seg.up1", "seg.up2"])
+    def test_seg_head_transposed_conv_equals_the_zero_insertion_path(self, c, o, extent, n):
+        # The op is the adjoint of a 2x2 stride-2 conv2d with the same (c, o, 2, 2)
+        # array as its weights, so conv2d's kernels give it too: the forward is
+        # that conv's zero-inserted input gradient, the input gradient its
+        # forward, and the weight gradient its weight gradient with input and
+        # output gradient swapped. Extra zero terms leave each sum's bits as
+        # they are on the pinned BLAS; elsewhere the sums need only agree.
+        rng = np.random.default_rng(c + n)
+        x, w, b, g = (rng.standard_normal(shape).astype(np.float32) for shape in (
+            (n, c, extent, extent), (c, o, 2, 2), (o,), (n, o, 2 * extent, 2 * extent)))
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        y = transposed_conv2d(xt, wt, bt)
+        y.backward(g)
+        want = (tensor_core._conv_grad_input(x, w, 2, 0, 1, 2 * extent, 2 * extent)
+                + b[:, None, None],
+                tensor_core._conv_fwd(g, w, 2, 0, 1),
+                tensor_core._conv_grad_w(x, g, 2, 2, 0, 1),
+                g.sum(axis=(0, 2, 3)))
+        exact = machine_keys() == REFERENCE_MACHINE
+        for got, expected in zip((y.data, xt.grad, wt.grad, bt.grad), want):
+            assert got.dtype == np.float32 and got.shape == expected.shape
+            if exact:
+                assert got.tobytes() == expected.tobytes()
+            np.testing.assert_allclose(got, expected, rtol=1e-5, atol=1e-4)
+
+    @pytest.mark.parametrize("weights,bias,message", [
+        ((3, 2, 2), (2,), r"weights shape \(3, 2, 2\) is not a nonempty"),
+        ((3, 2, 2, 1), (2,), r"weights shape \(3, 2, 2, 1\) is not a nonempty"),
+        ((4, 2, 2, 2), (2,), "input has 3 channels, weights expect 4"),
+        ((3, 2, 2, 2), (3,), r"bias shape \(3,\) != \(2,\)")],
+        ids=["3-d", "non-square", "channels", "bias"])
+    def test_transposed_geometry_rejected_in_one_line(self, weights, bias, message):
+        with pytest.raises(ShapeError, match=message) as err:
+            transposed_conv2d(np.zeros((1, 3, 4, 4)), np.zeros(weights), np.zeros(bias))
+        assert "\n" not in str(err.value)
 
     def test_tap_view_rejects_short_buffer(self):
         # k=3, d=1, s=1, 2 output rows over a 4-wide canvas: the last tap of
@@ -439,7 +478,7 @@ class TestBackwardOrder:
         w = Tensor(np.ones((2, 1, 3, 3)), requires_grad=True)
         b = Tensor(np.zeros(2), requires_grad=True)
         x = np.arange(16.0).reshape(1, 1, 4, 4)
-        conv2d(x, w, b, ConvSpec(1, 2, 3, padding=1)).backward(np.ones((1, 2, 4, 4)))
+        conv2d(x, w, b, padding=1).backward(np.ones((1, 2, 4, 4)))
         np.testing.assert_array_equal(b.grad, [16.0, 16.0])
         assert w.grad.shape == (2, 1, 3, 3) and w.grad[0, 0, 1, 1] == x.sum()
 
@@ -451,17 +490,16 @@ class TestFiniteDiff:
         c = rng.standard_normal((1, 2, 3, 3))
         x = rng.standard_normal((1, 2, 3, 3))
         err = finite_diff_check(
-            lambda t: inner(conv2d(t, w, np.zeros(2), ConvSpec(2, 2, 1)), c), x)
+            lambda t: inner(conv2d(t, w, np.zeros(2)), c), x)
         assert err < 1e-9
 
     def test_dilated_conv(self):
         rng = np.random.default_rng(16)
-        spec = ConvSpec(1, 2, 3, dilation=3)
         x = rng.standard_normal((1, 1, 8, 8))
         w = rng.standard_normal((2, 1, 3, 3))
         c = rng.standard_normal((1, 2, 2, 2))
         assert finite_diff_check(
-            lambda t: inner(conv2d(t, w, np.zeros(2), spec), c), x) < 1e-5
+            lambda t: inner(conv2d(t, w, np.zeros(2), dilation=3), c), x) < 1e-5
 
 
 class TestTensorInvariants:
@@ -469,7 +507,7 @@ class TestTensorInvariants:
         rng = np.random.default_rng(17)
         x = rng.standard_normal((1, 3, 6, 6))
         w = rng.standard_normal((4, 3, 3, 3))
-        out = relu(conv2d(x, w, rng.standard_normal(4), ConvSpec(3, 4, 3, padding=1)))
+        out = relu(conv2d(x, w, rng.standard_normal(4), padding=1))
         assert np.isfinite(out.data).all()
         out.backward(np.ones_like(out.data))
 
@@ -491,9 +529,9 @@ class TestNoGrad:
         b = Tensor(np.zeros(2), requires_grad=True)
         x = np.ones((2, 1, 4, 4))
         with no_grad():
-            out = relu(conv2d(x, w, b, ConvSpec(1, 2, 3, padding=1)))
+            out = relu(conv2d(x, w, b, padding=1))
         assert out.node.edges == ()
-        taped = relu(conv2d(x, w, b, ConvSpec(1, 2, 3, padding=1)))
+        taped = relu(conv2d(x, w, b, padding=1))
         np.testing.assert_array_equal(out.data, taped.data)
         assert taped.node.edges != ()
 
@@ -522,7 +560,7 @@ class TestBackwardFreesTheTape:
         x = Tensor(rng.standard_normal((2, 2, 5, 5)), requires_grad=True)
         w = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
         b = Tensor(rng.standard_normal(3), requires_grad=True)
-        h = relu(conv2d(x, w, b, ConvSpec(2, 3, 3, padding=1)))
+        h = relu(conv2d(x, w, b, padding=1))
         out = add([h, relu(h)])
         nodes = tape_nodes(out)
         interior = [n for n in nodes if n.edges]

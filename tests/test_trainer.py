@@ -69,6 +69,11 @@ class TestSchedule:
             TrainConfig(epochs=10, warmup_epochs=5, lr_drop_epochs=(4,))
         with pytest.raises(ShapeError):
             TrainConfig(epochs=10, lr_drop_epochs=(12,))
+        for drops in ((20, 2), (20, 100), (20, 30), (3, 20)):
+            with pytest.raises(ShapeError, match=r"each of lr_drop_epochs \(\d+, \d+\)"):
+                TrainConfig(lr_drop_epochs=drops)
+        with pytest.raises(ShapeError, match="num_classes must be >= 1, got 0"):
+            TrainConfig(num_classes=0)
 
     def test_epochs_and_batch_size_positive(self):
         with pytest.raises(ShapeError, match="epochs must be >= 1, got 0"):
